@@ -15,7 +15,12 @@ from .calibration import (
     prevalence_identity_residual,
     threshold_calibration,
 )
-from .comparison import ComparisonVerdict, compare_models, ppv_superiority_reference
+from .comparison import (
+    ComparisonVerdict,
+    compare_curve,
+    compare_models,
+    ppv_superiority_reference,
+)
 from .curves import (
     DEFAULT_GRID,
     CurvePoint,
@@ -46,6 +51,7 @@ from .errors import (
 from .metrics import (
     PredictionRecord,
     PredictionSet,
+    SweepCounts,
     ThresholdConfusion,
     UtilityWeights,
     classify_at_threshold,
@@ -55,6 +61,7 @@ from .metrics import (
     net_benefit_treat_all,
     net_benefit_treat_none,
     ppv,
+    sweep_counts,
 )
 from .report import (
     ComparisonSection,
@@ -89,6 +96,7 @@ __all__ = [
     "PredictionSet",
     "ReportDocument",
     "RouteDisagreementError",
+    "SweepCounts",
     "SyntheticSpec",
     "ThresholdConfusion",
     "ThresholdError",
@@ -98,6 +106,7 @@ __all__ = [
     "UtilityWeights",
     "bootstrap_bands",
     "classify_at_threshold",
+    "compare_curve",
     "compare_models",
     "decision_curve",
     "emit_report",
@@ -120,6 +129,7 @@ __all__ = [
     "ppv_superiority_reference",
     "prevalence_identity_residual",
     "render_svg",
+    "sweep_counts",
     "threshold_calibration",
     "treat_all_reference_ppv",
     "treat_none_reference",

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import UndefinedAtThresholdError
-from .metrics import PredictionSet, check_threshold
+from .metrics import PredictionSet, ThresholdConfusion, classify_at_threshold
 
 __all__ = [
     "CalibrationSummary",
+    "calibration_from_counts",
     "threshold_calibration",
     "nb_via_calibration",
     "nb_gap_treat_all",
@@ -49,20 +48,20 @@ class CalibrationSummary:
     calibration_term: float | None
 
 
-def threshold_calibration(data: PredictionSet, t: float) -> CalibrationSummary:
-    """Observed event rates and mean predictions above and below ``t``."""
-    t = check_threshold(t)
-    above = data.risks >= t
-    n_above = int(np.count_nonzero(above))
-    n_below = data.n - n_above
-    s_t = n_above / data.n
-
-    events_above = int(np.count_nonzero(data.outcomes[above]))
+def calibration_from_counts(
+    c: ThresholdConfusion, risk_sum_above: float, risk_sum_below: float
+) -> CalibrationSummary:
+    """Group diagnostics from the counts at ``c.t`` and the risk sums of the
+    records classified positive (above) and negative (below)."""
+    t = c.t
+    n_above = c.tp + c.fp
+    n_below = c.n - n_above
+    s_t = c.s_t
 
     y_above = p_above = delta_t = enrichment = calibration_term = None
     if n_above > 0:
-        y_above = events_above / n_above
-        p_above = float(data.risks[above].sum()) / n_above
+        y_above = c.tp / n_above
+        p_above = risk_sum_above / n_above
         delta_t = y_above - p_above
         multiplier = s_t / (1.0 - t)
         enrichment = multiplier * (p_above - t)
@@ -70,8 +69,8 @@ def threshold_calibration(data: PredictionSet, t: float) -> CalibrationSummary:
 
     y_below = p_below = None
     if n_below > 0:
-        y_below = (data.n1 - events_above) / n_below
-        p_below = float(data.risks[~above].sum()) / n_below
+        y_below = c.fn / n_below
+        p_below = risk_sum_below / n_below
 
     return CalibrationSummary(
         t=t,
@@ -83,6 +82,15 @@ def threshold_calibration(data: PredictionSet, t: float) -> CalibrationSummary:
         delta_t=delta_t,
         enrichment=enrichment,
         calibration_term=calibration_term,
+    )
+
+
+def threshold_calibration(data: PredictionSet, t: float) -> CalibrationSummary:
+    """Observed event rates and mean predictions above and below ``t``."""
+    c = classify_at_threshold(data, t)
+    above = data.risks >= c.t
+    return calibration_from_counts(
+        c, float(data.risks[above].sum()), float(data.risks[~above].sum())
     )
 
 

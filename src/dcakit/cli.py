@@ -13,7 +13,8 @@ import sys
 import tempfile
 
 from . import __version__
-from .comparison import compare_models
+# compare_models stays importable here: bench/workloads.py traces it by name.
+from .comparison import compare_curve, compare_models  # noqa: F401
 from .curves import SyntheticSpec, ThresholdGrid, decision_curve, generate_synthetic
 from .equivalences import ppv_bounds_given_nb
 from .errors import DataError, RouteDisagreementError, UsageError
@@ -188,7 +189,7 @@ def _cmd_curves(args) -> int:
 def _cmd_compare(args) -> int:
     grid = ThresholdGrid.from_string(args.grid)
     d1, d2 = _ingest_from_args(args)
-    verdicts = tuple(compare_models(d1, d2, t) for t in grid.points)
+    verdicts = tuple(compare_curve(d1, d2, grid))
     doc = ReportDocument(
         metadata=_metadata(args, grid, outcome=args.outcome),
         comparisons=(ComparisonSection(model1=d1.name, model2=d2.name, verdicts=verdicts),),

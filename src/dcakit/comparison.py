@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curves import ThresholdGrid
 from .errors import RouteDisagreementError, UndefinedAtThresholdError, UsageError
 from .metrics import (
     PredictionSet,
@@ -20,9 +21,17 @@ from .metrics import (
     classify_at_threshold,
     net_benefit,
     ppv,
+    reproducer,
+    sweep_counts,
 )
 
-__all__ = ["ComparisonVerdict", "compare_models", "ppv_superiority_reference"]
+__all__ = [
+    "ComparisonVerdict",
+    "compare_curve",
+    "compare_models",
+    "decide_superiority",
+    "ppv_superiority_reference",
+]
 
 WINNER_MODEL1 = "model1"
 WINNER_MODEL2 = "model2"
@@ -79,21 +88,23 @@ def _margin_below(c: ThresholdConfusion) -> float | None:
     return (1.0 - c.s_t) * (c.t - c.fn / negatives)
 
 
-def compare_models(d1: PredictionSet, d2: PredictionSet, t: float) -> ComparisonVerdict:
-    """Compare two models scoring the same cohort at threshold ``t``.
-
-    Requires identical outcome vectors (same subjects, same order).
-    Every route that is defined must agree on the strict ordering;
-    disagreement raises RouteDisagreementError.
-    """
-    t = check_threshold(t)
+def _check_same_cohort(d1: PredictionSet, d2: PredictionSet) -> None:
     if d1.n != d2.n:
         raise UsageError(f"cohort sizes differ: {d1.n} vs {d2.n}")
     if not np.array_equal(d1.outcomes, d2.outcomes):
         raise UsageError("models must score the same cohort: outcome vectors differ")
 
-    c1 = classify_at_threshold(d1, t)
-    c2 = classify_at_threshold(d2, t)
+
+def decide_superiority(c1: ThresholdConfusion, c2: ThresholdConfusion) -> ComparisonVerdict:
+    """Decide which of two models wins at a shared threshold from their counts.
+
+    The counts must come from the same cohort at the same threshold.
+    Every route that is defined must agree on the strict ordering;
+    disagreement raises RouteDisagreementError.
+    """
+    if (c1.t, c1.n, c1.n1) != (c2.t, c2.n, c2.n1):
+        raise UsageError("confusions must share the threshold and the cohort")
+    t = c1.t
     nb1 = net_benefit(c1)
     nb2 = net_benefit(c2)
     num, den = t.as_integer_ratio()
@@ -126,7 +137,9 @@ def compare_models(d1: PredictionSet, d2: PredictionSet, t: float) -> Comparison
 
     if len({s for _, s in routes}) > 1:
         detail = ", ".join(f"{name}: {s:+d}" for name, s in routes)
-        raise RouteDisagreementError(f"superiority routes disagree at t={t!r} ({detail})")
+        raise RouteDisagreementError(
+            f"superiority routes disagree at t={t!r} ({detail}; {reproducer(c1, c2)})"
+        )
 
     if abs(nb1 - nb2) <= TIE_TOLERANCE or direct == 0:
         winner = WINNER_TIE
@@ -140,7 +153,7 @@ def compare_models(d1: PredictionSet, d2: PredictionSet, t: float) -> Comparison
         winner=winner,
         ppv1=ppv(c1),
         ppv_superiority_ref=(
-            ppv_superiority_reference(nb2, pos1, d1.n, t) if pos1 > 0 else None
+            ppv_superiority_reference(nb2, pos1, c1.n, t) if pos1 > 0 else None
         ),
         ppv_route_available=pos1 > 0,
         margin_above_1=_margin_above(c1),
@@ -148,3 +161,26 @@ def compare_models(d1: PredictionSet, d2: PredictionSet, t: float) -> Comparison
         margin_below_1=_margin_below(c1),
         margin_below_2=_margin_below(c2),
     )
+
+
+def compare_models(d1: PredictionSet, d2: PredictionSet, t: float) -> ComparisonVerdict:
+    """Compare two models scoring the same cohort at threshold ``t``.
+
+    Requires identical outcome vectors (same subjects, same order).
+    """
+    t = check_threshold(t)
+    _check_same_cohort(d1, d2)
+    return decide_superiority(classify_at_threshold(d1, t), classify_at_threshold(d2, t))
+
+
+def compare_curve(d1: PredictionSet, d2: PredictionSet,
+                  grid: ThresholdGrid) -> list[ComparisonVerdict]:
+    """compare_models at every grid threshold, in grid order.
+
+    The outcome vectors are checked once and each model is counted in one
+    pass (sweep_counts); every threshold still runs all routes.
+    """
+    _check_same_cohort(d1, d2)
+    sweep1, sweep2 = sweep_counts(d1, grid.points), sweep_counts(d2, grid.points)
+    return [decide_superiority(c1, c2)
+            for c1, c2 in zip(sweep1.confusions(), sweep2.confusions())]

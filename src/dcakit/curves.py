@@ -12,10 +12,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import CalibrationSummary, threshold_calibration
-from .equivalences import verdict_vs_defaults
+# threshold_calibration and verdict_vs_defaults stay importable here:
+# bench/workloads.py traces them by name.
+from .calibration import (  # noqa: F401
+    CalibrationSummary,
+    calibration_from_counts,
+    threshold_calibration,
+)
+from .equivalences import decide_defaults, verdict_vs_defaults  # noqa: F401
 from .errors import DataError, RouteDisagreementError, UsageError
-from .metrics import PredictionSet
+from .metrics import PredictionSet, ThresholdConfusion, reproducer, sweep_counts
 
 __all__ = [
     "ThresholdGrid",
@@ -28,6 +34,10 @@ __all__ = [
 ]
 
 IDENTITY_TOL = 1e-12
+
+# Largest grid a ThresholdGrid may hold; finer grids are refused before any
+# point is built.
+MAX_GRID_POINTS = 10_000
 
 # Generator endpoints: true risks are clamped away from {0, 1} before the
 # logit so the miscalibration shift is always defined.
@@ -50,8 +60,13 @@ class ThresholdGrid:
             )
         if not self.step > 0.0:
             raise DataError(f"grid step must be positive, got {self.step!r}")
-        count = int(math.floor((self.hi - self.lo) / self.step + 1e-9))
-        pts = [self.lo + i * self.step for i in range(count + 1)]
+        steps = (self.hi - self.lo) / self.step + 1e-9
+        if not steps < MAX_GRID_POINTS:
+            raise DataError(
+                f"grid {self.lo!r}:{self.hi!r}:{self.step!r} would hold more than "
+                f"{MAX_GRID_POINTS} thresholds"
+            )
+        pts = _grid_points(self.lo, self.step, int(math.floor(steps)))
         # The last multiple may overshoot hi by float fuzz; snap it back.
         if pts[-1] > self.hi:
             pts[-1] = self.hi
@@ -68,6 +83,10 @@ class ThresholdGrid:
         except ValueError as exc:
             raise UsageError(f"grid values must be numeric, got {text!r}") from exc
         return cls(lo=lo, hi=hi, step=step)
+
+
+def _grid_points(lo: float, step: float, count: int) -> list[float]:
+    return [lo + i * step for i in range(count + 1)]
 
 
 DEFAULT_GRID = ThresholdGrid(lo=0.01, hi=0.50, step=0.01)
@@ -88,7 +107,7 @@ class CurvePoint:
     calibration: CalibrationSummary
 
 
-def _assert_point_identities(data: PredictionSet, point: CurvePoint) -> None:
+def _assert_point_identities(c: ThresholdConfusion, point: CurvePoint) -> None:
     t = point.t
     cal = point.calibration
     # Identity error grows with the false-positive weight t/(1-t); on the
@@ -102,8 +121,8 @@ def _assert_point_identities(data: PredictionSet, point: CurvePoint) -> None:
         closure = cal.enrichment + cal.calibration_term
         if abs(closure - via_cal) > tol:
             problems.append("enrichment + calibration term closure")
-        positives = round(point.s_t * data.n)
-        recon = (data.n * point.nb_model / positives) * (1.0 - t) + t
+        positives = round(point.s_t * c.n)
+        recon = (c.n * point.nb_model / positives) * (1.0 - t) + t
         if abs(recon - point.ppv) > tol:
             problems.append("ppv reconstruction from net benefit")
     if cal.y_below is not None:
@@ -112,24 +131,31 @@ def _assert_point_identities(data: PredictionSet, point: CurvePoint) -> None:
             problems.append("treat-all margin vs below-group rate")
     if cal.y_above is not None and cal.y_below is not None:
         mixed = cal.s_t * cal.y_above + (1.0 - cal.s_t) * cal.y_below
-        if abs(data.prevalence - mixed) > tol:
+        if abs(c.prevalence - mixed) > tol:
             problems.append("prevalence identity")
-    if abs(point.nb_all - (data.prevalence - t) / (1.0 - t)) > tol:
+    if abs(point.nb_all - (c.prevalence - t) / (1.0 - t)) > tol:
         problems.append("treat-all net benefit forms")
     if problems:
         raise RouteDisagreementError(
-            f"curve point identities violated at t={t!r}: {'; '.join(problems)}"
+            f"curve point identities violated at t={t!r}: {'; '.join(problems)} "
+            f"({reproducer(c)})"
         )
 
 
 def decision_curve(data: PredictionSet, grid: ThresholdGrid) -> list[CurvePoint]:
-    """One CurvePoint per grid threshold, in grid order, identities verified."""
+    """One CurvePoint per grid threshold, in grid order, identities verified.
+
+    All thresholds are counted in one pass (sweep_counts); each point is
+    then decided and checked exactly as verdict_vs_defaults and
+    threshold_calibration would at that threshold.
+    """
+    sweep = sweep_counts(data, grid.points)
     points = []
-    for t in grid.points:
-        verdict = verdict_vs_defaults(data, t)
-        cal = threshold_calibration(data, t)
+    for c, above, below in zip(sweep.confusions(), sweep.risk_sum_above.tolist(),
+                               sweep.risk_sum_below.tolist()):
+        verdict = decide_defaults(c)
         point = CurvePoint(
-            t=t,
+            t=c.t,
             nb_model=verdict.nb,
             nb_all=verdict.nb_all,
             nb_none=0.0,
@@ -137,9 +163,9 @@ def decision_curve(data: PredictionSet, grid: ThresholdGrid) -> list[CurvePoint]
             ppv=verdict.ppv,
             ppv_none_ref=verdict.ppv_none_ref,
             ppv_all_ref=verdict.ppv_all_ref,
-            calibration=cal,
+            calibration=calibration_from_counts(c, above, below),
         )
-        _assert_point_identities(data, point)
+        _assert_point_identities(c, point)
         points.append(point)
     return points
 

@@ -20,11 +20,13 @@ from .errors import (
 )
 from .metrics import (
     PredictionSet,
+    ThresholdConfusion,
     check_threshold,
     classify_at_threshold,
     net_benefit,
     net_benefit_treat_all,
     ppv,
+    reproducer,
 )
 
 __all__ = [
@@ -33,6 +35,7 @@ __all__ = [
     "ppv_from_nb",
     "treat_none_reference",
     "treat_all_reference_ppv",
+    "decide_defaults",
     "verdict_vs_defaults",
     "ppv_bounds_given_nb",
 ]
@@ -124,21 +127,20 @@ def treat_all_reference_ppv(prevalence: float, s_t: float, t: float) -> float:
     return (prevalence - t) / s_t + t
 
 
-def verdict_vs_defaults(data: PredictionSet, t: float) -> DefaultsVerdict:
-    """Classify at ``t`` and decide both default comparisons via both routes.
+def decide_defaults(c: ThresholdConfusion) -> DefaultsVerdict:
+    """Decide both default comparisons from the counts, via both routes.
 
     Raises RouteDisagreementError if the net-benefit route and the PPV
     route ever disagree; that would be an implementation bug.
     """
-    t = check_threshold(t)
-    c = classify_at_threshold(data, t)
+    t = c.t
     positives = c.tp + c.fp
     num, den = t.as_integer_ratio()
 
     # Route 1: strict net-benefit comparisons. nb has the sign of
     # tp*(den-num) - fp*num, and nb_all the sign-scaled analogue.
     nb_scaled = c.tp * (den - num) - c.fp * num
-    nb_all_scaled = data.n1 * (den - num) - data.n0 * num
+    nb_all_scaled = c.n1 * (den - num) - c.n0 * num
     none_by_nb = nb_scaled > 0
     all_by_nb = nb_scaled > nb_all_scaled
 
@@ -146,15 +148,17 @@ def verdict_vs_defaults(data: PredictionSet, t: float) -> DefaultsVerdict:
     none_by_ppv = positives > 0 and c.tp * den > positives * num
     all_by_ppv = None
     if positives > 0:
-        all_by_ppv = c.tp * den + c.n * num > data.n1 * den + positives * num
+        all_by_ppv = c.tp * den + c.n * num > c.n1 * den + positives * num
 
     if none_by_nb != none_by_ppv:
         raise RouteDisagreementError(
-            f"treat-none verdict differs between NB and PPV routes at t={t!r}"
+            f"treat-none verdict differs between NB and PPV routes at t={t!r} "
+            f"({reproducer(c)})"
         )
     if all_by_ppv is not None and all_by_nb != all_by_ppv:
         raise RouteDisagreementError(
-            f"treat-all verdict differs between NB and PPV routes at t={t!r}"
+            f"treat-all verdict differs between NB and PPV routes at t={t!r} "
+            f"({reproducer(c)})"
         )
 
     return DefaultsVerdict(
@@ -162,14 +166,19 @@ def verdict_vs_defaults(data: PredictionSet, t: float) -> DefaultsVerdict:
         beats_none=none_by_nb,
         beats_all=all_by_nb,
         nb=net_benefit(c),
-        nb_all=net_benefit_treat_all(data.prevalence, t),
+        nb_all=net_benefit_treat_all(c.prevalence, t),
         ppv=ppv(c),
         ppv_none_ref=t,
         ppv_all_ref=(
-            treat_all_reference_ppv(data.prevalence, c.s_t, t) if positives > 0 else None
+            treat_all_reference_ppv(c.prevalence, c.s_t, t) if positives > 0 else None
         ),
         s_t=c.s_t,
     )
+
+
+def verdict_vs_defaults(data: PredictionSet, t: float) -> DefaultsVerdict:
+    """Classify at ``t``, then decide both default comparisons via both routes."""
+    return decide_defaults(classify_at_threshold(data, t))
 
 
 def ppv_bounds_given_nb(nb: float, prevalence: float, t: float) -> PpvInterval:

@@ -15,9 +15,15 @@ import numpy as np
 
 from .curves import ThresholdGrid
 from .errors import DataError
-from .metrics import PredictionSet
+from .metrics import PredictionSet, sweep_keys, tally_keys
 
 __all__ = ["BandSpec", "CurveBand", "bootstrap_bands"]
+
+# Resource caps, checked before any replicate seed or pool is made: each
+# spawned seed costs about half a kilobyte, and the nb and ppv pools hold
+# replicates x thresholds doubles each.
+MAX_REPLICATES = 100_000
+MAX_BAND_CELLS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -67,30 +73,21 @@ def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
     return float(sorted_values[rank - 1])
 
 
-def _grid_counts(cut_indices: np.ndarray, outcomes: np.ndarray, n_grid: int):
-    """tp and fp per grid threshold from per-record cut indices.
-
-    ``cut_indices[i]`` is the number of grid thresholds at or below
-    record i's risk, so record i is classified positive at grid slot j
-    exactly when j < cut_indices[i].
-    """
-    events = outcomes == 1
-    by_cut_1 = np.bincount(cut_indices[events], minlength=n_grid + 1)
-    by_cut_0 = np.bincount(cut_indices[~events], minlength=n_grid + 1)
-    tp = by_cut_1.sum() - np.cumsum(by_cut_1)[:n_grid]
-    fp = by_cut_0.sum() - np.cumsum(by_cut_0)[:n_grid]
-    return tp, fp
-
-
 def bootstrap_bands(data: PredictionSet, grid: ThresholdGrid, spec: BandSpec) -> CurveBand:
     """Resample records with replacement and band the per-threshold curves."""
     if data.n < 2:
         raise DataError("bootstrap needs at least 2 records")
     thresholds = np.asarray(grid.points)
     n_grid = len(thresholds)
+    if spec.replicates > MAX_REPLICATES:
+        raise DataError(f"{spec.replicates} replicates exceed the cap of {MAX_REPLICATES}")
+    if spec.replicates * n_grid > MAX_BAND_CELLS:
+        raise DataError(
+            f"{spec.replicates} replicates x {n_grid} thresholds exceed the band "
+            f"pool cap of {MAX_BAND_CELLS} values"
+        )
     weight = thresholds / (1.0 - thresholds)
-    # Record i is positive at grid slot j iff thresholds[j] <= risks[i].
-    cuts = np.searchsorted(thresholds, data.risks, side="right")
+    keys = sweep_keys(data, thresholds)
     n = data.n
 
     nb_pool = np.empty((spec.replicates, n_grid))
@@ -99,7 +96,7 @@ def bootstrap_bands(data: PredictionSet, grid: ThresholdGrid, spec: BandSpec) ->
     for i, child in enumerate(children):
         rng = np.random.Generator(np.random.PCG64(child))
         idx = rng.integers(0, n, size=n)
-        tp, fp = _grid_counts(cuts[idx], data.outcomes[idx], n_grid)
+        tp, fp = tally_keys(keys[idx], n_grid)
         positives = tp + fp
         nb_pool[i] = tp / n - (fp / n) * weight
         selected = positives > 0

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from dcakit import (
+    DEFAULT_GRID,
     BandSpec,
+    CurveBand,
     DataError,
     PredictionSet,
     ThresholdGrid,
@@ -10,7 +14,49 @@ from dcakit import (
     classify_at_threshold,
     decision_curve,
 )
-from dcakit.resampling import _grid_counts
+from dcakit import resampling
+from dcakit.cli import cli_main
+from dcakit.metrics import sweep_keys, tally_keys
+from dcakit.resampling import MAX_BAND_CELLS, MAX_REPLICATES
+
+FINE_GRID = ThresholdGrid(0.001, 0.999, 0.001)
+
+
+def reference_bands(data, grid, spec):
+    """Slow reference: per replicate, gather cut indices and outcomes and
+    count events and non-events with two boolean-masked bincounts."""
+    thresholds = np.asarray(grid.points)
+    n_grid, n = len(thresholds), data.n
+    cuts = np.searchsorted(thresholds, data.risks, side="right")
+    nb_pool, ppv_pool = [], []
+    for child in np.random.SeedSequence(spec.seed).spawn(spec.replicates):
+        idx = np.random.Generator(np.random.PCG64(child)).integers(0, n, size=n)
+        rep_cuts, events = cuts[idx], data.outcomes[idx] == 1
+        by_cut_1 = np.bincount(rep_cuts[events], minlength=n_grid + 1)
+        by_cut_0 = np.bincount(rep_cuts[~events], minlength=n_grid + 1)
+        tp = by_cut_1.sum() - np.cumsum(by_cut_1)[:n_grid]
+        fp = by_cut_0.sum() - np.cumsum(by_cut_0)[:n_grid]
+        nb_pool.append(tp / n - (fp / n) * (thresholds / (1.0 - thresholds)))
+        positives = tp + fp
+        ppv_pool.append([tp[j] / positives[j] if positives[j] else None
+                         for j in range(n_grid)])
+
+    def rank(values, q):
+        values = sorted(values)
+        return float(values[min(max(math.ceil(q * len(values) - 1e-9), 1), len(values)) - 1])
+
+    q_lo = (1.0 - spec.level) / 2.0
+    nb_cols = [[float(row[j]) for row in nb_pool] for j in range(n_grid)]
+    ppv_cols = [[row[j] for row in ppv_pool if row[j] is not None] for j in range(n_grid)]
+    return CurveBand(
+        spec=spec,
+        thresholds=tuple(grid.points),
+        nb_lower=tuple(rank(col, q_lo) for col in nb_cols),
+        nb_upper=tuple(rank(col, 1.0 - q_lo) for col in nb_cols),
+        ppv_lower=tuple(rank(col, q_lo) if col else None for col in ppv_cols),
+        ppv_upper=tuple(rank(col, 1.0 - q_lo) if col else None for col in ppv_cols),
+        ppv_replicates=tuple(len(col) for col in ppv_cols),
+    )
 
 
 class TestBandSpec:
@@ -31,9 +77,7 @@ class TestBandSpec:
 class TestGridCounts:
     def test_matches_classify_per_threshold(self, d0):
         grid = ThresholdGrid(0.05, 0.95, 0.05)
-        thresholds = np.asarray(grid.points)
-        cuts = np.searchsorted(thresholds, d0.risks, side="right")
-        tp, fp = _grid_counts(cuts, d0.outcomes, len(thresholds))
+        tp, fp = tally_keys(sweep_keys(d0, grid.points), len(grid.points))
         for j, t in enumerate(grid.points):
             c = classify_at_threshold(d0, t)
             assert (tp[j], fp[j]) == (c.tp, c.fp)
@@ -44,9 +88,7 @@ class TestGridCounts:
             risks=rng.random(300), outcomes=(rng.random(300) < 0.3).astype(int)
         )
         grid = ThresholdGrid(0.01, 0.99, 0.01)
-        thresholds = np.asarray(grid.points)
-        cuts = np.searchsorted(thresholds, data.risks, side="right")
-        tp, fp = _grid_counts(cuts, data.outcomes, len(thresholds))
+        tp, fp = tally_keys(sweep_keys(data, grid.points), len(grid.points))
         for j, t in enumerate(grid.points):
             c = classify_at_threshold(data, t)
             assert (tp[j], fp[j]) == (c.tp, c.fp)
@@ -136,3 +178,62 @@ class TestBootstrapBands:
         band = bootstrap_bands(d0, grid, BandSpec(replicates=50, seed=1))
         points = decision_curve(d0, grid)
         assert band.thresholds == tuple(p.t for p in points)
+
+
+class TestBandsMatchReference:
+    @pytest.mark.parametrize("grid,decimals", [(DEFAULT_GRID, 2), (FINE_GRID, 3)],
+                             ids=["default", "fine"])
+    def test_seeded_cohort(self, grid, decimals):
+        # Risks rounded to the grid's resolution put many records exactly on
+        # (or one rounding away from) a threshold.
+        rng = np.random.default_rng(2024)
+        risks = np.round(rng.beta(2, 5, 300), decimals)
+        data = PredictionSet(risks=risks, outcomes=(rng.random(300) < risks).astype(int))
+        spec = BandSpec(replicates=120, seed=17, level=0.9)
+        assert bootstrap_bands(data, grid, spec) == reference_bands(data, grid, spec)
+
+    def test_ties_at_fifteen_hundredths(self):
+        # The default grid's 15th point is 0.15000000000000002, so a risk of
+        # exactly 0.15 falls below it; both counts must agree on that.
+        risks = np.array([0.15] * 12 + [0.14, 0.16, 0.5, 0.05])
+        outcomes = np.array([1, 0] * 6 + [0, 1, 1, 0])
+        data = PredictionSet(risks=risks, outcomes=outcomes)
+        spec = BandSpec(replicates=300, seed=4)
+        assert bootstrap_bands(data, DEFAULT_GRID, spec) == reference_bands(
+            data, DEFAULT_GRID, spec)
+        c = classify_at_threshold(data, DEFAULT_GRID.points[14])
+        assert c.tp + c.fp == 2
+
+
+class TestResourceCaps:
+    @pytest.fixture
+    def no_pools(self, monkeypatch):
+        # A missing cap would spawn seeds and allocate the pools; fail at once.
+        def refuse(*args, **kwargs):
+            raise AssertionError("bootstrap allocated past the cap")
+
+        monkeypatch.setattr(resampling.np.random, "SeedSequence", refuse)
+        monkeypatch.setattr(resampling.np, "empty", refuse)
+        monkeypatch.setattr(resampling.np, "full", refuse)
+
+    def test_replicate_cap(self, d0, no_pools):
+        with pytest.raises(DataError, match=str(MAX_REPLICATES)):
+            bootstrap_bands(d0, ThresholdGrid(0.5, 0.5, 0.1),
+                            BandSpec(replicates=MAX_REPLICATES + 1))
+
+    def test_pool_cap(self, d0, no_pools):
+        replicates = MAX_BAND_CELLS // len(FINE_GRID.points) + 1
+        assert replicates <= MAX_REPLICATES
+        with pytest.raises(DataError, match=str(MAX_BAND_CELLS)):
+            bootstrap_bands(d0, FINE_GRID, BandSpec(replicates=replicates))
+
+    def test_cli_exits_2(self, d0_csv_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("bootstrap spawned seeds past the cap")
+
+        monkeypatch.setattr(resampling.np.random, "SeedSequence", refuse)
+        code = cli_main(["bootstrap", "--input", str(d0_csv_path), "--outcome", "y",
+                         "--models", "m1", "--grid", "0.5:0.5:0.1",
+                         "--replicates", str(MAX_REPLICATES + 1)])
+        assert code == 2
+        assert "replicates" in capsys.readouterr().err
