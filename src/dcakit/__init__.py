@@ -28,7 +28,6 @@ from .curves import (
     ThresholdGrid,
     decision_curve,
     generate_synthetic,
-    ppv_curve,
 )
 from .equivalences import (
     DefaultsVerdict,
@@ -49,14 +48,10 @@ from .errors import (
     UsageError,
 )
 from .metrics import (
-    PredictionRecord,
     PredictionSet,
     SweepCounts,
     ThresholdConfusion,
-    UtilityWeights,
     classify_at_threshold,
-    intervention_utility,
-    nb_equality_gap,
     net_benefit,
     net_benefit_treat_all,
     net_benefit_treat_none,
@@ -92,7 +87,6 @@ __all__ = [
     "IngestionSpec",
     "ModelCurve",
     "PpvInterval",
-    "PredictionRecord",
     "PredictionSet",
     "ReportDocument",
     "RouteDisagreementError",
@@ -103,7 +97,6 @@ __all__ = [
     "ThresholdGrid",
     "UndefinedAtThresholdError",
     "UsageError",
-    "UtilityWeights",
     "bootstrap_bands",
     "classify_at_threshold",
     "compare_curve",
@@ -113,9 +106,7 @@ __all__ = [
     "file_digest",
     "generate_synthetic",
     "ingest",
-    "intervention_utility",
     "nb_decomposition",
-    "nb_equality_gap",
     "nb_gap_treat_all",
     "nb_via_calibration",
     "net_benefit",
@@ -124,7 +115,6 @@ __all__ = [
     "parse_report",
     "ppv",
     "ppv_bounds_given_nb",
-    "ppv_curve",
     "ppv_from_nb",
     "ppv_superiority_reference",
     "prevalence_identity_residual",

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import tempfile
@@ -23,6 +24,7 @@ from .report import (
     IngestionSpec,
     ModelCurve,
     ReportDocument,
+    csv_value,
     emit_report,
     file_digest,
     ingest,
@@ -200,23 +202,13 @@ def _cmd_compare(args) -> int:
 
 def _cmd_bounds(args) -> int:
     interval = ppv_bounds_given_nb(args.nb, args.prevalence, args.t)
+    record = {"t": interval.t, "nb": interval.nb, "prevalence": args.prevalence,
+              "lower": interval.lower, "upper": interval.upper, "kind": interval.kind}
     if args.format == "csv":
-        header = "t,nb,prevalence,lower,upper,kind\n"
-        row = (f"{interval.t:.17g},{interval.nb:.17g},{args.prevalence:.17g},"
-               f"{interval.lower:.17g},{interval.upper:.17g},{interval.kind}\n")
-        payload = (header + row).encode("utf-8")
+        text = ",".join(record) + "\n" + ",".join(map(csv_value, record.values())) + "\n"
     else:
-        import json
-
-        payload = (json.dumps({
-            "t": interval.t,
-            "nb": interval.nb,
-            "prevalence": args.prevalence,
-            "lower": interval.lower,
-            "upper": interval.upper,
-            "kind": interval.kind,
-        }, indent=2) + "\n").encode("utf-8")
-    _write_output(payload, args.out)
+        text = json.dumps(record, indent=2) + "\n"
+    _write_output(text.encode("utf-8"), args.out)
     return EXIT_OK
 
 

@@ -7,8 +7,8 @@ RouteDisagreementError because it can only come from a bug.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 import numpy as np
 
@@ -17,9 +17,13 @@ import numpy as np
 from .calibration import (  # noqa: F401
     CalibrationSummary,
     calibration_from_counts,
+    nb_decomposition,
+    nb_gap_treat_all,
+    nb_via_calibration,
+    prevalence_identity_residual,
     threshold_calibration,
 )
-from .equivalences import decide_defaults, verdict_vs_defaults  # noqa: F401
+from .equivalences import decide_defaults, ppv_from_nb, verdict_vs_defaults  # noqa: F401
 from .errors import DataError, RouteDisagreementError, UsageError
 from .metrics import PredictionSet, ThresholdConfusion, reproducer, sweep_counts
 
@@ -29,7 +33,6 @@ __all__ = [
     "SyntheticSpec",
     "DEFAULT_GRID",
     "decision_curve",
-    "ppv_curve",
     "generate_synthetic",
 ]
 
@@ -46,7 +49,12 @@ _RISK_CLAMP = 1e-12
 
 @dataclass(frozen=True)
 class ThresholdGrid:
-    """Evenly spaced thresholds lo, lo+step, ..., up to hi (inclusive)."""
+    """Evenly spaced thresholds lo, lo+step, ..., up to hi (inclusive).
+
+    Points are computed on the decimals that lo and step print as, so each
+    point is the double nearest its decimal: 0.01:0.50:0.01 holds exactly
+    float("0.15"), and a risk of 0.15 counts positive there.
+    """
 
     lo: float
     hi: float
@@ -58,19 +66,16 @@ class ThresholdGrid:
             raise DataError(
                 f"grid must satisfy 0 < lo <= hi < 1, got lo={self.lo!r} hi={self.hi!r}"
             )
-        if not self.step > 0.0:
-            raise DataError(f"grid step must be positive, got {self.step!r}")
-        steps = (self.hi - self.lo) / self.step + 1e-9
-        if not steps < MAX_GRID_POINTS:
+        if not 0.0 < self.step < float("inf"):
+            raise DataError(f"grid step must be positive and finite, got {self.step!r}")
+        lo, hi, step = (Decimal(repr(v)) for v in (self.lo, self.hi, self.step))
+        if hi - lo >= MAX_GRID_POINTS * step:
             raise DataError(
                 f"grid {self.lo!r}:{self.hi!r}:{self.step!r} would hold more than "
                 f"{MAX_GRID_POINTS} thresholds"
             )
-        pts = _grid_points(self.lo, self.step, int(math.floor(steps)))
-        # The last multiple may overshoot hi by float fuzz; snap it back.
-        if pts[-1] > self.hi:
-            pts[-1] = self.hi
-        object.__setattr__(self, "points", tuple(pts))
+        points = _grid_points(lo, step, int((hi - lo) // step))
+        object.__setattr__(self, "points", tuple(points))
 
     @classmethod
     def from_string(cls, text: str) -> "ThresholdGrid":
@@ -85,8 +90,8 @@ class ThresholdGrid:
         return cls(lo=lo, hi=hi, step=step)
 
 
-def _grid_points(lo: float, step: float, count: int) -> list[float]:
-    return [lo + i * step for i in range(count + 1)]
+def _grid_points(lo: Decimal, step: Decimal, count: int) -> list[float]:
+    return [float(lo + i * step) for i in range(count + 1)]
 
 
 DEFAULT_GRID = ThresholdGrid(lo=0.01, hi=0.50, step=0.01)
@@ -115,24 +120,21 @@ def _assert_point_identities(c: ThresholdConfusion, point: CurvePoint) -> None:
     tol = IDENTITY_TOL * max(1.0, t / (1.0 - t))
     problems = []
     if cal.y_above is not None:
-        via_cal = cal.s_t / (1.0 - t) * (cal.y_above - t)
+        via_cal = nb_via_calibration(cal)
         if abs(point.nb_model - via_cal) > tol:
             problems.append("net benefit vs calibration surplus")
-        closure = cal.enrichment + cal.calibration_term
-        if abs(closure - via_cal) > tol:
+        if abs(sum(nb_decomposition(cal)) - via_cal) > tol:
             problems.append("enrichment + calibration term closure")
-        positives = round(point.s_t * c.n)
-        recon = (c.n * point.nb_model / positives) * (1.0 - t) + t
-        if abs(recon - point.ppv) > tol:
+        if abs(ppv_from_nb(point.nb_model, c.tp + c.fp, c.n, t) - point.ppv) > tol:
             problems.append("ppv reconstruction from net benefit")
     if cal.y_below is not None:
-        gap = (1.0 - cal.s_t) / (1.0 - t) * (t - cal.y_below)
-        if abs((point.nb_model - point.nb_all) - gap) > tol:
+        if abs((point.nb_model - point.nb_all) - nb_gap_treat_all(cal)) > tol:
             problems.append("treat-all margin vs below-group rate")
     if cal.y_above is not None and cal.y_below is not None:
-        mixed = cal.s_t * cal.y_above + (1.0 - cal.s_t) * cal.y_below
-        if abs(c.prevalence - mixed) > tol:
+        if abs(prevalence_identity_residual(cal, c.prevalence)) > tol:
             problems.append("prevalence identity")
+    # point.nb_all comes from net_benefit_treat_all's other form, so this is
+    # the one independent check of the treat-all reference.
     if abs(point.nb_all - (c.prevalence - t) / (1.0 - t)) > tol:
         problems.append("treat-all net benefit forms")
     if problems:
@@ -168,12 +170,6 @@ def decision_curve(data: PredictionSet, grid: ThresholdGrid) -> list[CurvePoint]
         _assert_point_identities(c, point)
         points.append(point)
     return points
-
-
-def ppv_curve(data: PredictionSet, grid: ThresholdGrid) -> list[CurvePoint]:
-    """Same points as decision_curve; the PPV rendering reads ppv and the
-    diagonal / treat-all reference fields instead of the net-benefit ones."""
-    return decision_curve(data, grid)
 
 
 @dataclass(frozen=True)

@@ -7,19 +7,16 @@ inputs and safe to call concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ThresholdError, UsageError
+from .errors import DataError, ThresholdError
 
 __all__ = [
-    "PredictionRecord",
     "PredictionSet",
     "SweepCounts",
     "ThresholdConfusion",
-    "UtilityWeights",
     "check_threshold",
     "classify_at_threshold",
     "reproducer",
@@ -30,8 +27,6 @@ __all__ = [
     "net_benefit_treat_all",
     "net_benefit_treat_none",
     "ppv",
-    "intervention_utility",
-    "nb_equality_gap",
 ]
 
 
@@ -41,20 +36,6 @@ def check_threshold(t: float) -> float:
     if not 0.0 < t < 1.0:
         raise ThresholdError(f"threshold must lie strictly inside (0, 1), got {t!r}")
     return t
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One subject's predicted event risk and observed binary outcome."""
-
-    risk: float
-    outcome: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.risk <= 1.0:
-            raise DataError(f"risk must lie in [0, 1], got {self.risk!r}")
-        if self.outcome not in (0, 1):
-            raise DataError(f"outcome must be 0 or 1, got {self.outcome!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,19 +74,6 @@ class PredictionSet:
         object.__setattr__(self, "risks", risks)
         object.__setattr__(self, "outcomes", outcomes)
 
-    @classmethod
-    def from_records(cls, records, name: str = "model") -> "PredictionSet":
-        records = [
-            r if isinstance(r, PredictionRecord) else PredictionRecord(*r) for r in records
-        ]
-        if not records:
-            raise DataError("a prediction set needs at least one record")
-        return cls(
-            risks=np.array([r.risk for r in records], dtype=np.float64),
-            outcomes=np.array([r.outcome for r in records], dtype=np.int64),
-            name=name,
-        )
-
     @property
     def n(self) -> int:
         return int(self.risks.shape[0])
@@ -121,12 +89,6 @@ class PredictionSet:
     @property
     def prevalence(self) -> float:
         return self.n1 / self.n
-
-    @property
-    def records(self) -> tuple[PredictionRecord, ...]:
-        return tuple(
-            PredictionRecord(float(r), int(y)) for r, y in zip(self.risks, self.outcomes)
-        )
 
 
 @dataclass(frozen=True)
@@ -176,21 +138,6 @@ def reproducer(*confusions: ThresholdConfusion) -> str:
         for i, c in enumerate(confusions, 1)
     )
     return f"reproduce with t={num}/{den}, {counts}"
-
-
-@dataclass(frozen=True)
-class UtilityWeights:
-    """Per-cell utilities for TP, FP, TN and FN classifications."""
-
-    u11: float
-    u10: float
-    u00: float
-    u01: float
-
-    def __post_init__(self):
-        for field in ("u11", "u10", "u00", "u01"):
-            if not math.isfinite(getattr(self, field)):
-                raise DataError(f"{field} must be finite")
 
 
 def classify_at_threshold(data: PredictionSet, t: float) -> ThresholdConfusion:
@@ -301,26 +248,3 @@ def ppv(c: ThresholdConfusion) -> float:
     """Positive predictive value; defined as 0 when nobody is classified positive."""
     positives = c.tp + c.fp
     return c.tp / positives if positives > 0 else 0.0
-
-
-def intervention_utility(c: ThresholdConfusion, w: UtilityWeights) -> float:
-    """Average per-subject utility of acting on the classification.
-
-    Weights (1, -t/(1-t), 0, 0) recover net benefit; weights (1, 0, 1, 0)
-    recover accuracy.
-    """
-    return (c.tp * w.u11 + c.fp * w.u10 + c.tn * w.u00 + c.fn * w.u01) / c.n
-
-
-def nb_equality_gap(c1: ThresholdConfusion, c2: ThresholdConfusion) -> float:
-    """Signed net-benefit gap between two confusions at the same threshold.
-
-    Zero exactly when the two classifications have equal net benefit even
-    though their (tp, fp) pairs may differ.
-    """
-    if c1.t != c2.t:
-        raise UsageError(f"thresholds differ: {c1.t!r} vs {c2.t!r}")
-    if c1.n != c2.n:
-        raise UsageError(f"cohort sizes differ: {c1.n} vs {c2.n}")
-    w = c1.t / (1.0 - c1.t)
-    return ((c1.tp - c2.tp) - w * (c1.fp - c2.fp)) / c1.n

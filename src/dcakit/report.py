@@ -14,7 +14,9 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -37,41 +39,6 @@ __all__ = [
 ]
 
 FORMATS = ("json", "csv")
-
-_CURVE_COLUMNS = (
-    "model",
-    "t",
-    "nb_model",
-    "nb_all",
-    "nb_none",
-    "s_t",
-    "ppv",
-    "ppv_none_ref",
-    "ppv_all_ref",
-    "y_above",
-    "y_below",
-    "p_above",
-    "p_below",
-    "delta_t",
-    "enrichment",
-    "calibration_term",
-)
-_BAND_COLUMNS = ("nb_lower", "nb_upper", "ppv_lower", "ppv_upper", "ppv_replicates")
-_COMPARISON_COLUMNS = (
-    "model1",
-    "model2",
-    "t",
-    "nb1",
-    "nb2",
-    "winner",
-    "ppv1",
-    "ppv_superiority_ref",
-    "margin_above_1",
-    "margin_above_2",
-    "margin_below_1",
-    "margin_below_2",
-)
-
 
 @dataclass(frozen=True)
 class IngestionSpec:
@@ -217,113 +184,37 @@ class ReportDocument:
         object.__setattr__(self, "comparisons", tuple(self.comparisons))
 
 
-def _point_to_dict(point: CurvePoint) -> dict:
-    cal = point.calibration
-    return {
-        "t": point.t,
-        "nb_model": point.nb_model,
-        "nb_all": point.nb_all,
-        "nb_none": point.nb_none,
-        "s_t": point.s_t,
-        "ppv": point.ppv,
-        "ppv_none_ref": point.ppv_none_ref,
-        "ppv_all_ref": point.ppv_all_ref,
-        "calibration": {
-            "t": cal.t,
-            "s_t": cal.s_t,
-            "y_above": cal.y_above,
-            "y_below": cal.y_below,
-            "p_above": cal.p_above,
-            "p_below": cal.p_below,
-            "delta_t": cal.delta_t,
-            "enrichment": cal.enrichment,
-            "calibration_term": cal.calibration_term,
-        },
-    }
+def _fields(obj) -> dict:
+    """A dataclass instance as its field -> value mapping, one level deep."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-def _point_from_dict(data: dict) -> CurvePoint:
-    return CurvePoint(
-        t=data["t"],
-        nb_model=data["nb_model"],
-        nb_all=data["nb_all"],
-        nb_none=data["nb_none"],
-        s_t=data["s_t"],
-        ppv=data["ppv"],
-        ppv_none_ref=data["ppv_none_ref"],
-        ppv_all_ref=data["ppv_all_ref"],
-        calibration=CalibrationSummary(**data["calibration"]),
-    )
+def _columns(cls, *skip: str):
+    """The field names of ``cls`` except ``skip``, and a getter of their values."""
+    names = tuple(f.name for f in fields(cls) if f.name not in skip)
+    return names, attrgetter(*names)
 
 
-def _band_to_dict(band: CurveBand) -> dict:
-    return {
-        "spec": {
-            "replicates": band.spec.replicates,
-            "seed": band.spec.seed,
-            "level": band.spec.level,
-            "method": band.spec.method,
-        },
-        "thresholds": list(band.thresholds),
-        "nb_lower": list(band.nb_lower),
-        "nb_upper": list(band.nb_upper),
-        "ppv_lower": list(band.ppv_lower),
-        "ppv_upper": list(band.ppv_upper),
-        "ppv_replicates": list(band.ppv_replicates),
-    }
-
-
-def _band_from_dict(data: dict) -> CurveBand:
-    return CurveBand(
-        spec=BandSpec(**data["spec"]),
-        thresholds=tuple(data["thresholds"]),
-        nb_lower=tuple(data["nb_lower"]),
-        nb_upper=tuple(data["nb_upper"]),
-        ppv_lower=tuple(data["ppv_lower"]),
-        ppv_upper=tuple(data["ppv_upper"]),
-        ppv_replicates=tuple(data["ppv_replicates"]),
-    )
-
-
-def _verdict_to_dict(v: ComparisonVerdict) -> dict:
-    return {
-        "t": v.t,
-        "nb1": v.nb1,
-        "nb2": v.nb2,
-        "winner": v.winner,
-        "ppv1": v.ppv1,
-        "ppv_superiority_ref": v.ppv_superiority_ref,
-        "ppv_route_available": v.ppv_route_available,
-        "margin_above_1": v.margin_above_1,
-        "margin_above_2": v.margin_above_2,
-        "margin_below_1": v.margin_below_1,
-        "margin_below_2": v.margin_below_2,
-    }
+# CSV columns, in dataclass field order. A curve row flattens a point and its
+# calibration summary, whose t and s_t repeat the point's.
+_POINT_COLUMNS, _point_values = _columns(CurvePoint, "calibration")
+_CALIBRATION_COLUMNS, _calibration_values = _columns(CalibrationSummary, "t", "s_t")
+_BAND_CELLS = _columns(CurveBand, "spec", "thresholds")[0]
+_PAIR_COLUMNS, _pair_values = _columns(ComparisonSection, "verdicts")
+_VERDICT_COLUMNS, _verdict_values = _columns(ComparisonVerdict, "ppv_route_available")
 
 
 def _document_to_dict(doc: ReportDocument) -> dict:
-    payload = {
-        "metadata": doc.metadata,
-        "models": [
-            {"name": model.name, "points": [_point_to_dict(p) for p in model.points]}
-            for model in doc.models
-        ],
-    }
-    if doc.bands:
-        payload["bands"] = {name: _band_to_dict(b) for name, b in doc.bands.items()}
-    if doc.comparisons:
-        payload["comparisons"] = [
-            {
-                "model1": section.model1,
-                "model2": section.model2,
-                "verdicts": [_verdict_to_dict(v) for v in section.verdicts],
-            }
-            for section in doc.comparisons
-        ]
+    payload = _fields(doc)
+    for name in ("bands", "comparisons"):
+        if not payload[name]:
+            del payload[name]
     return payload
 
 
-def _fmt(value) -> str:
+def csv_value(value) -> str:
+    """One CSV cell: 17 significant digits for floats, so a parsed value is
+    bit-identical to the JSON one; empty for an absent value."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -337,72 +228,105 @@ def _emit_csv(doc: ReportDocument) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     if doc.models:
-        columns = _CURVE_COLUMNS + (_BAND_COLUMNS if doc.bands else ())
-        writer.writerow(columns)
+        band_cells = _BAND_CELLS if doc.bands else ()
+        writer.writerow(("model",) + _POINT_COLUMNS + _CALIBRATION_COLUMNS + band_cells)
         for model in doc.models:
-            band = doc.bands.get(model.name) if doc.bands else None
-            for j, point in enumerate(model.points):
-                cal = point.calibration
-                row = [
-                    model.name, point.t, point.nb_model, point.nb_all, point.nb_none,
-                    point.s_t, point.ppv, point.ppv_none_ref, point.ppv_all_ref,
-                    cal.y_above, cal.y_below, cal.p_above, cal.p_below,
-                    cal.delta_t, cal.enrichment, cal.calibration_term,
-                ]
-                if doc.bands:
-                    if band is not None:
-                        row += [band.nb_lower[j], band.nb_upper[j], band.ppv_lower[j],
-                                band.ppv_upper[j], band.ppv_replicates[j]]
-                    else:
-                        row += [None] * len(_BAND_COLUMNS)
-                writer.writerow([_fmt(v) for v in row])
-    elif doc.comparisons:
-        writer.writerow(_COMPARISON_COLUMNS)
-        for section in doc.comparisons:
-            for v in section.verdicts:
+            band = doc.bands.get(model.name)
+            if band is None:
+                band_rows = repeat((None,) * len(band_cells))
+            else:
+                band_rows = zip(*(getattr(band, name) for name in band_cells))
+            for point, band_row in zip(model.points, band_rows):
                 writer.writerow([
-                    _fmt(x)
-                    for x in (
-                        section.model1, section.model2, v.t, v.nb1, v.nb2, v.winner,
-                        v.ppv1, v.ppv_superiority_ref, v.margin_above_1,
-                        v.margin_above_2, v.margin_below_1, v.margin_below_2,
-                    )
+                    csv_value(v)
+                    for v in (model.name, *_point_values(point),
+                              *_calibration_values(point.calibration), *band_row)
                 ])
+    elif doc.comparisons:
+        writer.writerow(_PAIR_COLUMNS + _VERDICT_COLUMNS)
+        for section in doc.comparisons:
+            pair = _pair_values(section)
+            for v in section.verdicts:
+                writer.writerow([csv_value(x) for x in (*pair, *_verdict_values(v))])
     return out.getvalue()
 
 
 def emit_report(doc: ReportDocument, format: str = "json") -> bytes:
     """Serialize a report; JSON is lossless, CSV is the flat per-row export."""
     if format == "json":
-        return (json.dumps(_document_to_dict(doc), indent=2) + "\n").encode("utf-8")
+        text = json.dumps(_document_to_dict(doc), indent=2, default=_fields)
+        return (text + "\n").encode("utf-8")
     if format == "csv":
         return _emit_csv(doc).encode("utf-8")
     raise UsageError(f"unknown report format {format!r}; expected one of {FORMATS}")
 
 
+def _expect(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        expected = "array" if kind is list else "object"
+        raise DataError(f"{what} must be a JSON {expected}, got {type(value).__name__}")
+    return value
+
+
+def _keys_of(cls, data, optional: tuple[str, ...] = ()) -> dict:
+    """``data`` as a JSON object holding exactly the fields of ``cls``; only
+    the ``optional`` ones may be absent."""
+    _expect(data, dict, cls.__name__)
+    names = {f.name for f in fields(cls)}
+    missing = names.difference(data, optional)
+    extra = set(data).difference(names)
+    if missing or extra:
+        raise DataError(
+            f"{cls.__name__} keys do not match its fields: missing {sorted(missing)}, "
+            f"unexpected {sorted(extra)}"
+        )
+    return data
+
+
+def _point_from_dict(data) -> CurvePoint:
+    data = _keys_of(CurvePoint, data)
+    calibration = CalibrationSummary(**_keys_of(CalibrationSummary, data["calibration"]))
+    return CurvePoint(**{**data, "calibration": calibration})
+
+
+def _band_from_dict(data) -> CurveBand:
+    data = _keys_of(CurveBand, data)
+    spec = BandSpec(**_keys_of(BandSpec, data["spec"]))
+    sequences = {name: tuple(_expect(value, list, name))
+                 for name, value in data.items() if name != "spec"}
+    return CurveBand(spec=spec, **sequences)
+
+
+def _model_from_dict(data) -> ModelCurve:
+    data = _keys_of(ModelCurve, data)
+    points = [_point_from_dict(p) for p in _expect(data["points"], list, "points")]
+    return ModelCurve(**{**data, "points": points})
+
+
+def _section_from_dict(data) -> ComparisonSection:
+    data = _keys_of(ComparisonSection, data)
+    verdicts = [ComparisonVerdict(**_keys_of(ComparisonVerdict, v))
+                for v in _expect(data["verdicts"], list, "verdicts")]
+    return ComparisonSection(**{**data, "verdicts": verdicts})
+
+
 def parse_report(data: bytes) -> ReportDocument:
-    """Rebuild a ReportDocument from its JSON serialization."""
+    """Rebuild a ReportDocument from its JSON serialization.
+
+    A missing or unexpected key, or a container of the wrong type, raises
+    DataError.
+    """
     try:
         payload = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"not a valid JSON report: {exc}") from exc
-    models = tuple(
-        ModelCurve(name=m["name"], points=tuple(_point_from_dict(p) for p in m["points"]))
-        for m in payload.get("models", [])
-    )
-    bands = {
-        name: _band_from_dict(b) for name, b in payload.get("bands", {}).items()
-    }
-    comparisons = tuple(
-        ComparisonSection(
-            model1=c["model1"],
-            model2=c["model2"],
-            verdicts=tuple(
-                ComparisonVerdict(**v) for v in c["verdicts"]
-            ),
-        )
-        for c in payload.get("comparisons", [])
-    )
+    payload = _keys_of(ReportDocument, payload, optional=("models", "bands", "comparisons"))
+    models = _expect(payload.get("models", []), list, "models")
+    bands = _expect(payload.get("bands", {}), dict, "bands")
+    comparisons = _expect(payload.get("comparisons", []), list, "comparisons")
     return ReportDocument(
-        metadata=payload["metadata"], models=models, bands=bands, comparisons=comparisons
+        metadata=_expect(payload["metadata"], dict, "metadata"),
+        models=[_model_from_dict(m) for m in models],
+        bands={name: _band_from_dict(b) for name, b in bands.items()},
+        comparisons=[_section_from_dict(c) for c in comparisons],
     )

@@ -14,7 +14,8 @@ from dcakit import (
     decision_curve,
     generate_synthetic,
     net_benefit,
-    ppv_curve,
+    sweep_counts,
+    verdict_vs_defaults,
 )
 
 TOL = 1e-12
@@ -48,11 +49,29 @@ class TestThresholdGrid:
     @pytest.mark.parametrize(
         "lo,hi,step",
         [(0.0, 0.5, 0.01), (0.5, 1.0, 0.01), (0.6, 0.5, 0.01), (0.1, 0.5, 0.0),
-         (0.1, 0.5, -0.1)],
+         (0.1, 0.5, -0.1), (0.1, 0.5, float("inf")), (0.1, 0.5, float("nan"))],
     )
     def test_invalid_grids(self, lo, hi, step):
         with pytest.raises(DataError):
             ThresholdGrid(lo, hi, step)
+
+    @pytest.mark.parametrize(
+        "grid, places",
+        [(DEFAULT_GRID, 2), (ThresholdGrid.from_string("0.001:0.999:0.001"), 3)],
+    )
+    def test_points_are_their_decimals_and_ties_count_positive(self, grid, places):
+        first = round(grid.lo * 10**places)
+        texts = [f"0.{k:0{places}d}" for k in range(first, first + len(grid.points))]
+        assert grid.points == tuple(float(text) for text in texts)
+        assert grid.points[-1] == grid.hi
+        # One record at each decimal risk: at the j-th threshold the records
+        # from j on tie or exceed it, so all of them count positive.
+        risks = np.array([float(text) for text in texts])
+        data = PredictionSet(risks=risks, outcomes=np.ones(len(risks), dtype=int))
+        expected = len(risks) - np.arange(len(risks))
+        assert sweep_counts(data, grid.points).tp.tolist() == expected.tolist()
+        for j, t in enumerate(grid.points):
+            assert classify_at_threshold(data, t).tp == expected[j]
 
     def test_from_string(self):
         grid = ThresholdGrid.from_string("0.05:0.25:0.05")
@@ -111,7 +130,12 @@ class TestDecisionCurve:
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
     def test_ppv_curve_shares_points(self, d0):
-        assert ppv_curve(d0, DEFAULT_GRID) == decision_curve(d0, DEFAULT_GRID)
+        # The PPV curve and its two reference curves are fields of the
+        # decision-curve points; each matches the per-threshold verdict.
+        for point in decision_curve(d0, DEFAULT_GRID):
+            verdict = verdict_vs_defaults(d0, point.t)
+            assert (point.ppv, point.ppv_none_ref, point.ppv_all_ref) == (
+                verdict.ppv, point.t, verdict.ppv_all_ref)
 
     def test_random_predictor_ppv_near_prevalence(self):
         rng = np.random.default_rng(20260811)

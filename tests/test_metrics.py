@@ -5,15 +5,10 @@ from hypothesis import strategies as st
 
 from dcakit import (
     DataError,
-    PredictionRecord,
     PredictionSet,
     ThresholdConfusion,
     ThresholdError,
-    UsageError,
-    UtilityWeights,
     classify_at_threshold,
-    intervention_utility,
-    nb_equality_gap,
     net_benefit,
     net_benefit_treat_all,
     net_benefit_treat_none,
@@ -100,16 +95,6 @@ class TestPredictionSet:
     def test_arrays_frozen(self, d0):
         with pytest.raises(ValueError):
             d0.risks[0] = 0.0
-
-    def test_from_records_round_trip(self):
-        data = PredictionSet.from_records([(0.2, 0), (0.9, 1)], name="pair")
-        assert data.records == (PredictionRecord(0.2, 0), PredictionRecord(0.9, 1))
-
-    def test_record_validation(self):
-        with pytest.raises(DataError):
-            PredictionRecord(risk=-0.1, outcome=0)
-        with pytest.raises(DataError):
-            PredictionRecord(risk=0.5, outcome=3)
 
 
 class TestClassify:
@@ -236,75 +221,3 @@ class TestPpv:
     def test_pure_positives(self):
         c = ThresholdConfusion(t=0.4, tp=3, fp=0, tn=2, fn=0, n=5)
         assert ppv(c) == 1.0
-
-
-class TestInterventionUtility:
-    def test_net_benefit_is_a_special_utility(self, d0):
-        c = classify_at_threshold(d0, 0.5)
-        w = UtilityWeights(u11=1.0, u10=-0.5 / 0.5, u00=0.0, u01=0.0)
-        assert intervention_utility(c, w) == pytest.approx(net_benefit(c), abs=TOL)
-
-    @given(c=confusions)
-    def test_net_benefit_weights_property(self, c):
-        w = UtilityWeights(u11=1.0, u10=-c.t / (1.0 - c.t), u00=0.0, u01=0.0)
-        assert close(intervention_utility(c, w), net_benefit(c))
-
-    @given(c=confusions)
-    def test_constant_weights(self, c):
-        w = UtilityWeights(1.0, 1.0, 1.0, 1.0)
-        assert intervention_utility(c, w) == pytest.approx(1.0, abs=TOL)
-
-    def test_accuracy_weights(self, d0):
-        c = classify_at_threshold(d0, 0.5)
-        assert intervention_utility(c, UtilityWeights(1, 0, 1, 0)) == pytest.approx(
-            0.7, abs=TOL
-        )
-
-    def test_rejects_non_finite_weights(self):
-        with pytest.raises(DataError):
-            UtilityWeights(float("inf"), 0, 0, 0)
-
-
-class TestEqualityGap:
-    def test_identical_models(self, d0):
-        c = classify_at_threshold(d0, 0.5)
-        assert nb_equality_gap(c, c) == 0.0
-
-    def test_equal_weighted_count_moves(self):
-        # At t=0.5 the fp weight is 1, so equal tp and fp shifts cancel.
-        c1 = ThresholdConfusion(t=0.5, tp=4, fp=3, tn=2, fn=1, n=10)
-        c2 = ThresholdConfusion(t=0.5, tp=3, fp=2, tn=3, fn=2, n=10)
-        assert nb_equality_gap(c1, c2) == pytest.approx(0.0, abs=TOL)
-
-    def test_mismatched_threshold(self):
-        c1 = ThresholdConfusion(t=0.5, tp=1, fp=1, tn=1, fn=1, n=4)
-        c2 = ThresholdConfusion(t=0.4, tp=1, fp=1, tn=1, fn=1, n=4)
-        with pytest.raises(UsageError):
-            nb_equality_gap(c1, c2)
-
-    def test_mismatched_n(self):
-        c1 = ThresholdConfusion(t=0.5, tp=1, fp=1, tn=1, fn=1, n=4)
-        c2 = ThresholdConfusion(t=0.5, tp=1, fp=1, tn=2, fn=1, n=5)
-        with pytest.raises(UsageError):
-            nb_equality_gap(c1, c2)
-
-    @given(
-        t=thresholds,
-        tp1=st.integers(0, 20),
-        fp1=st.integers(0, 20),
-        tp2=st.integers(0, 20),
-        fp2=st.integers(0, 20),
-    )
-    def test_zero_gap_iff_equal_net_benefit(self, t, tp1, fp1, tp2, fp2):
-        n = 50
-        c1 = ThresholdConfusion(t=t, tp=tp1, fp=fp1, tn=20 - fp1, fn=n - tp1 - 20, n=n)
-        c2 = ThresholdConfusion(t=t, tp=tp2, fp=fp2, tn=20 - fp2, fn=n - tp2 - 20, n=n)
-        gap = nb_equality_gap(c1, c2)
-        nb1, nb2 = net_benefit(c1), net_benefit(c2)
-        diff = nb1 - nb2
-        # diff subtracts two weight-scaled values, so its rounding scales
-        # with those operands rather than with the (possibly tiny) result.
-        assert abs(gap - diff) <= TOL * max(1.0, abs(nb1), abs(nb2))
-        if t <= 0.5:
-            # Clinical range: everything is O(1) and the fence is exact.
-            assert (abs(gap) <= TOL) == (abs(diff) <= TOL)

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from dcakit import (
     BandSpec,
     ComparisonSection,
+    DataError,
     IngestionError,
     IngestionSpec,
     ModelCurve,
@@ -202,3 +204,83 @@ class TestSerialization:
         # 0.1 survives the trip through text exactly
         value = doc.models[0].points[-1].nb_model
         assert f"{value:.17g}" in text
+
+
+class TestParseMalformed:
+    @pytest.fixture
+    def payload(self, d0, d0_degraded):
+        doc = build_doc(d0, with_bands=True)
+        verdicts = (compare_models(d0, d0_degraded, 0.5),)
+        doc = ReportDocument(metadata=doc.metadata, models=doc.models, bands=doc.bands,
+                             comparisons=(ComparisonSection("d0", "d0-degraded", verdicts),))
+        return json.loads(emit_report(doc, format="json"))
+
+    @staticmethod
+    def parse(payload):
+        return parse_report(json.dumps(payload).encode("utf-8"))
+
+    def test_empty_object_missing_metadata(self):
+        with pytest.raises(DataError, match="missing \\['metadata'\\]"):
+            parse_report(b"{}")
+
+    @pytest.mark.parametrize("text", [b"[]", b"3", b"null", b'"report"'])
+    def test_top_level_must_be_object(self, text):
+        with pytest.raises(DataError, match="must be a JSON object"):
+            parse_report(text)
+
+    @pytest.mark.parametrize("key", ["t", "ppv_all_ref", "calibration"])
+    def test_point_missing_field(self, payload, key):
+        del payload["models"][0]["points"][0][key]
+        with pytest.raises(DataError, match=f"CurvePoint.*missing \\['{key}'\\]"):
+            self.parse(payload)
+
+    def test_calibration_missing_field(self, payload):
+        del payload["models"][0]["points"][1]["calibration"]["y_below"]
+        with pytest.raises(DataError, match="CalibrationSummary.*'y_below'"):
+            self.parse(payload)
+
+    def test_point_extra_field(self, payload):
+        payload["models"][0]["points"][0]["nb_extra"] = 0.0
+        with pytest.raises(DataError, match="unexpected \\['nb_extra'\\]"):
+            self.parse(payload)
+
+    def test_document_extra_field(self, payload):
+        payload["notes"] = "hand edited"
+        with pytest.raises(DataError, match="ReportDocument.*unexpected \\['notes'\\]"):
+            self.parse(payload)
+
+    def test_band_spec_missing_field(self, payload):
+        del payload["bands"]["d0"]["spec"]["seed"]
+        with pytest.raises(DataError, match="BandSpec.*'seed'"):
+            self.parse(payload)
+
+    def test_verdict_missing_field(self, payload):
+        del payload["comparisons"][0]["verdicts"][0]["winner"]
+        with pytest.raises(DataError, match="ComparisonVerdict.*'winner'"):
+            self.parse(payload)
+
+    @pytest.mark.parametrize("path, wrong", [
+        (("models",), {}),
+        (("models", 0), []),
+        (("models", 0, "points"), {}),
+        (("models", 0, "points", 0), [0.5]),
+        (("models", 0, "points", 0, "calibration"), None),
+        (("bands",), []),
+        (("bands", "d0", "nb_lower"), 0.1),
+        (("bands", "d0", "spec"), "percentile"),
+        (("comparisons",), {}),
+        (("comparisons", 0, "verdicts"), "none"),
+        (("metadata",), []),
+    ])
+    def test_wrong_container_type(self, payload, path, wrong):
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = wrong
+        with pytest.raises(DataError, match="must be a JSON"):
+            self.parse(payload)
+
+    def test_well_formed_payload_parses(self, payload):
+        doc = self.parse(payload)
+        assert len(doc.models[0].points) == len(GRID.points)
+        assert doc.bands["d0"].spec == BandSpec(replicates=50, seed=1)

@@ -193,8 +193,8 @@ class TestBandsMatchReference:
         assert bootstrap_bands(data, grid, spec) == reference_bands(data, grid, spec)
 
     def test_ties_at_fifteen_hundredths(self):
-        # The default grid's 15th point is 0.15000000000000002, so a risk of
-        # exactly 0.15 falls below it; both counts must agree on that.
+        # The default grid's 15th point is exactly float("0.15"), so the twelve
+        # risks of 0.15 tie it and count positive; both counts must agree.
         risks = np.array([0.15] * 12 + [0.14, 0.16, 0.5, 0.05])
         outcomes = np.array([1, 0] * 6 + [0, 1, 1, 0])
         data = PredictionSet(risks=risks, outcomes=outcomes)
@@ -202,7 +202,7 @@ class TestBandsMatchReference:
         assert bootstrap_bands(data, DEFAULT_GRID, spec) == reference_bands(
             data, DEFAULT_GRID, spec)
         c = classify_at_threshold(data, DEFAULT_GRID.points[14])
-        assert c.tp + c.fp == 2
+        assert c.tp + c.fp == 14
 
 
 class TestResourceCaps:

@@ -1,0 +1,40 @@
+"""Smoke tests: the demo scripts run on small inputs and write their outputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import dcakit
+from dcakit import parse_report
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    package_root = str(Path(dcakit.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_run_d0_example(tmp_path):
+    result = run_script("run_d0_example.py", "--replicates", "20", "--out-dir", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    assert "n=10 events=4" in result.stdout
+    for name in ("report.json", "report.csv", "decision.svg", "ppv.svg", "calibration.svg"):
+        assert (tmp_path / name).stat().st_size > 0
+    doc = parse_report((tmp_path / "report.json").read_bytes())
+    assert doc.bands["m1"].spec.replicates == 20
+
+
+def test_miscalibration_demo(tmp_path):
+    result = run_script("miscalibration_demo.py", "--shifts", "-1", "1", "--n", "2000",
+                        "--grid", "0.05:0.5:0.05", "--svg-dir", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    assert "worse than treat-none" in result.stdout
+    assert "-1.0" in result.stdout and "+1.0" in result.stdout
+    for shift in ("-1", "+1"):
+        for panel in ("decision", "ppv", "calibration"):
+            assert (tmp_path / f"shift{shift}-{panel}.svg").stat().st_size > 0
