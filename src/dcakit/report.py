@@ -14,9 +14,11 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache
 from itertools import repeat
 from operator import attrgetter
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -39,6 +41,10 @@ __all__ = [
 ]
 
 FORMATS = ("json", "csv")
+
+_BOM = b"\xef\xbb\xbf"
+_NEWLINE = ord("\n")
+_SCAN_BLOCK = 1 << 18  # bytes per block of the fast path's separator scan
 
 @dataclass(frozen=True)
 class IngestionSpec:
@@ -94,17 +100,33 @@ def _parse_risk(text: str, row: int, column: str) -> float:
     return risk
 
 
-def ingest(spec: IngestionSpec) -> list[PredictionSet]:
-    """Read one PredictionSet per model column, all sharing the outcome vector.
+def _column_index(names: list[str]) -> dict[str, int]:
+    """Each column name's position; a repeated name means its first column."""
+    index = {}
+    for i, name in enumerate(names):
+        index.setdefault(name, i)
+    return index
 
-    Row order is preserved; rows are numbered from 1 (header excluded)
-    in error messages.
-    """
+
+def _parse_rows(data: bytes, spec: IngestionSpec) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The validating row-by-row parser: any delimited UTF-8 file, and the
+    exact row and column of the first bad cell."""
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise IngestionError(
+                f"{spec.path!r} is not UTF-8 text: byte {data[exc.start]:#04x} "
+                f"at offset {exc.start}"
+            ) from None
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    rows = []
     try:
-        with open(spec.path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle, delimiter=spec.delimiter))
-    except OSError as exc:
-        raise IngestionError(f"cannot read {spec.path!r}: {exc}") from exc
+        for row in csv.reader(text, delimiter=spec.delimiter):
+            rows.append(row)
+    except csv.Error as exc:
+        row_number = len(rows) if spec.header else len(rows) + 1
+        raise IngestionError(f"malformed CSV: {exc}", row=row_number) from None
     if not rows:
         raise IngestionError(f"{spec.path!r} is empty")
 
@@ -117,9 +139,7 @@ def ingest(spec: IngestionSpec) -> list[PredictionSet]:
     if not data_rows:
         raise IngestionError(f"{spec.path!r} has no data rows")
 
-    index = {}
-    for i, name in enumerate(names):
-        index.setdefault(name, i)
+    index = _column_index(names)
     wanted = (spec.outcome_column, *spec.model_columns)
     for name in wanted:
         if name not in index:
@@ -139,11 +159,128 @@ def ingest(spec: IngestionSpec) -> list[PredictionSet]:
         for name in spec.model_columns:
             risks[name].append(_parse_risk(row[index[name]], row_number, name))
 
-    outcome_array = np.array(outcomes, dtype=np.int64)
+    return (np.array(outcomes, dtype=np.int64),
+            [np.array(risks[name], dtype=np.float64) for name in spec.model_columns])
+
+
+def _separator_positions(body: np.ndarray, delimiter: int) -> np.ndarray:
+    """Positions of the delimiter and newline bytes in ``body``, found block by
+    block so that the comparison masks stay small next to the file."""
+    found = []
+    for start in range(0, body.size, _SCAN_BLOCK):
+        block = body[start:start + _SCAN_BLOCK]
+        hits = block == delimiter
+        hits |= block == _NEWLINE
+        found.append(np.flatnonzero(hits) + start)
+    return np.concatenate(found)
+
+
+def _scan_outcomes(body: np.ndarray, fields: int, column: int,
+                   delimiter: int) -> np.ndarray | None:
+    """The outcome column of a body whose every row has ``fields`` fields,
+    no line is longer than csv's field size limit and every outcome cell is
+    the single byte 0 or 1; None when any of that fails."""
+    sep = _separator_positions(body, delimiter)
+    if body[-1] != _NEWLINE:
+        sep = np.append(sep, body.size)  # the last row ends at the end of the file
+    rows, extra = divmod(sep.size, fields)
+    kinds = body[sep[:-1]]  # the last separator always ends the last row
+    if (extra or (kinds[fields - 1::fields] != _NEWLINE).any()
+            or np.count_nonzero(kinds == _NEWLINE) != rows - 1):
+        return None
+    ends = sep[fields - 1::fields]
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    if (ends - starts).max() > csv.field_size_limit():
+        return None
+    cell_start = starts if column == 0 else sep[column - 1::fields] + 1
+    if (sep[column::fields] - cell_start != 1).any():
+        return None
+    cells = body[cell_start]
+    outcomes = cells == ord("1")
+    if not (outcomes | (cells == ord("0"))).all():
+        return None
+    return outcomes.astype(np.int64)
+
+
+def _parse_fast(data: bytes,
+                spec: IngestionSpec) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    """numpy's C parser on a plain file; None when the file needs the row parser.
+
+    A file is plain when every row provably reads as in ``_parse_rows``: a
+    UTF-8 header and an ASCII body without quotes or lone CRs, the header's
+    field count on every row, no line longer than csv's field size limit,
+    outcome cells that are the single byte 0 or 1, and risks that
+    ``np.loadtxt`` parses and finds in [0, 1]. Anything else, every error
+    included, is left to the row parser.
+    """
+    wanted = (spec.outcome_column, *spec.model_columns)
+    delimiter = spec.delimiter
+    if len(set(wanted)) < len(wanted) or not delimiter.isascii() or delimiter in '\r\n"':
+        return None
+    data = data.removeprefix(_BOM)
+    if b'"' in data:
+        return None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+        if b"\r" in data:
+            return None
+    first_end = data.find(b"\n")
+    if first_end == -1:
+        first_end = len(data)
+    if not 0 < first_end <= csv.field_size_limit():
+        return None
+    try:
+        cells = data[:first_end].decode("utf-8").split(delimiter)
+    except UnicodeDecodeError:
+        return None
+    if spec.header:
+        names = [name.strip() for name in cells]
+        body_start = first_end + 1
+    else:
+        names = [str(i) for i in range(len(cells))]
+        body_start = 0
+    index = _column_index(names)
+    if not all(name in index for name in wanted):
+        return None
+    columns = [index[name] for name in wanted]
+    body = np.frombuffer(data, dtype=np.uint8)[body_start:]
+    if body.size == 0 or body.max() >= 0x80:
+        return None
+    outcomes = _scan_outcomes(body, len(names), columns[0], ord(delimiter))
+    if outcomes is None:
+        return None
+    try:
+        risks = np.loadtxt(spec.path, dtype=np.float64, delimiter=delimiter, comments=None,
+                           quotechar=None, skiprows=int(spec.header), usecols=columns[1:],
+                           ndmin=2, encoding="utf-8-sig")
+    except (OSError, ValueError):
+        return None
+    if (risks.shape != (outcomes.size, len(spec.model_columns))
+            or not ((risks >= 0.0) & (risks <= 1.0)).all()):
+        return None
+    return outcomes, list(risks.T)
+
+
+def ingest(spec: IngestionSpec) -> list[PredictionSet]:
+    """Read one PredictionSet per model column, all sharing the outcome vector.
+
+    Row order is preserved; rows are numbered from 1 (header excluded)
+    in error messages. One leading UTF-8 byte order mark is skipped. A
+    plain file goes through numpy's C parser, any other file through the
+    row parser; both give the same arrays, and every error comes from the
+    row parser.
+    """
+    try:
+        with open(spec.path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise IngestionError(f"cannot read {spec.path!r}: {exc}") from exc
+    outcomes, risks = _parse_fast(data, spec) or _parse_rows(data, spec)
     return [
-        PredictionSet(risks=np.array(risks[name], dtype=np.float64),
-                      outcomes=outcome_array, name=name)
-        for name in spec.model_columns
+        PredictionSet(risks=column, outcomes=outcomes, name=name)
+        for name, column in zip(spec.model_columns, risks)
     ]
 
 
@@ -268,9 +405,40 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+def _is_json(value, kind) -> bool:
+    """Whether a JSON scalar fits a field type: an int fits float, a bool fits
+    only bool, and null fits only NoneType."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
+def _check_json(value, hint, what: str) -> None:
+    """Raise DataError unless the JSON ``value`` fits the type hint ``hint``.
+
+    A tuple is a JSON array, and a dict or dataclass a JSON object whose own
+    fields its builder checks.
+    """
+    if get_origin(hint) is tuple:
+        for i, item in enumerate(_expect(value, list, what)):
+            _check_json(item, get_args(hint)[0], f"{what}[{i}]")
+    elif hint is dict or is_dataclass(hint):
+        _expect(value, dict, what)
+    elif not any(_is_json(value, kind) for kind in get_args(hint) or (hint,)):
+        name = hint.__name__ if isinstance(hint, type) else str(hint)
+        raise DataError(f"{what} must be {name}, got {value!r}")
+
+
+@cache
+def _field_hints(cls) -> dict:
+    return get_type_hints(cls)
+
+
 def _keys_of(cls, data, optional: tuple[str, ...] = ()) -> dict:
-    """``data`` as a JSON object holding exactly the fields of ``cls``; only
-    the ``optional`` ones may be absent."""
+    """``data`` as a JSON object holding exactly the fields of ``cls``, each
+    of its field's type; only the ``optional`` ones may be absent."""
     _expect(data, dict, cls.__name__)
     names = {f.name for f in fields(cls)}
     missing = names.difference(data, optional)
@@ -280,6 +448,8 @@ def _keys_of(cls, data, optional: tuple[str, ...] = ()) -> dict:
             f"{cls.__name__} keys do not match its fields: missing {sorted(missing)}, "
             f"unexpected {sorted(extra)}"
         )
+    for name, value in data.items():
+        _check_json(value, _field_hints(cls)[name], f"{cls.__name__}.{name}")
     return data
 
 
@@ -292,41 +462,35 @@ def _point_from_dict(data) -> CurvePoint:
 def _band_from_dict(data) -> CurveBand:
     data = _keys_of(CurveBand, data)
     spec = BandSpec(**_keys_of(BandSpec, data["spec"]))
-    sequences = {name: tuple(_expect(value, list, name))
-                 for name, value in data.items() if name != "spec"}
+    sequences = {name: tuple(value) for name, value in data.items() if name != "spec"}
     return CurveBand(spec=spec, **sequences)
 
 
 def _model_from_dict(data) -> ModelCurve:
     data = _keys_of(ModelCurve, data)
-    points = [_point_from_dict(p) for p in _expect(data["points"], list, "points")]
-    return ModelCurve(**{**data, "points": points})
+    return ModelCurve(**{**data, "points": [_point_from_dict(p) for p in data["points"]]})
 
 
 def _section_from_dict(data) -> ComparisonSection:
     data = _keys_of(ComparisonSection, data)
-    verdicts = [ComparisonVerdict(**_keys_of(ComparisonVerdict, v))
-                for v in _expect(data["verdicts"], list, "verdicts")]
+    verdicts = [ComparisonVerdict(**_keys_of(ComparisonVerdict, v)) for v in data["verdicts"]]
     return ComparisonSection(**{**data, "verdicts": verdicts})
 
 
 def parse_report(data: bytes) -> ReportDocument:
     """Rebuild a ReportDocument from its JSON serialization.
 
-    A missing or unexpected key, or a container of the wrong type, raises
-    DataError.
+    A missing or unexpected key, or a value that does not fit its field's
+    type, raises DataError.
     """
     try:
         payload = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"not a valid JSON report: {exc}") from exc
     payload = _keys_of(ReportDocument, payload, optional=("models", "bands", "comparisons"))
-    models = _expect(payload.get("models", []), list, "models")
-    bands = _expect(payload.get("bands", {}), dict, "bands")
-    comparisons = _expect(payload.get("comparisons", []), list, "comparisons")
     return ReportDocument(
-        metadata=_expect(payload["metadata"], dict, "metadata"),
-        models=[_model_from_dict(m) for m in models],
-        bands={name: _band_from_dict(b) for name, b in bands.items()},
-        comparisons=[_section_from_dict(c) for c in comparisons],
+        metadata=payload["metadata"],
+        models=[_model_from_dict(m) for m in payload.get("models", [])],
+        bands={name: _band_from_dict(b) for name, b in payload.get("bands", {}).items()},
+        comparisons=[_section_from_dict(c) for c in payload.get("comparisons", [])],
     )

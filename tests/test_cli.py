@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -182,6 +183,24 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "row 3" in err and "m1" in err
+
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"y,m1\n1,0.5\n0,0.\xff\n")
+        code = cli_main(["curves", "--input", str(path), "--outcome", "y", "--models", "m1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and "0xff at offset 15" in err
+
+    def test_bom_header_finds_first_column(self, tmp_path, capsys):
+        path = tmp_path / "excel.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,m1\r\n1,0.8\r\n0,0.3\r\n")
+        code = cli_main(["curves", "--input", str(path), "--outcome", "y", "--models", "m1",
+                         "--grid", "0.5:0.5:0.1"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["metadata"]["input_digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert report["models"][0]["points"][0]["s_t"] == 0.5
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0

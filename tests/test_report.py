@@ -280,6 +280,38 @@ class TestParseMalformed:
         with pytest.raises(DataError, match="must be a JSON"):
             self.parse(payload)
 
+    @pytest.mark.parametrize("path, wrong, message", [
+        (("models", 0, "name"), 3, "ModelCurve.name must be str, got 3"),
+        (("bands", "d0", "thresholds"), ["a"], r"CurveBand.thresholds\[0\] must be float"),
+        (("models", 0, "points", 0, "t"), "zero point two five", "CurvePoint.t must be float"),
+        (("models", 0, "points", 0, "nb_model"), None, "CurvePoint.nb_model must be float"),
+        (("models", 0, "points", 0, "s_t"), True, "CurvePoint.s_t must be float, got True"),
+        (("models", 0, "points", 0, "calibration", "y_above"), "0.5",
+         r"CalibrationSummary.y_above must be float \| None"),
+        (("bands", "d0", "nb_lower"), [None], r"CurveBand.nb_lower\[0\] must be float"),
+        (("bands", "d0", "ppv_replicates"), [1.5], r"CurveBand.ppv_replicates\[0\] must be int"),
+        (("bands", "d0", "spec", "replicates"), True, "BandSpec.replicates must be int"),
+        (("bands", "d0", "spec", "method"), None, "BandSpec.method must be str"),
+        (("comparisons", 0, "verdicts", 0, "ppv_route_available"), 1,
+         "ComparisonVerdict.ppv_route_available must be bool"),
+        (("comparisons", 0, "model1"), ["d0"], "ComparisonSection.model1 must be str"),
+    ])
+    def test_wrong_value_type(self, payload, path, wrong, message):
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = wrong
+        with pytest.raises(DataError, match=message):
+            self.parse(payload)
+
+    def test_int_fits_float_and_null_fits_optional(self, payload):
+        point = payload["models"][0]["points"][0]
+        point["t"], point["ppv_all_ref"] = 1, None
+        payload["bands"]["d0"]["ppv_lower"][0] = None
+        doc = self.parse(payload)
+        assert doc.models[0].points[0].t == 1 and doc.models[0].points[0].ppv_all_ref is None
+        assert doc.bands["d0"].ppv_lower[0] is None
+
     def test_well_formed_payload_parses(self, payload):
         doc = self.parse(payload)
         assert len(doc.models[0].points) == len(GRID.points)
