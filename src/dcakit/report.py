@@ -64,6 +64,9 @@ class IngestionSpec:
         object.__setattr__(self, "model_columns", tuple(self.model_columns))
         if not self.model_columns:
             raise DataError("at least one model column is required")
+        for i, name in enumerate(self.model_columns):
+            if name in self.model_columns[:i]:
+                raise DataError(f"model column {name!r} is given more than once")
         if len(self.delimiter) != 1:
             raise DataError(f"delimiter must be a single character, got {self.delimiter!r}")
 
@@ -217,7 +220,8 @@ def _parse_fast(data: bytes,
     """
     wanted = (spec.outcome_column, *spec.model_columns)
     delimiter = spec.delimiter
-    if len(set(wanted)) < len(wanted) or not delimiter.isascii() or delimiter in '\r\n"':
+    if (spec.outcome_column in spec.model_columns or not delimiter.isascii()
+            or delimiter in '\r\n"'):
         return None
     data = data.removeprefix(_BOM)
     if b'"' in data:

@@ -2,13 +2,17 @@
 
 Replicate i draws its indices from a PCG64 generator seeded with
 SeedSequence(seed).spawn(...)[i], so bands are reproducible and
-independent of any execution order. Quantiles use the nearest-rank
-rule: the value at rank ceil(q * m) among m sorted replicate values.
+independent of any execution order: replicates run in contiguous
+blocks, one thread per usable CPU, and replicate i writes only row i of
+the pools. Quantiles use the nearest-rank rule: the value at rank
+ceil(q * m) among m sorted replicate values, with q taken exactly from
+the level's decimal text.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,12 +69,19 @@ class CurveBand:
     ppv_replicates: tuple[int, ...]
 
 
-def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
+def _nearest_rank(sorted_values: np.ndarray, q) -> float:
+    """The value at rank ceil(q * m) of m sorted values, for an exact Fraction q."""
     m = len(sorted_values)
-    # Tiny guard so float fuzz in q*m cannot bump the rank.
-    rank = math.ceil(q * m - 1e-9)
-    rank = min(max(rank, 1), m)
+    rank = min(max(math.ceil(q * m), 1), m)
     return float(sorted_values[rank - 1])
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def bootstrap_bands(data: PredictionSet, grid: ThresholdGrid, spec: BandSpec) -> CurveBand:
@@ -93,17 +104,31 @@ def bootstrap_bands(data: PredictionSet, grid: ThresholdGrid, spec: BandSpec) ->
     nb_pool = np.empty((spec.replicates, n_grid))
     ppv_pool = np.full((spec.replicates, n_grid), np.nan)
     children = np.random.SeedSequence(spec.seed).spawn(spec.replicates)
-    for i, child in enumerate(children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        idx = rng.integers(0, n, size=n)
-        tp, fp = tally_keys(keys[idx], n_grid)
-        positives = tp + fp
-        nb_pool[i] = tp / n - (fp / n) * weight
-        selected = positives > 0
-        ppv_pool[i, selected] = tp[selected] / positives[selected]
 
-    q_lo = (1.0 - spec.level) / 2.0
-    q_hi = 1.0 - q_lo
+    def run_block(start: int, stop: int) -> None:
+        # The draw, gather and bincount run in numpy with the GIL released.
+        for i in range(start, stop):
+            rng = np.random.Generator(np.random.PCG64(children[i]))
+            idx = rng.integers(0, n, size=n)
+            tp, fp = tally_keys(keys[idx], n_grid)
+            positives = tp + fp
+            nb_pool[i] = tp / n - (fp / n) * weight
+            selected = positives > 0
+            ppv_pool[i, selected] = tp[selected] / positives[selected]
+
+    # Imported here, so that importing the CLI loads neither module.
+    from concurrent.futures import ThreadPoolExecutor
+    from fractions import Fraction
+
+    workers = min(_worker_count(), spec.replicates)
+    bounds = [spec.replicates * k // workers for k in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        blocks = [pool.submit(run_block, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        for block in blocks:
+            block.result()
+
+    q_lo = (1 - Fraction(repr(spec.level))) / 2
+    q_hi = 1 - q_lo
     nb_lower, nb_upper = [], []
     ppv_lower, ppv_upper, ppv_used = [], [], []
     for j in range(n_grid):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcakit import (
@@ -155,14 +155,18 @@ class TestNbGapTreatAll:
 
     @given(recs=records, t=thresholds)
     @settings(max_examples=200)
+    @example(recs=[(0.0, 1)] * 4 + [(1.0, 0)], t=0.99999)
     def test_identity_against_margin(self, recs, t):
         data = make_set(recs)
         s = threshold_calibration(data, t)
         if s.y_below is None:
             return
-        nb = net_benefit(classify_at_threshold(data, t))
-        nb_all = net_benefit_treat_all(data.prevalence, t)
-        assert close(nb - nb_all, nb_gap_treat_all(s))
+        # nb - nb_all, exactly: the spared group's tn*t/(1-t) - fn, over n.
+        # The float difference of nb and nb_all cancels badly as t -> 1.
+        fn = sum(1 for r, y in recs if r < t and y == 1)
+        tn = sum(1 for r, y in recs if r < t and y == 0)
+        odds = Fraction(t) / (1 - Fraction(t))
+        assert close(float((tn * odds - fn) / len(recs)), nb_gap_treat_all(s))
 
 
 class TestDecomposition:

@@ -192,6 +192,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "not UTF-8" in err and "0xff at offset 15" in err
 
+    def test_repeated_model_column_is_data_error(self, d0_csv_path, capsys):
+        code = cli_main(["curves", "--input", str(d0_csv_path), "--outcome", "y",
+                         "--models", "m1", "m1"])
+        assert code == 2
+        assert "model column 'm1' is given more than once" in capsys.readouterr().err
+
     def test_bom_header_finds_first_column(self, tmp_path, capsys):
         path = tmp_path / "excel.csv"
         path.write_bytes(b"\xef\xbb\xbfy,m1\r\n1,0.8\r\n0,0.3\r\n")

@@ -1,4 +1,9 @@
+import itertools
 import math
+import os
+import sys
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,9 +27,10 @@ from dcakit.resampling import MAX_BAND_CELLS, MAX_REPLICATES
 FINE_GRID = ThresholdGrid(0.001, 0.999, 0.001)
 
 
-def reference_bands(data, grid, spec):
+def reference_pools(data, grid, spec):
     """Slow reference: per replicate, gather cut indices and outcomes and
-    count events and non-events with two boolean-masked bincounts."""
+    count events and non-events with two boolean-masked bincounts. Returns
+    each threshold's nb values and its PPV values where anyone is selected."""
     thresholds = np.asarray(grid.points)
     n_grid, n = len(thresholds), data.n
     cuts = np.searchsorted(thresholds, data.risks, side="right")
@@ -40,23 +46,35 @@ def reference_bands(data, grid, spec):
         positives = tp + fp
         ppv_pool.append([tp[j] / positives[j] if positives[j] else None
                          for j in range(n_grid)])
-
-    def rank(values, q):
-        values = sorted(values)
-        return float(values[min(max(math.ceil(q * len(values) - 1e-9), 1), len(values)) - 1])
-
-    q_lo = (1.0 - spec.level) / 2.0
     nb_cols = [[float(row[j]) for row in nb_pool] for j in range(n_grid)]
     ppv_cols = [[row[j] for row in ppv_pool if row[j] is not None] for j in range(n_grid)]
+    return nb_cols, ppv_cols
+
+
+def reference_bands(data, grid, spec):
+    """Nearest-rank bands over reference_pools, with q exact from the level's text."""
+    def rank(values, q):
+        values = sorted(values)
+        return float(values[min(max(math.ceil(q * len(values)), 1), len(values)) - 1])
+
+    nb_cols, ppv_cols = reference_pools(data, grid, spec)
+    q_lo = (1 - Fraction(repr(spec.level))) / 2
     return CurveBand(
         spec=spec,
         thresholds=tuple(grid.points),
         nb_lower=tuple(rank(col, q_lo) for col in nb_cols),
-        nb_upper=tuple(rank(col, 1.0 - q_lo) for col in nb_cols),
+        nb_upper=tuple(rank(col, 1 - q_lo) for col in nb_cols),
         ppv_lower=tuple(rank(col, q_lo) if col else None for col in ppv_cols),
-        ppv_upper=tuple(rank(col, 1.0 - q_lo) if col else None for col in ppv_cols),
+        ppv_upper=tuple(rank(col, 1 - q_lo) if col else None for col in ppv_cols),
         ppv_replicates=tuple(len(col) for col in ppv_cols),
     )
+
+
+def seeded_cohort(n, decimals, seed=2024):
+    """beta(2,5) risks rounded to the grid's resolution, Bernoulli outcomes."""
+    rng = np.random.default_rng(seed)
+    risks = np.round(rng.beta(2, 5, n), decimals)
+    return PredictionSet(risks=risks, outcomes=(rng.random(n) < risks).astype(int))
 
 
 class TestBandSpec:
@@ -186,9 +204,7 @@ class TestBandsMatchReference:
     def test_seeded_cohort(self, grid, decimals):
         # Risks rounded to the grid's resolution put many records exactly on
         # (or one rounding away from) a threshold.
-        rng = np.random.default_rng(2024)
-        risks = np.round(rng.beta(2, 5, 300), decimals)
-        data = PredictionSet(risks=risks, outcomes=(rng.random(300) < risks).astype(int))
+        data = seeded_cohort(300, decimals)
         spec = BandSpec(replicates=120, seed=17, level=0.9)
         assert bootstrap_bands(data, grid, spec) == reference_bands(data, grid, spec)
 
@@ -203,6 +219,69 @@ class TestBandsMatchReference:
             data, DEFAULT_GRID, spec)
         c = classify_at_threshold(data, DEFAULT_GRID.points[14])
         assert c.tp + c.fp == 14
+
+    def test_rank_follows_the_level_as_written(self):
+        # q = (1 - 0.949999999999)/2 = 0.0250000000005 exactly, so the lower
+        # band of 1000 replicates is rank ceil(q * 1000) = 26, not 25.
+        data = seeded_cohort(1000, 17)
+        grid = ThresholdGrid(0.1, 0.3, 0.1)
+        spec = BandSpec(replicates=1000, seed=8, level=0.949999999999)
+        band = bootstrap_bands(data, grid, spec)
+        assert band == reference_bands(data, grid, spec)
+        cols = [sorted(col) for col in reference_pools(data, grid, spec)[0]]
+        assert band.nb_lower == tuple(col[25] for col in cols)
+        assert band.nb_upper == tuple(col[974] for col in cols)
+        assert any(col[24] < col[25] for col in cols)
+
+
+class TestWorkerThreads:
+    """Replicates run in blocks on _worker_count() threads; the bands must
+    not depend on how many."""
+
+    SPEC = BandSpec(replicates=40, seed=23, level=0.9)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 41],
+                             ids=["one", "two", "three", "more-than-replicates"])
+    def test_any_worker_count_gives_the_reference(self, workers, monkeypatch):
+        monkeypatch.setattr(resampling, "_worker_count", lambda: workers)
+        data = seeded_cohort(300, 2)
+        assert bootstrap_bands(data, DEFAULT_GRID, self.SPEC) == reference_bands(
+            data, DEFAULT_GRID, self.SPEC)
+
+    def test_worker_count_is_usable_cpus(self, monkeypatch):
+        assert 1 <= resampling._worker_count() <= (os.cpu_count() or 1)
+        monkeypatch.delattr(resampling.os, "sched_getaffinity", raising=False)
+        assert resampling._worker_count() == (os.cpu_count() or 1)
+
+    def test_oversubscribed_threads_under_fast_switching(self, monkeypatch):
+        # 8 threads on few CPUs, switching every microsecond: a row lost or
+        # written to the wrong replicate would change some band.
+        monkeypatch.setattr(resampling, "_worker_count", lambda: 8)
+        data = seeded_cohort(200, 2)
+        spec = BandSpec(replicates=400, seed=31)
+        expected = reference_bands(data, DEFAULT_GRID, spec)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline, runs = time.monotonic() + 3.0, 0
+            while runs < 20 and (runs == 0 or time.monotonic() < deadline):
+                assert bootstrap_bands(data, DEFAULT_GRID, spec) == expected
+                runs += 1
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        calls = itertools.count()
+
+        def failing_tally(keys, n_thresholds):
+            if next(calls) == 17:
+                raise RuntimeError("the 18th tally failed")
+            return tally_keys(keys, n_thresholds)
+
+        monkeypatch.setattr(resampling, "_worker_count", lambda: 3)
+        monkeypatch.setattr(resampling, "tally_keys", failing_tally)
+        with pytest.raises(RuntimeError, match="the 18th tally failed"):
+            bootstrap_bands(seeded_cohort(50, 2), DEFAULT_GRID, self.SPEC)
 
 
 class TestResourceCaps:
