@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UndefinedAtThresholdError
-from .metrics import PredictionSet, ThresholdConfusion, classify_at_threshold
+from .metrics import PredictionSet, ThresholdConfusion, ppv, sweep_counts
 
 __all__ = [
     "CalibrationSummary",
@@ -60,7 +60,7 @@ def calibration_from_counts(
 
     y_above = p_above = delta_t = enrichment = calibration_term = None
     if n_above > 0:
-        y_above = c.tp / n_above
+        y_above = ppv(c)
         p_above = risk_sum_above / n_above
         delta_t = y_above - p_above
         multiplier = s_t / (1.0 - t)
@@ -87,11 +87,9 @@ def calibration_from_counts(
 
 def threshold_calibration(data: PredictionSet, t: float) -> CalibrationSummary:
     """Observed event rates and mean predictions above and below ``t``."""
-    c = classify_at_threshold(data, t)
-    above = data.risks >= c.t
-    return calibration_from_counts(
-        c, float(data.risks[above].sum()), float(data.risks[~above].sum())
-    )
+    sweep = sweep_counts(data, [t])
+    return calibration_from_counts(sweep.confusions()[0], float(sweep.risk_sum_above[0]),
+                                   float(sweep.risk_sum_below[0]))
 
 
 def nb_via_calibration(s: CalibrationSummary) -> float:

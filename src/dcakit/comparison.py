@@ -13,15 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import ThresholdGrid
-from .errors import RouteDisagreementError, UndefinedAtThresholdError, UsageError
+from .errors import UndefinedAtThresholdError, UsageError
 from .metrics import (
     PredictionSet,
     ThresholdConfusion,
+    check_routes,
     check_threshold,
     classify_at_threshold,
     net_benefit,
     ppv,
-    reproducer,
     sweep_counts,
 )
 
@@ -75,10 +75,9 @@ def ppv_superiority_reference(nb2: float, positives1: int, n: int, t: float) -> 
 
 
 def _margin_above(c: ThresholdConfusion) -> float | None:
-    positives = c.tp + c.fp
-    if positives == 0:
+    if c.tp + c.fp == 0:
         return None
-    return c.s_t * (c.tp / positives - c.t)
+    return c.s_t * (ppv(c) - c.t)
 
 
 def _margin_below(c: ThresholdConfusion) -> float | None:
@@ -135,11 +134,7 @@ def decide_superiority(c1: ThresholdConfusion, c2: ThresholdConfusion) -> Compar
             ("below margin", sign(num * neg1 - c1.fn * den, num * neg2 - c2.fn * den))
         )
 
-    if len({s for _, s in routes}) > 1:
-        detail = ", ".join(f"{name}: {s:+d}" for name, s in routes)
-        raise RouteDisagreementError(
-            f"superiority routes disagree at t={t!r} ({detail}; {reproducer(c1, c2)})"
-        )
+    check_routes("superiority", routes, c1, c2)
 
     if abs(nb1 - nb2) <= TIE_TOLERANCE or direct == 0:
         winner = WINNER_TIE

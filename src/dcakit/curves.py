@@ -25,7 +25,8 @@ from .calibration import (  # noqa: F401
 )
 from .equivalences import decide_defaults, ppv_from_nb, verdict_vs_defaults  # noqa: F401
 from .errors import DataError, RouteDisagreementError, UsageError
-from .metrics import PredictionSet, ThresholdConfusion, reproducer, sweep_counts
+from .metrics import (PredictionSet, ThresholdConfusion, net_benefit_treat_none, reproducer,
+                      sweep_counts)
 
 __all__ = [
     "ThresholdGrid",
@@ -160,7 +161,7 @@ def decision_curve(data: PredictionSet, grid: ThresholdGrid) -> list[CurvePoint]
             t=c.t,
             nb_model=verdict.nb,
             nb_all=verdict.nb_all,
-            nb_none=0.0,
+            nb_none=net_benefit_treat_none(),
             s_t=verdict.s_t,
             ppv=verdict.ppv,
             ppv_none_ref=verdict.ppv_none_ref,

@@ -1,32 +1,27 @@
 """The bridge between net benefit and PPV.
 
 Strict verdicts against the treat-none and treat-all defaults are
-computed twice, once from net-benefit comparisons and once from PPV
-reference values. Both routes are evaluated in exact integer arithmetic
-(a float threshold is a dyadic rational, so ``t.as_integer_ratio()``
-makes every strict comparison exact); float rounding can otherwise flip
-a boundary case such as ppv == t.
+computed from net-benefit comparisons, from PPV reference values and, for
+treat-all, from the below-group event rate. Every route is evaluated in
+exact integer arithmetic (a float threshold is a dyadic rational, so
+``t.as_integer_ratio()`` makes every strict comparison exact); float
+rounding can otherwise flip a boundary case such as ppv == t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    DataError,
-    InfeasibleNetBenefitError,
-    RouteDisagreementError,
-    UndefinedAtThresholdError,
-)
+from .errors import DataError, InfeasibleNetBenefitError, UndefinedAtThresholdError
 from .metrics import (
     PredictionSet,
     ThresholdConfusion,
+    check_routes,
     check_threshold,
     classify_at_threshold,
     net_benefit,
     net_benefit_treat_all,
     ppv,
-    reproducer,
 )
 
 __all__ = [
@@ -128,47 +123,43 @@ def treat_all_reference_ppv(prevalence: float, s_t: float, t: float) -> float:
 
 
 def decide_defaults(c: ThresholdConfusion) -> DefaultsVerdict:
-    """Decide both default comparisons from the counts, via both routes.
+    """Decide both default comparisons from the counts, through every route.
 
-    Raises RouteDisagreementError if the net-benefit route and the PPV
-    route ever disagree; that would be an implementation bug.
+    Treat-none: net benefit, and PPV against t; the PPV is the above-group
+    event rate, so that is also the above-group route. Treat-all: net
+    benefit, PPV against the treat-all reference, and the below-group event
+    rate against t, each where its group is non-empty. Disagreement raises
+    RouteDisagreementError; that would be an implementation bug.
     """
     t = c.t
     positives = c.tp + c.fp
+    negatives = c.n - positives
     num, den = t.as_integer_ratio()
 
-    # Route 1: strict net-benefit comparisons. nb has the sign of
-    # tp*(den-num) - fp*num, and nb_all the sign-scaled analogue.
+    # nb has the sign of tp*(den-num) - fp*num, and nb_all the analogue.
     nb_scaled = c.tp * (den - num) - c.fp * num
-    nb_all_scaled = c.n1 * (den - num) - c.n0 * num
-    none_by_nb = nb_scaled > 0
-    all_by_nb = nb_scaled > nb_all_scaled
-
-    # Route 2: PPV against the reference values, rearranged integers.
-    none_by_ppv = positives > 0 and c.tp * den > positives * num
-    all_by_ppv = None
+    beats_none = nb_scaled > 0
+    beats_all = nb_scaled > c.n1 * (den - num) - c.n0 * num
+    check_routes("treat-none", [
+        ("net benefit", beats_none),
+        ("ppv", positives > 0 and c.tp * den > positives * num),
+    ], c)
+    all_routes = [("net benefit", beats_all)]
     if positives > 0:
-        all_by_ppv = c.tp * den + c.n * num > c.n1 * den + positives * num
-
-    if none_by_nb != none_by_ppv:
-        raise RouteDisagreementError(
-            f"treat-none verdict differs between NB and PPV routes at t={t!r} "
-            f"({reproducer(c)})"
-        )
-    if all_by_ppv is not None and all_by_nb != all_by_ppv:
-        raise RouteDisagreementError(
-            f"treat-all verdict differs between NB and PPV routes at t={t!r} "
-            f"({reproducer(c)})"
-        )
+        all_routes.append(
+            ("ppv reference", c.tp * den + c.n * num > c.n1 * den + positives * num))
+    if negatives > 0:
+        all_routes.append(("below-group rate", c.fn * den < num * negatives))
+    check_routes("treat-all", all_routes, c)
 
     return DefaultsVerdict(
         t=t,
-        beats_none=none_by_nb,
-        beats_all=all_by_nb,
+        beats_none=beats_none,
+        beats_all=beats_all,
         nb=net_benefit(c),
         nb_all=net_benefit_treat_all(c.prevalence, t),
         ppv=ppv(c),
-        ppv_none_ref=t,
+        ppv_none_ref=treat_none_reference(t),
         ppv_all_ref=(
             treat_all_reference_ppv(c.prevalence, c.s_t, t) if positives > 0 else None
         ),
@@ -177,7 +168,7 @@ def decide_defaults(c: ThresholdConfusion) -> DefaultsVerdict:
 
 
 def verdict_vs_defaults(data: PredictionSet, t: float) -> DefaultsVerdict:
-    """Classify at ``t``, then decide both default comparisons via both routes."""
+    """Classify at ``t``, then decide both default comparisons via every route."""
     return decide_defaults(classify_at_threshold(data, t))
 
 

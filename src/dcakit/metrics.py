@@ -11,12 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ThresholdError
+from .errors import DataError, RouteDisagreementError, ThresholdError
 
 __all__ = [
     "PredictionSet",
     "SweepCounts",
     "ThresholdConfusion",
+    "check_routes",
     "check_threshold",
     "classify_at_threshold",
     "reproducer",
@@ -140,15 +141,15 @@ def reproducer(*confusions: ThresholdConfusion) -> str:
     return f"reproduce with t={num}/{den}, {counts}"
 
 
-def classify_at_threshold(data: PredictionSet, t: float) -> ThresholdConfusion:
-    """Split ``data`` at threshold ``t``; risk >= t classifies positive."""
-    t = check_threshold(t)
-    positive = data.risks >= t
-    tp = int(np.count_nonzero(positive & (data.outcomes == 1)))
-    fp = int(np.count_nonzero(positive)) - tp
-    fn = data.n1 - tp
-    tn = data.n0 - fp
-    return ThresholdConfusion(t=t, tp=tp, fp=fp, tn=tn, fn=fn, n=data.n)
+def check_routes(label: str, routes: list, *confusions: ThresholdConfusion) -> None:
+    """Raise RouteDisagreementError, listing every (name, value) route and the
+    reproducer of ``confusions``, unless all routes give the same value."""
+    first = routes[0][1]
+    for _, value in routes:
+        if value != first:
+            detail = ", ".join(f"{name}: {value!r}" for name, value in routes)
+            raise RouteDisagreementError(f"{label} routes disagree at t={confusions[0].t!r} "
+                                         f"({detail}; {reproducer(*confusions)})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,8 +211,8 @@ def tally_keys(keys: np.ndarray, n_thresholds: int) -> tuple[np.ndarray, np.ndar
 def sweep_counts(data: PredictionSet, thresholds) -> SweepCounts:
     """Counts and risk sums at every threshold in O(n log G + G).
 
-    Agrees exactly with classify_at_threshold at each threshold; the risk
-    sums agree with a direct masked sum up to rounding.
+    The counts are exact; the risk sums agree with a direct masked sum up
+    to rounding.
     """
     thresholds = _check_thresholds(thresholds)
     keys = sweep_keys(data, thresholds)
@@ -224,6 +225,12 @@ def sweep_counts(data: PredictionSet, thresholds) -> SweepCounts:
     below = np.cumsum(risk_by_cut)[:-1]
     return SweepCounts(thresholds=thresholds, tp=tp, fp=fp, risk_sum_above=above,
                        risk_sum_below=below, n=data.n, n1=data.n1)
+
+
+def classify_at_threshold(data: PredictionSet, t: float) -> ThresholdConfusion:
+    """Split ``data`` at threshold ``t``; risk >= t classifies positive.
+    A one-point sweep_counts, so the tie rule has one definition."""
+    return sweep_counts(data, [t]).confusions()[0]
 
 
 def net_benefit(c: ThresholdConfusion) -> float:

@@ -37,6 +37,7 @@ from dcakit import (
     verdict_vs_defaults,
 )
 from dcakit.cli import cli_main
+from masked import masked_confusion
 
 TOL = 1e-12
 SHARPNESS_TOL = 1e-9
@@ -79,7 +80,7 @@ def test_ac1_identity_suite():
             prevalence = data.prevalence
             for point in decision_curve(data, DEFAULT_GRID):
                 t, cal = point.t, point.calibration
-                c = classify_at_threshold(data, t)
+                c = masked_confusion(data, t)
                 positives = c.tp + c.fp
                 if cal.y_above is not None:
                     surplus = cal.s_t / (1.0 - t) * (cal.y_above - t)
@@ -195,8 +196,8 @@ def test_ac4_two_model_routes():
             d2 = PredictionSet(risks=risks2, outcomes=outcomes, name="m2")
             for t in DEFAULT_GRID.points:
                 verdict = compare_models(d1, d2, t)  # raises on route disagreement
-                c1 = classify_at_threshold(d1, t)
-                c2 = classify_at_threshold(d2, t)
+                c1 = masked_confusion(d1, t)
+                c2 = masked_confusion(d2, t)
                 nb1 = exact_nb(c1.tp, c1.fp, n, t)
                 nb2 = exact_nb(c2.tp, c2.fp, n, t)
                 if verdict.winner == "model1":

@@ -10,13 +10,13 @@ from dcakit import (
     SyntheticSpec,
     ThresholdGrid,
     UsageError,
-    classify_at_threshold,
     decision_curve,
     generate_synthetic,
     net_benefit,
     sweep_counts,
     verdict_vs_defaults,
 )
+from masked import masked_confusion
 
 TOL = 1e-12
 
@@ -71,7 +71,7 @@ class TestThresholdGrid:
         expected = len(risks) - np.arange(len(risks))
         assert sweep_counts(data, grid.points).tp.tolist() == expected.tolist()
         for j, t in enumerate(grid.points):
-            assert classify_at_threshold(data, t).tp == expected[j]
+            assert masked_confusion(data, t).tp == expected[j]
 
     def test_from_string(self):
         grid = ThresholdGrid.from_string("0.05:0.25:0.05")
@@ -96,7 +96,7 @@ class TestDecisionCurve:
     def test_full_selection_region(self, d0):
         grid = ThresholdGrid(0.01, 0.04, 0.01)
         points = decision_curve(d0, grid)
-        treat_all_counts = classify_at_threshold(d0, 0.01)
+        treat_all_counts = masked_confusion(d0, 0.01)
         for point in points:
             assert point.s_t == 1.0
             assert point.ppv == pytest.approx(d0.prevalence, abs=TOL)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from dcakit import (
     DataError,
     InfeasibleNetBenefitError,
     PredictionSet,
+    ThresholdConfusion,
     ThresholdError,
     UndefinedAtThresholdError,
     classify_at_threshold,
@@ -20,6 +22,7 @@ from dcakit import (
     treat_none_reference,
     verdict_vs_defaults,
 )
+from dcakit.equivalences import decide_defaults
 
 TOL = 1e-12
 
@@ -162,6 +165,22 @@ class TestVerdict:
         assert v.beats_all == (nb > nb_all)
         if c.tp + c.fp > 0:
             assert (nb > 0) == (Fraction(c.tp, c.tp + c.fp) > Fraction(t))
+
+    @pytest.mark.parametrize("t", [0.1, 0.25, 0.3, 1 / 3, 0.5, 0.7])
+    def test_below_group_route_by_enumeration(self, t):
+        # Every confusion with n <= 12. decide_defaults raises if the
+        # below-group route ever disagrees with net benefit or the PPV route.
+        ft = Fraction(t)
+        for n1, n0 in itertools.product(range(13), repeat=2):
+            n = n1 + n0
+            if not 0 < n <= 12:
+                continue
+            for tp, fp in itertools.product(range(n1 + 1), range(n0 + 1)):
+                v = decide_defaults(
+                    ThresholdConfusion(t=t, tp=tp, fp=fp, tn=n0 - fp, fn=n1 - tp, n=n))
+                assert v.beats_all == (exact_nb(tp, fp, n, t) > exact_nb_all(n1, n0, n, t))
+                if tp + fp < n:
+                    assert v.beats_all == (Fraction(n1 - tp, n - tp - fp) < ft)
 
 
 class TestPpvBounds:

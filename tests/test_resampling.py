@@ -16,13 +16,13 @@ from dcakit import (
     PredictionSet,
     ThresholdGrid,
     bootstrap_bands,
-    classify_at_threshold,
     decision_curve,
 )
 from dcakit import resampling
 from dcakit.cli import cli_main
 from dcakit.metrics import sweep_keys, tally_keys
 from dcakit.resampling import MAX_BAND_CELLS, MAX_REPLICATES
+from masked import masked_confusion
 
 FINE_GRID = ThresholdGrid(0.001, 0.999, 0.001)
 
@@ -97,7 +97,7 @@ class TestGridCounts:
         grid = ThresholdGrid(0.05, 0.95, 0.05)
         tp, fp = tally_keys(sweep_keys(d0, grid.points), len(grid.points))
         for j, t in enumerate(grid.points):
-            c = classify_at_threshold(d0, t)
+            c = masked_confusion(d0, t)
             assert (tp[j], fp[j]) == (c.tp, c.fp)
 
     def test_random_data(self):
@@ -108,7 +108,7 @@ class TestGridCounts:
         grid = ThresholdGrid(0.01, 0.99, 0.01)
         tp, fp = tally_keys(sweep_keys(data, grid.points), len(grid.points))
         for j, t in enumerate(grid.points):
-            c = classify_at_threshold(data, t)
+            c = masked_confusion(data, t)
             assert (tp[j], fp[j]) == (c.tp, c.fp)
 
 
@@ -217,7 +217,7 @@ class TestBandsMatchReference:
         spec = BandSpec(replicates=300, seed=4)
         assert bootstrap_bands(data, DEFAULT_GRID, spec) == reference_bands(
             data, DEFAULT_GRID, spec)
-        c = classify_at_threshold(data, DEFAULT_GRID.points[14])
+        c = masked_confusion(data, DEFAULT_GRID.points[14])
         assert c.tp + c.fp == 14
 
     def test_rank_follows_the_level_as_written(self):

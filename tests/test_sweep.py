@@ -1,11 +1,14 @@
-"""The one-pass threshold sweep against the per-threshold oracle.
+"""The threshold sweep against masked counting.
 
-decision_curve and compare_curve count every threshold with sweep_counts;
-classify_at_threshold, verdict_vs_defaults, threshold_calibration and
-compare_models rescan the records at each threshold and stay the oracle.
+Every count in dcakit comes from sweep_counts: decision_curve and
+compare_curve sweep the whole grid, and classify_at_threshold,
+threshold_calibration, verdict_vs_defaults and compare_models are
+one-point sweeps. The reference is tests/masked.py, which counts each
+threshold with boolean masks and shares no code with the sweep.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -29,8 +32,10 @@ from dcakit import (
 )
 from dcakit import comparison, curves, equivalences
 from dcakit.cli import cli_main
+from dcakit.comparison import decide_superiority
 from dcakit.curves import IDENTITY_TOL, MAX_GRID_POINTS
 from dcakit.equivalences import decide_defaults
+from masked import masked_calibration, masked_confusion, masked_risk_sums
 
 FINE_GRID = ThresholdGrid(0.001, 0.999, 0.001)
 GRIDS = (DEFAULT_GRID, FINE_GRID)
@@ -52,29 +57,33 @@ def assert_close(a, b, tol):
         assert abs(a - b) <= tol
 
 
+def assert_calibration_close(got, want):
+    """Counted fields equal; fields from risk sums equal up to summation order."""
+    assert (got.t, got.s_t, got.y_above, got.y_below) == (
+        want.t, want.s_t, want.y_above, want.y_below)
+    assert_close(got.p_above, want.p_above, IDENTITY_TOL)
+    assert_close(got.p_below, want.p_below, IDENTITY_TOL)
+    # These three scale the p_above rounding by at most s_t/(1-t).
+    tol = IDENTITY_TOL * max(1.0, got.t / (1.0 - got.t))
+    for name in ("delta_t", "enrichment", "calibration_term"):
+        assert_close(getattr(got, name), getattr(want, name), tol)
+
+
 def assert_matches_oracle(grid, d1, d2):
     sweep = sweep_counts(d1, grid.points)
     for j, (c, point) in enumerate(zip(sweep.confusions(), decision_curve(d1, grid))):
         t = grid.points[j]
-        assert c == classify_at_threshold(d1, t)
-        verdict = verdict_vs_defaults(d1, t)
-        assert decide_defaults(c) == verdict
+        assert c == masked_confusion(d1, t)
+        verdict = decide_defaults(c)
         assert (point.t, point.nb_model, point.nb_all, point.s_t, point.ppv,
                 point.ppv_none_ref, point.ppv_all_ref) == (
             t, verdict.nb, verdict.nb_all, verdict.s_t, verdict.ppv,
             verdict.ppv_none_ref, verdict.ppv_all_ref)
+        assert_calibration_close(point.calibration, masked_calibration(d1, t))
 
-        got, want = point.calibration, threshold_calibration(d1, t)
-        assert (got.t, got.s_t, got.y_above, got.y_below) == (
-            want.t, want.s_t, want.y_above, want.y_below)
-        assert_close(got.p_above, want.p_above, IDENTITY_TOL)
-        assert_close(got.p_below, want.p_below, IDENTITY_TOL)
-        # These three scale the p_above rounding by at most s_t/(1-t).
-        tol = IDENTITY_TOL * max(1.0, t / (1.0 - t))
-        for name in ("delta_t", "enrichment", "calibration_term"):
-            assert_close(getattr(got, name), getattr(want, name), tol)
-
-    assert compare_curve(d1, d2, grid) == [compare_models(d1, d2, t) for t in grid.points]
+    assert compare_curve(d1, d2, grid) == [
+        decide_superiority(masked_confusion(d1, t), masked_confusion(d2, t))
+        for t in grid.points]
 
 
 @st.composite
@@ -149,6 +158,57 @@ class TestSweepCounts:
             sweep_counts(d0, [[0.2, 0.3]])
 
 
+# The single-threshold entry points, each as a function of (data, t).
+ONE_POINT = {
+    "classify_at_threshold": classify_at_threshold,
+    "threshold_calibration": threshold_calibration,
+    "verdict_vs_defaults": verdict_vs_defaults,
+    "compare_models": lambda data, t: compare_models(data, data, t),
+}
+
+
+@st.composite
+def one_point_cases(draw):
+    _, d1, d2 = draw(cohorts())
+    tied = [r for r in d1.risks.tolist() if 0.0 < r < 1.0]
+    t = draw((st.sampled_from(tied) if tied else st.nothing())
+             | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return d1, d2, t
+
+
+class TestOnePointPath:
+    @pytest.mark.parametrize("name", ONE_POINT)
+    @pytest.mark.parametrize("t", [0.0, 1.0, -0.1, 1.5, float("nan")], ids=repr)
+    def test_rejects_thresholds_outside_unit_interval(self, d0, name, t):
+        message = f"threshold must lie strictly inside (0, 1), got {t!r}"
+        with pytest.raises(ThresholdError, match=re.escape(message) + "$"):
+            ONE_POINT[name](d0, t)
+
+    def test_tie_at_fifteen_hundredths_counts_positive(self):
+        data = PredictionSet(risks=np.array([0.15, 0.1]), outcomes=np.array([1, 0]))
+        c = classify_at_threshold(data, 0.15)
+        assert (c.tp, c.fp) == (1, 0)
+        summary = threshold_calibration(data, 0.15)
+        assert (summary.s_t, summary.y_above) == (0.5, 1.0)
+        verdict = verdict_vs_defaults(data, 0.15)
+        assert (verdict.s_t, verdict.ppv) == (0.5, 1.0)
+        assert compare_models(data, data, 0.15).ppv1 == 1.0
+
+    @given(case=one_point_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_masked_counts(self, case):
+        d1, d2, t = case
+        c = masked_confusion(d1, t)
+        assert classify_at_threshold(d1, t) == c
+        sweep = sweep_counts(d1, [t])
+        above, below = masked_risk_sums(d1, t)
+        assert abs(sweep.risk_sum_above[0] - above) <= IDENTITY_TOL
+        assert abs(sweep.risk_sum_below[0] - below) <= IDENTITY_TOL
+        assert_calibration_close(threshold_calibration(d1, t), masked_calibration(d1, t))
+        assert verdict_vs_defaults(d1, t) == decide_defaults(c)
+        assert compare_models(d1, d2, t) == decide_superiority(c, masked_confusion(d2, t))
+
+
 def _tamper(c, **fields):
     # Counts no real classification can produce; the routes then disagree.
     for name, value in fields.items():
@@ -165,6 +225,22 @@ class TestReproducers:
         with pytest.raises(RouteDisagreementError) as info:
             verdict_vs_defaults(d0, 0.5)
         assert f"{D0_T_HALF}, {D0_COUNTS}" in str(info.value)
+
+    def test_below_group_route_disagreement(self, monkeypatch):
+        # Nobody is selected, so net benefit and the below-group rate alone
+        # decide treat-all; a tampered n moves only the below-group rate.
+        data = PredictionSet(risks=np.full(10, 0.1), outcomes=np.array([1] * 4 + [0] * 6))
+
+        def classify(data, t):
+            return _tamper(classify_at_threshold(data, t), n=7)
+
+        monkeypatch.setattr(equivalences, "classify_at_threshold", classify)
+        with pytest.raises(RouteDisagreementError) as info:
+            verdict_vs_defaults(data, 0.5)
+        message = str(info.value)
+        assert "treat-all routes disagree" in message
+        assert "(net benefit: True, below-group rate: False;" in message
+        assert message.endswith(f"{D0_T_HALF}, tp=0 fp=0 n1=4 n0=6)")
 
     def test_compare_route_disagreement(self, d0, d0_degraded, monkeypatch):
         def classify(data, t):
