@@ -12,12 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import UndefinedAtThresholdError
-from .metrics import PredictionSet, ThresholdConfusion, ppv, sweep_counts
+from .metrics import (PredictionSet, ThresholdConfusion, column_rows, divide_where, group_masks,
+                      ppv_counts, sweep_counts)
 
 __all__ = [
     "CalibrationSummary",
+    "calibration_columns",
     "calibration_from_counts",
+    "calibration_rows",
     "threshold_calibration",
     "nb_via_calibration",
     "nb_gap_treat_all",
@@ -35,6 +40,11 @@ class CalibrationSummary:
     s_t == 1. ``delta_t`` is the selected-set calibration error
     y_above - p_above; ``enrichment`` and ``calibration_term`` are the
     two addends whose sum is net benefit.
+
+    From ``calibration_columns`` every field is a column instead, one
+    entry per threshold, NaN where its group is empty; the identity
+    functions below work on such columns restricted to the rows where
+    their groups are non-empty.
     """
 
     t: float
@@ -48,48 +58,60 @@ class CalibrationSummary:
     calibration_term: float | None
 
 
+_ABOVE_FIELDS = ("y_above", "p_above", "delta_t", "enrichment", "calibration_term")
+_BELOW_FIELDS = ("y_below", "p_below")
+
+
+def calibration_columns(c: ThresholdConfusion, risk_sum_above,
+                        risk_sum_below) -> CalibrationSummary:
+    """Group diagnostics at every threshold of ``c`` from its counts and the
+    risk sums of the records classified positive (above) and negative
+    (below), as a CalibrationSummary of columns."""
+    t, tp, fp, fn = (np.atleast_1d(v) for v in (c.t, c.tp, c.fp, c.fn))
+    n_above = tp + fp
+    n_below = c.n - n_above
+    above, below = group_masks(c)
+    s_t = n_above / c.n
+
+    y_above = ppv_counts(tp, n_above, empty=np.nan)
+    p_above = divide_where(np.atleast_1d(risk_sum_above), n_above, above)
+    delta_t = y_above - p_above
+    multiplier = s_t / (1.0 - t)
+    return CalibrationSummary(
+        t=t,
+        s_t=s_t,
+        y_above=y_above,
+        y_below=divide_where(fn, n_below, below),
+        p_above=p_above,
+        p_below=divide_where(np.atleast_1d(risk_sum_below), n_below, below),
+        delta_t=delta_t,
+        enrichment=multiplier * (p_above - t),
+        calibration_term=multiplier * delta_t,
+    )
+
+
+def calibration_rows(c: ThresholdConfusion,
+                     columns: CalibrationSummary) -> list[CalibrationSummary]:
+    """One CalibrationSummary per threshold of ``c`` from its columns, with
+    the fields of an empty group None."""
+    above, below = group_masks(c)
+    optional = dict.fromkeys(_ABOVE_FIELDS, above) | dict.fromkeys(_BELOW_FIELDS, below)
+    return column_rows(CalibrationSummary, columns, optional)
+
+
 def calibration_from_counts(
     c: ThresholdConfusion, risk_sum_above: float, risk_sum_below: float
 ) -> CalibrationSummary:
     """Group diagnostics from the counts at ``c.t`` and the risk sums of the
     records classified positive (above) and negative (below)."""
-    t = c.t
-    n_above = c.tp + c.fp
-    n_below = c.n - n_above
-    s_t = c.s_t
-
-    y_above = p_above = delta_t = enrichment = calibration_term = None
-    if n_above > 0:
-        y_above = ppv(c)
-        p_above = risk_sum_above / n_above
-        delta_t = y_above - p_above
-        multiplier = s_t / (1.0 - t)
-        enrichment = multiplier * (p_above - t)
-        calibration_term = multiplier * delta_t
-
-    y_below = p_below = None
-    if n_below > 0:
-        y_below = c.fn / n_below
-        p_below = risk_sum_below / n_below
-
-    return CalibrationSummary(
-        t=t,
-        s_t=s_t,
-        y_above=y_above,
-        y_below=y_below,
-        p_above=p_above,
-        p_below=p_below,
-        delta_t=delta_t,
-        enrichment=enrichment,
-        calibration_term=calibration_term,
-    )
+    return calibration_rows(c, calibration_columns(c, risk_sum_above, risk_sum_below))[0]
 
 
 def threshold_calibration(data: PredictionSet, t: float) -> CalibrationSummary:
     """Observed event rates and mean predictions above and below ``t``."""
     sweep = sweep_counts(data, [t])
-    return calibration_from_counts(sweep.confusions()[0], float(sweep.risk_sum_above[0]),
-                                   float(sweep.risk_sum_below[0]))
+    return calibration_from_counts(sweep.confusion(), sweep.risk_sum_above,
+                                   sweep.risk_sum_below)
 
 
 def nb_via_calibration(s: CalibrationSummary) -> float:

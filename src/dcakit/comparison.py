@@ -20,8 +20,12 @@ from .metrics import (
     check_routes,
     check_threshold,
     classify_at_threshold,
-    net_benefit,
-    ppv,
+    column_rows,
+    divide_where,
+    first_failure,
+    group_masks,
+    net_benefit_counts,
+    ppv_counts,
     sweep_counts,
 )
 
@@ -31,6 +35,8 @@ __all__ = [
     "compare_models",
     "decide_superiority",
     "ppv_superiority_reference",
+    "superiority_columns",
+    "superiority_route",
 ]
 
 WINNER_MODEL1 = "model1"
@@ -48,7 +54,9 @@ class ComparisonVerdict:
     Margin fields are None when the corresponding group is empty;
     ``ppv_superiority_ref`` is None (and ``ppv_route_available`` False)
     when model 1 classifies nobody positive, in which case the verdict
-    rests on the direct net-benefit route alone.
+    rests on the direct net-benefit route alone. From
+    ``superiority_columns`` every field is a column, one entry per
+    threshold, with NaN where a field's group is empty.
     """
 
     t: float
@@ -64,27 +72,15 @@ class ComparisonVerdict:
     margin_below_2: float | None
 
 
-def ppv_superiority_reference(nb2: float, positives1: int, n: int, t: float) -> float:
-    """PPV level model 1 must exceed at ``t`` to beat a rival with net benefit ``nb2``."""
+def ppv_superiority_reference(nb2, positives1, n: int, t):
+    """PPV level model 1 must exceed at ``t`` to beat a rival with net benefit
+    ``nb2``. Elementwise on arrays."""
     t = check_threshold(t)
-    if positives1 <= 0:
+    if first_failure(positives1, positives1 > 0) is not None:
         raise UndefinedAtThresholdError(
             "PPV superiority reference undefined when model 1 has no positives"
         )
     return t + (1.0 - t) * n * nb2 / positives1
-
-
-def _margin_above(c: ThresholdConfusion) -> float | None:
-    if c.tp + c.fp == 0:
-        return None
-    return c.s_t * (ppv(c) - c.t)
-
-
-def _margin_below(c: ThresholdConfusion) -> float | None:
-    negatives = c.tn + c.fn
-    if negatives == 0:
-        return None
-    return (1.0 - c.s_t) * (c.t - c.fn / negatives)
 
 
 def _check_same_cohort(d1: PredictionSet, d2: PredictionSet) -> None:
@@ -94,68 +90,112 @@ def _check_same_cohort(d1: PredictionSet, d2: PredictionSet) -> None:
         raise UsageError("models must score the same cohort: outcome vectors differ")
 
 
-def decide_superiority(c1: ThresholdConfusion, c2: ThresholdConfusion) -> ComparisonVerdict:
-    """Decide which of two models wins at a shared threshold from their counts.
+def superiority_route(t: float, cells1: tuple[int, int, int, int],
+                      cells2: tuple[int, int, int, int]) -> int:
+    """The sign of nb1 - nb2 at one threshold from each model's (tp, fp, tn, fn),
+    through every defined route, in exact integers.
 
-    The counts must come from the same cohort at the same threshold.
     Every route that is defined must agree on the strict ordering;
     disagreement raises RouteDisagreementError.
     """
-    if (c1.t, c1.n, c1.n1) != (c2.t, c2.n, c2.n1):
-        raise UsageError("confusions must share the threshold and the cohort")
-    t = c1.t
-    nb1 = net_benefit(c1)
-    nb2 = net_benefit(c2)
+    tp1, fp1, tn1, fn1 = cells1
+    tp2, fp2, tn2, fn2 = cells2
     num, den = t.as_integer_ratio()
-    pos1, pos2 = c1.tp + c1.fp, c2.tp + c2.fp
-    neg1, neg2 = c1.tn + c1.fn, c2.tn + c2.fn
+    pos1, pos2 = tp1 + fp1, tp2 + fp2
+    neg1, neg2 = tn1 + fn1, tn2 + fn2
 
     def sign(a: int, b: int) -> int:
         return (a > b) - (a < b)
 
     # Route 1: direct net benefit, scaled to integers.
-    direct = sign(c1.tp * (den - num) - c1.fp * num, c2.tp * (den - num) - c2.fp * num)
+    direct = sign(tp1 * (den - num) - fp1 * num, tp2 * (den - num) - fp2 * num)
     routes = [("net benefit", direct)]
 
     # Route 2: model 1's PPV against the reference built from nb2.
     if pos1 > 0:
         routes.append(
-            ("ppv reference", sign(c1.tp * den - pos1 * num,
-                                   c2.tp * (den - num) - c2.fp * num))
+            ("ppv reference", sign(tp1 * den - pos1 * num, tp2 * (den - num) - fp2 * num))
         )
 
     # Route 3: above- and below-threshold calibration margins.
     if pos1 > 0 and pos2 > 0:
-        routes.append(
-            ("above margin", sign(c1.tp * den - pos1 * num, c2.tp * den - pos2 * num))
-        )
+        routes.append(("above margin", sign(tp1 * den - pos1 * num, tp2 * den - pos2 * num)))
     if neg1 > 0 and neg2 > 0:
-        routes.append(
-            ("below margin", sign(num * neg1 - c1.fn * den, num * neg2 - c2.fn * den))
-        )
+        routes.append(("below margin", sign(num * neg1 - fn1 * den, num * neg2 - fn2 * den)))
 
-    check_routes("superiority", routes, c1, c2)
+    check_routes("superiority", routes, t, cells1, cells2)
+    return direct
 
-    if abs(nb1 - nb2) <= TIE_TOLERANCE or direct == 0:
-        winner = WINNER_TIE
-    else:
-        winner = WINNER_MODEL1 if direct > 0 else WINNER_MODEL2
 
+def superiority_columns(c1: ThresholdConfusion, c2: ThresholdConfusion) -> ComparisonVerdict:
+    """Which of two models wins at every threshold of their counts, as a
+    ComparisonVerdict of columns: superiority_route decides each threshold,
+    and the float fields are computed a column at a time.
+
+    The counts must come from the same cohort at the same thresholds.
+    """
+    t, tp1, fp1, tn1, fn1 = (np.atleast_1d(v) for v in (c1.t, c1.tp, c1.fp, c1.tn, c1.fn))
+    t2, tp2, fp2, tn2, fn2 = (np.atleast_1d(v) for v in (c2.t, c2.tp, c2.fp, c2.tn, c2.fn))
+    if c1.n != c2.n or not (np.array_equal(t, t2) and np.array_equal(tp1 + fn1, tp2 + fn2)):
+        raise UsageError("confusions must share the threshold and the cohort")
+    n = c1.n
+    direct = np.array([
+        superiority_route(*cells) for cells in zip(
+            t.tolist(),
+            zip(tp1.tolist(), fp1.tolist(), tn1.tolist(), fn1.tolist()),
+            zip(tp2.tolist(), fp2.tolist(), tn2.tolist(), fn2.tolist()))
+    ], dtype=np.int64)
+    nb1 = net_benefit_counts(tp1, fp1, n, t)
+    nb2 = net_benefit_counts(tp2, fp2, n, t)
+    tie = (np.abs(nb1 - nb2) <= TIE_TOLERANCE) | (direct == 0)
+    winner = np.where(tie, WINNER_TIE, np.where(direct > 0, WINNER_MODEL1, WINNER_MODEL2))
+
+    (above1, below1), (above2, below2) = group_masks(c1), group_masks(c2)
+    pos1, pos2 = tp1 + fp1, tp2 + fp2
+    s_t1, s_t2 = pos1 / n, pos2 / n
+    ppv_superiority_ref = np.full(t.shape, np.nan)
+    ppv_superiority_ref[above1] = ppv_superiority_reference(nb2[above1], pos1[above1], n,
+                                                            t[above1])
+    # Each margin is NaN where its group is empty: the PPV or the below-group
+    # rate it scales is NaN there.
     return ComparisonVerdict(
         t=t,
         nb1=nb1,
         nb2=nb2,
         winner=winner,
-        ppv1=ppv(c1),
-        ppv_superiority_ref=(
-            ppv_superiority_reference(nb2, pos1, c1.n, t) if pos1 > 0 else None
-        ),
-        ppv_route_available=pos1 > 0,
-        margin_above_1=_margin_above(c1),
-        margin_above_2=_margin_above(c2),
-        margin_below_1=_margin_below(c1),
-        margin_below_2=_margin_below(c2),
+        ppv1=ppv_counts(tp1, pos1),
+        ppv_superiority_ref=ppv_superiority_ref,
+        ppv_route_available=above1,
+        margin_above_1=s_t1 * (ppv_counts(tp1, pos1, empty=np.nan) - t),
+        margin_above_2=s_t2 * (ppv_counts(tp2, pos2, empty=np.nan) - t),
+        margin_below_1=(1.0 - s_t1) * (t - divide_where(fn1, tn1 + fn1, below1)),
+        margin_below_2=(1.0 - s_t2) * (t - divide_where(fn2, tn2 + fn2, below2)),
     )
+
+
+def superiority_rows(c1: ThresholdConfusion, c2: ThresholdConfusion,
+                     columns: ComparisonVerdict) -> list[ComparisonVerdict]:
+    """One ComparisonVerdict per threshold from superiority_columns, with
+    the fields of an empty group None."""
+    (above1, below1), (above2, below2) = group_masks(c1), group_masks(c2)
+    return column_rows(ComparisonVerdict, columns, {
+        "ppv_superiority_ref": above1,
+        "margin_above_1": above1,
+        "margin_above_2": above2,
+        "margin_below_1": below1,
+        "margin_below_2": below2,
+    })
+
+
+def decide_superiority(c1: ThresholdConfusion, c2: ThresholdConfusion) -> ComparisonVerdict:
+    """Decide which of two models wins at a shared threshold from their counts:
+    superiority_columns at one threshold.
+
+    The counts must come from the same cohort at the same threshold.
+    Every route that is defined must agree on the strict ordering;
+    disagreement raises RouteDisagreementError.
+    """
+    return superiority_rows(c1, c2, superiority_columns(c1, c2))[0]
 
 
 def compare_models(d1: PredictionSet, d2: PredictionSet, t: float) -> ComparisonVerdict:
@@ -172,10 +212,11 @@ def compare_curve(d1: PredictionSet, d2: PredictionSet,
                   grid: ThresholdGrid) -> list[ComparisonVerdict]:
     """compare_models at every grid threshold, in grid order.
 
-    The outcome vectors are checked once and each model is counted in one
-    pass (sweep_counts); every threshold still runs all routes.
+    The outcome vectors are checked once, each model is counted in one
+    pass (sweep_counts), and superiority_columns runs every route at every
+    threshold.
     """
     _check_same_cohort(d1, d2)
-    sweep1, sweep2 = sweep_counts(d1, grid.points), sweep_counts(d2, grid.points)
-    return [decide_superiority(c1, c2)
-            for c1, c2 in zip(sweep1.confusions(), sweep2.confusions())]
+    c1 = sweep_counts(d1, grid.points).confusion()
+    c2 = sweep_counts(d2, grid.points).confusion()
+    return superiority_rows(c1, c2, superiority_columns(c1, c2))

@@ -1,13 +1,13 @@
 """Threshold sweeps: decision curves, PPV curves, and synthetic cohorts.
 
 Every emitted point re-verifies the algebraic identities linking net
-benefit, PPV and the calibration split; a violation raises
-RouteDisagreementError because it can only come from a bug.
+benefit, PPV and the calibration split, a column at a time; a violation
+raises RouteDisagreementError because it can only come from a bug.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import Decimal
 
 import numpy as np
@@ -16,17 +16,23 @@ import numpy as np
 # bench/workloads.py traces them by name.
 from .calibration import (  # noqa: F401
     CalibrationSummary,
-    calibration_from_counts,
+    calibration_columns,
+    calibration_rows,
     nb_decomposition,
     nb_gap_treat_all,
     nb_via_calibration,
     prevalence_identity_residual,
     threshold_calibration,
 )
-from .equivalences import decide_defaults, ppv_from_nb, verdict_vs_defaults  # noqa: F401
+from .equivalences import (  # noqa: F401
+    DefaultsVerdict,
+    defaults_columns,
+    ppv_from_nb,
+    verdict_vs_defaults,
+)
 from .errors import DataError, RouteDisagreementError, UsageError
-from .metrics import (PredictionSet, ThresholdConfusion, net_benefit_treat_none, reproducer,
-                      sweep_counts)
+from .metrics import (PredictionSet, ThresholdConfusion, column_rows, group_masks,
+                      net_benefit_treat_none, reproducer, sweep_counts)
 
 __all__ = [
     "ThresholdGrid",
@@ -113,64 +119,82 @@ class CurvePoint:
     calibration: CalibrationSummary
 
 
-def _assert_point_identities(c: ThresholdConfusion, point: CurvePoint) -> None:
-    t = point.t
-    cal = point.calibration
+def _rows(summary: CalibrationSummary, rows: np.ndarray) -> CalibrationSummary:
+    """The columns of ``summary`` restricted to ``rows``."""
+    return CalibrationSummary(**{f.name: getattr(summary, f.name)[rows]
+                                 for f in fields(CalibrationSummary)})
+
+
+def _assert_identities(c: ThresholdConfusion, verdict: DefaultsVerdict,
+                       cal: CalibrationSummary) -> None:
+    """Check every identity at every threshold of ``c``, where its groups are
+    non-empty, and raise at the first threshold that violates any."""
+    t = verdict.t
+    nb, nb_all, ppv = verdict.nb, verdict.nb_all, verdict.ppv
+    positives = np.atleast_1d(c.tp + c.fp)
+    prevalence = np.atleast_1d(c.prevalence)
+    above, below = group_masks(c)
+    both = above & below
+    on_above, on_below = _rows(cal, above), _rows(cal, below)
+    via_cal = nb_via_calibration(on_above)
+    everywhere = np.ones(t.shape, dtype=bool)
+    # (name, rows it applies to, residual on those rows), in message order.
+    # nb_all comes from net_benefit_treat_all's other form, so the last one
+    # is the independent check of the treat-all reference.
+    residuals = [
+        ("net benefit vs calibration surplus", above, nb[above] - via_cal),
+        ("enrichment + calibration term closure", above,
+         sum(nb_decomposition(on_above)) - via_cal),
+        ("ppv reconstruction from net benefit", above,
+         ppv_from_nb(nb[above], positives[above], c.n, t[above]) - ppv[above]),
+        ("treat-all margin vs below-group rate", below,
+         (nb[below] - nb_all[below]) - nb_gap_treat_all(on_below)),
+        ("prevalence identity", both,
+         prevalence_identity_residual(_rows(cal, both), prevalence[both])),
+        ("treat-all net benefit forms", everywhere, nb_all - (prevalence - t) / (1.0 - t)),
+    ]
     # Identity error grows with the false-positive weight t/(1-t); on the
     # clinical range t <= 1/2 this is exactly IDENTITY_TOL.
-    tol = IDENTITY_TOL * max(1.0, t / (1.0 - t))
-    problems = []
-    if cal.y_above is not None:
-        via_cal = nb_via_calibration(cal)
-        if abs(point.nb_model - via_cal) > tol:
-            problems.append("net benefit vs calibration surplus")
-        if abs(sum(nb_decomposition(cal)) - via_cal) > tol:
-            problems.append("enrichment + calibration term closure")
-        if abs(ppv_from_nb(point.nb_model, c.tp + c.fp, c.n, t) - point.ppv) > tol:
-            problems.append("ppv reconstruction from net benefit")
-    if cal.y_below is not None:
-        if abs((point.nb_model - point.nb_all) - nb_gap_treat_all(cal)) > tol:
-            problems.append("treat-all margin vs below-group rate")
-    if cal.y_above is not None and cal.y_below is not None:
-        if abs(prevalence_identity_residual(cal, c.prevalence)) > tol:
-            problems.append("prevalence identity")
-    # point.nb_all comes from net_benefit_treat_all's other form, so this is
-    # the one independent check of the treat-all reference.
-    if abs(point.nb_all - (c.prevalence - t) / (1.0 - t)) > tol:
-        problems.append("treat-all net benefit forms")
-    if problems:
+    tol = IDENTITY_TOL * np.maximum(1.0, t / (1.0 - t))
+    violated = np.zeros((len(residuals), t.size), dtype=bool)
+    for row, (_, rows, residual) in zip(violated, residuals):
+        # Fail closed: a NaN residual is a violation.
+        row[rows] = ~(np.abs(residual) <= tol[rows])
+    failing = np.flatnonzero(violated.any(axis=0))
+    if failing.size:
+        j = failing[0]
+        problems = [name for (name, _, _), bad in zip(residuals, violated[:, j]) if bad]
+        cells = (int(np.atleast_1d(v)[j]) for v in (c.tp, c.fp, c.tn, c.fn))
         raise RouteDisagreementError(
-            f"curve point identities violated at t={t!r}: {'; '.join(problems)} "
-            f"({reproducer(c)})"
+            f"curve point identities violated at t={t[j].item()!r}: {'; '.join(problems)} "
+            f"({reproducer(t[j].item(), tuple(cells))})"
         )
 
 
 def decision_curve(data: PredictionSet, grid: ThresholdGrid) -> list[CurvePoint]:
     """One CurvePoint per grid threshold, in grid order, identities verified.
 
-    All thresholds are counted in one pass (sweep_counts); each point is
-    then decided and checked exactly as verdict_vs_defaults and
-    threshold_calibration would at that threshold.
+    All thresholds are counted in one pass (sweep_counts); every route and
+    every identity then runs at every threshold, a column at a time, with
+    the formulas verdict_vs_defaults and threshold_calibration use.
     """
     sweep = sweep_counts(data, grid.points)
-    points = []
-    for c, above, below in zip(sweep.confusions(), sweep.risk_sum_above.tolist(),
-                               sweep.risk_sum_below.tolist()):
-        verdict = decide_defaults(c)
-        point = CurvePoint(
-            t=c.t,
-            nb_model=verdict.nb,
-            nb_all=verdict.nb_all,
-            nb_none=net_benefit_treat_none(),
-            s_t=verdict.s_t,
-            ppv=verdict.ppv,
-            ppv_none_ref=verdict.ppv_none_ref,
-            ppv_all_ref=verdict.ppv_all_ref,
-            calibration=calibration_from_counts(c, above, below),
-        )
-        _assert_point_identities(c, point)
-        points.append(point)
-    return points
+    c = sweep.confusion()
+    verdict = defaults_columns(c)
+    cal = calibration_columns(c, sweep.risk_sum_above, sweep.risk_sum_below)
+    _assert_identities(c, verdict, cal)
+    columns = CurvePoint(
+        t=verdict.t,
+        nb_model=verdict.nb,
+        nb_all=verdict.nb_all,
+        nb_none=net_benefit_treat_none(),
+        s_t=verdict.s_t,
+        ppv=verdict.ppv,
+        ppv_none_ref=verdict.ppv_none_ref,
+        ppv_all_ref=verdict.ppv_all_ref,
+        calibration=np.array(calibration_rows(c, cal), dtype=object),
+    )
+    return column_rows(CurvePoint, columns, {"ppv_all_ref": group_masks(c)[0]})
 
 
 @dataclass(frozen=True)

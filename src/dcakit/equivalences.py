@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DataError, InfeasibleNetBenefitError, UndefinedAtThresholdError
 from .metrics import (
     PredictionSet,
@@ -19,9 +21,12 @@ from .metrics import (
     check_routes,
     check_threshold,
     classify_at_threshold,
-    net_benefit,
+    column_rows,
+    first_failure,
+    group_masks,
+    net_benefit_counts,
     net_benefit_treat_all,
-    ppv,
+    ppv_counts,
 )
 
 __all__ = [
@@ -30,6 +35,8 @@ __all__ = [
     "ppv_from_nb",
     "treat_none_reference",
     "treat_all_reference_ppv",
+    "default_routes",
+    "defaults_columns",
     "decide_defaults",
     "verdict_vs_defaults",
     "ppv_bounds_given_nb",
@@ -48,7 +55,9 @@ class DefaultsVerdict:
 
     ``beats_none`` and ``beats_all`` are count-exact; boundary equality
     maps to "does not beat". ``ppv_all_ref`` is None when nobody is
-    classified positive (the reference is undefined there).
+    classified positive (the reference is undefined there). From
+    ``defaults_columns`` every field is a column, one entry per threshold,
+    and ``ppv_all_ref`` is NaN where nobody is classified positive.
     """
 
     t: float
@@ -91,39 +100,48 @@ class PpvInterval:
         return self.lower - tol <= value <= self.upper + tol
 
 
-def ppv_from_nb(nb: float, positives: int, n: int, t: float) -> float:
-    """Reconstruct PPV from net benefit and the number classified positive."""
+def ppv_from_nb(nb, positives, n: int, t):
+    """Reconstruct PPV from net benefit and the number classified positive.
+
+    Elementwise on arrays of nb, positives and t; an array of positives
+    holds only the rows where somebody is positive, since the zero-positive
+    convention (PPV 0) is a scalar branch.
+    """
     t = check_threshold(t)
     if n < 1:
         raise DataError("n must be at least 1")
-    if not 0 <= positives <= n:
-        raise DataError(f"positives must lie in [0, n], got {positives!r}")
-    if positives == 0:
+    bad = first_failure(positives, (positives >= 0) & (positives <= n))
+    if bad is not None:
+        raise DataError(f"positives must lie in [0, n], got {bad!r}")
+    if not isinstance(positives, np.ndarray) and positives == 0:
         return 0.0
     return (n * nb / positives) * (1.0 - t) + t
 
 
-def treat_none_reference(t: float) -> float:
+def treat_none_reference(t):
     """PPV reference for beating treat-none: the main diagonal."""
     return check_threshold(t)
 
 
-def treat_all_reference_ppv(prevalence: float, s_t: float, t: float) -> float:
+def treat_all_reference_ppv(prevalence, s_t, t):
     """PPV reference for beating treat-all: (prevalence - t)/s_t + t.
 
     A reference value, not a probability: it may leave [0, 1]. Undefined
     when the selection rate is zero; curve emitters skip such points.
+    Elementwise on arrays.
     """
     t = check_threshold(t)
-    if s_t <= 0.0:
+    bad = first_failure(s_t, s_t > 0.0)
+    if bad is not None:
         raise UndefinedAtThresholdError(
-            f"treat-all PPV reference undefined with selection rate {s_t!r}"
+            f"treat-all PPV reference undefined with selection rate {bad!r}"
         )
     return (prevalence - t) / s_t + t
 
 
-def decide_defaults(c: ThresholdConfusion) -> DefaultsVerdict:
-    """Decide both default comparisons from the counts, through every route.
+def default_routes(t: float, tp: int, fp: int, tn: int, fn: int, n: int) -> tuple[bool, bool]:
+    """(beats_none, beats_all) at one threshold, through every route, in exact
+    integers (Python ints: t = num/den with den up to 2**60 overflows int64).
 
     Treat-none: net benefit, and PPV against t; the PPV is the above-group
     event rate, so that is also the above-group route. Treat-all: net
@@ -131,40 +149,61 @@ def decide_defaults(c: ThresholdConfusion) -> DefaultsVerdict:
     rate against t, each where its group is non-empty. Disagreement raises
     RouteDisagreementError; that would be an implementation bug.
     """
-    t = c.t
-    positives = c.tp + c.fp
-    negatives = c.n - positives
+    positives = tp + fp
+    negatives = n - positives
     num, den = t.as_integer_ratio()
 
     # nb has the sign of tp*(den-num) - fp*num, and nb_all the analogue.
-    nb_scaled = c.tp * (den - num) - c.fp * num
+    nb_scaled = tp * (den - num) - fp * num
     beats_none = nb_scaled > 0
-    beats_all = nb_scaled > c.n1 * (den - num) - c.n0 * num
+    beats_all = nb_scaled > (tp + fn) * (den - num) - (fp + tn) * num
+    cells = (tp, fp, tn, fn)
     check_routes("treat-none", [
         ("net benefit", beats_none),
-        ("ppv", positives > 0 and c.tp * den > positives * num),
-    ], c)
+        ("ppv", positives > 0 and tp * den > positives * num),
+    ], t, cells)
     all_routes = [("net benefit", beats_all)]
     if positives > 0:
-        all_routes.append(
-            ("ppv reference", c.tp * den + c.n * num > c.n1 * den + positives * num))
+        all_routes.append(("ppv reference", tp * den + n * num > (tp + fn) * den + positives * num))
     if negatives > 0:
-        all_routes.append(("below-group rate", c.fn * den < num * negatives))
-    check_routes("treat-all", all_routes, c)
+        all_routes.append(("below-group rate", fn * den < num * negatives))
+    check_routes("treat-all", all_routes, t, cells)
+    return beats_none, beats_all
 
+
+def defaults_columns(c: ThresholdConfusion) -> DefaultsVerdict:
+    """Both default comparisons at every threshold of ``c``, as a
+    DefaultsVerdict of columns: default_routes decides each threshold, and
+    the float fields are computed a column at a time."""
+    t, tp, fp, tn, fn = (np.atleast_1d(v) for v in (c.t, c.tp, c.fp, c.tn, c.fn))
+    n = c.n
+    beats = [default_routes(*cells, n) for cells in
+             zip(t.tolist(), tp.tolist(), fp.tolist(), tn.tolist(), fn.tolist())]
+    beats_none, beats_all = np.array(beats, dtype=bool).reshape(-1, 2).T
+    positives = tp + fp
+    s_t = positives / n
+    prevalence = (tp + fn) / n
+    above = group_masks(c)[0]
+    ppv_all_ref = np.full(t.shape, np.nan)
+    ppv_all_ref[above] = treat_all_reference_ppv(prevalence[above], s_t[above], t[above])
     return DefaultsVerdict(
         t=t,
         beats_none=beats_none,
         beats_all=beats_all,
-        nb=net_benefit(c),
-        nb_all=net_benefit_treat_all(c.prevalence, t),
-        ppv=ppv(c),
+        nb=net_benefit_counts(tp, fp, n, t),
+        nb_all=net_benefit_treat_all(prevalence, t),
+        ppv=ppv_counts(tp, positives),
         ppv_none_ref=treat_none_reference(t),
-        ppv_all_ref=(
-            treat_all_reference_ppv(c.prevalence, c.s_t, t) if positives > 0 else None
-        ),
-        s_t=c.s_t,
+        ppv_all_ref=ppv_all_ref,
+        s_t=s_t,
     )
+
+
+def decide_defaults(c: ThresholdConfusion) -> DefaultsVerdict:
+    """Decide both default comparisons from the counts, through every route
+    (default_routes): defaults_columns at one threshold."""
+    columns = defaults_columns(c)
+    return column_rows(DefaultsVerdict, columns, {"ppv_all_ref": group_masks(c)[0]})[0]
 
 
 def verdict_vs_defaults(data: PredictionSet, t: float) -> DefaultsVerdict:

@@ -1,13 +1,17 @@
-"""Confusion counting and net-benefit style metrics at a single threshold.
+"""Confusion counting and net-benefit style metrics.
 
 Counts are the source of truth: every rate is a double computed from
-exact integer counts. All operations are pure functions of immutable
-inputs and safe to call concurrently.
+exact integer counts. A ThresholdConfusion holds the counts at one
+threshold, or columns of them, one entry per threshold of a sweep; the
+rate functions here are elementwise, so one formula serves both. All
+operations are pure functions of immutable inputs and safe to call
+concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -20,22 +24,39 @@ __all__ = [
     "check_routes",
     "check_threshold",
     "classify_at_threshold",
+    "column_rows",
+    "divide_where",
+    "first_failure",
+    "group_masks",
     "reproducer",
     "sweep_counts",
     "sweep_keys",
     "tally_keys",
     "net_benefit",
+    "net_benefit_counts",
     "net_benefit_treat_all",
     "net_benefit_treat_none",
     "ppv",
+    "ppv_counts",
 ]
 
 
-def check_threshold(t: float) -> float:
-    """Validate a decision threshold; the weight t/(1-t) degenerates at 0 and 1."""
-    t = float(t)
-    if not 0.0 < t < 1.0:
-        raise ThresholdError(f"threshold must lie strictly inside (0, 1), got {t!r}")
+def first_failure(values, ok):
+    """The first of ``values`` where ``ok`` is False, or None when it holds
+    everywhere. ``values`` and ``ok`` are a scalar and a bool, or arrays of
+    one shape, so a validation reads the same for one threshold and a sweep."""
+    if isinstance(ok, np.ndarray):
+        return None if ok.all() else np.ravel(values)[np.argmin(ok)].item()
+    return None if ok else values
+
+
+def check_threshold(t):
+    """Validate a decision threshold, or an array of them; the weight t/(1-t)
+    degenerates at 0 and 1."""
+    t = np.asarray(t, dtype=np.float64) if isinstance(t, np.ndarray) and t.ndim else float(t)
+    bad = first_failure(t, (t > 0.0) & (t < 1.0))
+    if bad is not None:
+        raise ThresholdError(f"threshold must lie strictly inside (0, 1), got {bad!r}")
     return t
 
 
@@ -94,7 +115,12 @@ class PredictionSet:
 
 @dataclass(frozen=True)
 class ThresholdConfusion:
-    """Confusion counts at one threshold; ties (risk == t) count as positive."""
+    """Confusion counts at one threshold; ties (risk == t) count as positive.
+
+    From ``SweepCounts.confusion`` the fields t, tp, fp, tn and fn are
+    columns instead, one entry per threshold, and the properties are
+    columns too; ``n`` is shared.
+    """
 
     t: float
     tp: int
@@ -106,9 +132,11 @@ class ThresholdConfusion:
     def __post_init__(self):
         check_threshold(self.t)
         for field in ("tp", "fp", "tn", "fn"):
-            if getattr(self, field) < 0:
+            count = getattr(self, field)
+            if first_failure(count, count >= 0) is not None:
                 raise DataError(f"{field} must be non-negative")
-        if self.tp + self.fp + self.tn + self.fn != self.n:
+        total = self.tp + self.fp + self.tn + self.fn
+        if first_failure(total, total == self.n) is not None:
             raise DataError("confusion counts must sum to n")
 
     @property
@@ -129,27 +157,29 @@ class ThresholdConfusion:
         return self.n1 / self.n
 
 
-def reproducer(*confusions: ThresholdConfusion) -> str:
-    """Exact inputs of a threshold decision: t as an integer ratio, then the
-    counts of each model, for invariant-failure messages."""
-    num, den = confusions[0].t.as_integer_ratio()
-    label = "model{} " if len(confusions) > 1 else ""
+def reproducer(t: float, *cells: tuple[int, int, int, int]) -> str:
+    """Exact inputs of a threshold decision, for invariant-failure messages:
+    t as an integer ratio, then the counts of each model from its
+    (tp, fp, tn, fn) cells. The cells are not validated, so the message
+    can show counts no classification produces."""
+    num, den = float(t).as_integer_ratio()
+    label = "model{} " if len(cells) > 1 else ""
     counts = ", ".join(
-        f"{label.format(i)}tp={c.tp} fp={c.fp} n1={c.n1} n0={c.n0}"
-        for i, c in enumerate(confusions, 1)
+        f"{label.format(i)}tp={tp} fp={fp} n1={tp + fn} n0={fp + tn}"
+        for i, (tp, fp, tn, fn) in enumerate(cells, 1)
     )
     return f"reproduce with t={num}/{den}, {counts}"
 
 
-def check_routes(label: str, routes: list, *confusions: ThresholdConfusion) -> None:
+def check_routes(label: str, routes: list, t: float, *cells: tuple[int, int, int, int]) -> None:
     """Raise RouteDisagreementError, listing every (name, value) route and the
-    reproducer of ``confusions``, unless all routes give the same value."""
+    reproducer of ``t`` and ``cells``, unless all routes give the same value."""
     first = routes[0][1]
     for _, value in routes:
         if value != first:
             detail = ", ".join(f"{name}: {value!r}" for name, value in routes)
-            raise RouteDisagreementError(f"{label} routes disagree at t={confusions[0].t!r} "
-                                         f"({detail}; {reproducer(*confusions)})")
+            raise RouteDisagreementError(f"{label} routes disagree at t={t!r} "
+                                         f"({detail}; {reproducer(t, *cells)})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,36 +199,35 @@ class SweepCounts:
     n: int
     n1: int
 
-    def confusions(self) -> list[ThresholdConfusion]:
-        """One ThresholdConfusion per threshold, with Python-int counts."""
+    def confusion(self) -> ThresholdConfusion:
+        """The counts at every threshold, as one ThresholdConfusion of columns."""
         n0 = self.n - self.n1
-        return [
-            ThresholdConfusion(t=t, tp=tp, fp=fp, tn=n0 - fp, fn=self.n1 - tp, n=self.n)
-            for t, tp, fp in zip(self.thresholds.tolist(), self.tp.tolist(),
-                                 self.fp.tolist())
-        ]
+        return ThresholdConfusion(t=self.thresholds, tp=self.tp, fp=self.fp, tn=n0 - self.fp,
+                                  fn=self.n1 - self.tp, n=self.n)
 
 
 def _check_thresholds(thresholds) -> np.ndarray:
     thresholds = np.asarray(thresholds, dtype=np.float64)
     if thresholds.ndim != 1:
         raise DataError("thresholds must be one-dimensional")
-    outside = np.flatnonzero(~((thresholds > 0.0) & (thresholds < 1.0)))
-    if outside.size:
-        check_threshold(thresholds[outside[0]])
+    check_threshold(thresholds)
     if np.any(thresholds[1:] < thresholds[:-1]):
         raise DataError("thresholds must be non-decreasing")
     return thresholds
+
+
+def _keys(data: PredictionSet, thresholds: np.ndarray) -> np.ndarray:
+    keys = np.searchsorted(thresholds, data.risks, side="right")
+    keys *= 2
+    keys += data.outcomes
+    return keys
 
 
 def sweep_keys(data: PredictionSet, thresholds) -> np.ndarray:
     """Per-record key ``cut*2 + outcome``, where ``cut`` counts the thresholds
     at or below the record's risk: the record is positive at threshold j
     exactly when j < cut, so ties (risk == t) count positive."""
-    keys = np.searchsorted(_check_thresholds(thresholds), data.risks, side="right")
-    keys *= 2
-    keys += data.outcomes
-    return keys
+    return _keys(data, _check_thresholds(thresholds))
 
 
 def tally_keys(keys: np.ndarray, n_thresholds: int) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +244,7 @@ def sweep_counts(data: PredictionSet, thresholds) -> SweepCounts:
     to rounding.
     """
     thresholds = _check_thresholds(thresholds)
-    keys = sweep_keys(data, thresholds)
+    keys = _keys(data, thresholds)
     tp, fp = tally_keys(keys, len(thresholds))
     risk_by_cut = np.bincount(
         keys, weights=data.risks, minlength=2 * (len(thresholds) + 1)
@@ -230,19 +259,60 @@ def sweep_counts(data: PredictionSet, thresholds) -> SweepCounts:
 def classify_at_threshold(data: PredictionSet, t: float) -> ThresholdConfusion:
     """Split ``data`` at threshold ``t``; risk >= t classifies positive.
     A one-point sweep_counts, so the tie rule has one definition."""
-    return sweep_counts(data, [t]).confusions()[0]
+    return column_rows(ThresholdConfusion, sweep_counts(data, [t]).confusion())[0]
+
+
+def group_masks(c: ThresholdConfusion) -> tuple[np.ndarray, np.ndarray]:
+    """Per threshold of ``c``, whether anyone is classified positive (the
+    above group is non-empty) and whether anyone is not (the below group)."""
+    positives = np.atleast_1d(c.tp + c.fp)
+    return positives > 0, positives < c.n
+
+
+def divide_where(num, den, where: np.ndarray, empty: float = np.nan) -> np.ndarray:
+    """``num / den`` elementwise on the rows where ``where`` holds and
+    ``empty`` on the rest, which are never divided."""
+    return np.divide(num, den, out=np.full(where.shape, empty), where=where)
+
+
+def column_rows(cls, columns, optional: dict | None = None) -> list:
+    """One ``cls`` instance per row of ``columns``, an instance of the
+    dataclass ``cls`` whose fields are arrays with one entry per threshold,
+    or scalars every row shares. A field named in ``optional`` is None on
+    the rows where its mask is False: its group is empty there."""
+    optional = optional or {}
+    values = []
+    for f in fields(cls):
+        column = getattr(columns, f.name)
+        if not isinstance(column, np.ndarray):
+            values.append(repeat(column))
+        elif f.name in optional:
+            cells = column.astype(object)
+            cells[~optional[f.name]] = None
+            values.append(cells.tolist())
+        else:
+            values.append(column.tolist())
+    return list(map(cls, *values))
+
+
+def net_benefit_counts(tp, fp, n, t):
+    """True-positive fraction minus false-positive fraction weighted by
+    t/(1-t); elementwise on arrays of counts and thresholds."""
+    return tp / n - (fp / n) * (t / (1.0 - t))
 
 
 def net_benefit(c: ThresholdConfusion) -> float:
-    """True-positive fraction minus false-positive fraction weighted by t/(1-t)."""
-    return c.tp / c.n - (c.fp / c.n) * (c.t / (1.0 - c.t))
+    """Net benefit at ``c``'s threshold, from its counts."""
+    return net_benefit_counts(c.tp, c.fp, c.n, c.t)
 
 
-def net_benefit_treat_all(prevalence: float, t: float) -> float:
-    """Net benefit of intervening on everyone; equals (prevalence - t)/(1 - t)."""
+def net_benefit_treat_all(prevalence, t):
+    """Net benefit of intervening on everyone; equals (prevalence - t)/(1 - t).
+    Elementwise on arrays of prevalences and thresholds."""
     t = check_threshold(t)
-    if not 0.0 <= prevalence <= 1.0:
-        raise DataError(f"prevalence must lie in [0, 1], got {prevalence!r}")
+    bad = first_failure(prevalence, (prevalence >= 0.0) & (prevalence <= 1.0))
+    if bad is not None:
+        raise DataError(f"prevalence must lie in [0, 1], got {bad!r}")
     return prevalence - (1.0 - prevalence) * (t / (1.0 - t))
 
 
@@ -251,7 +321,14 @@ def net_benefit_treat_none() -> float:
     return 0.0
 
 
+def ppv_counts(tp: np.ndarray, positives: np.ndarray, empty: float = 0.0) -> np.ndarray:
+    """Positive predictive value per threshold, ``empty`` where nobody is
+    classified positive."""
+    return divide_where(tp, positives, positives > 0, empty)
+
+
 def ppv(c: ThresholdConfusion) -> float:
-    """Positive predictive value; defined as 0 when nobody is classified positive."""
-    positives = c.tp + c.fp
-    return c.tp / positives if positives > 0 else 0.0
+    """Positive predictive value; defined as 0 when nobody is classified positive.
+    A column for a ThresholdConfusion of columns."""
+    values = ppv_counts(np.atleast_1d(c.tp), np.atleast_1d(c.tp + c.fp))
+    return values if isinstance(c.tp, np.ndarray) else values.item()

@@ -330,19 +330,18 @@ def _fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-def _columns(cls, *skip: str):
-    """The field names of ``cls`` except ``skip``, and a getter of their values."""
-    names = tuple(f.name for f in fields(cls) if f.name not in skip)
-    return names, attrgetter(*names)
+def _names(cls, *skip: str) -> tuple[str, ...]:
+    """The field names of ``cls`` except ``skip``."""
+    return tuple(f.name for f in fields(cls) if f.name not in skip)
 
 
 # CSV columns, in dataclass field order. A curve row flattens a point and its
 # calibration summary, whose t and s_t repeat the point's.
-_POINT_COLUMNS, _point_values = _columns(CurvePoint, "calibration")
-_CALIBRATION_COLUMNS, _calibration_values = _columns(CalibrationSummary, "t", "s_t")
-_BAND_CELLS = _columns(CurveBand, "spec", "thresholds")[0]
-_PAIR_COLUMNS, _pair_values = _columns(ComparisonSection, "verdicts")
-_VERDICT_COLUMNS, _verdict_values = _columns(ComparisonVerdict, "ppv_route_available")
+_POINT_COLUMNS = _names(CurvePoint, "calibration")
+_CALIBRATION_COLUMNS = _names(CalibrationSummary, "t", "s_t")
+_BAND_CELLS = _names(CurveBand, "spec", "thresholds")
+_PAIR_COLUMNS = _names(ComparisonSection, "verdicts")
+_VERDICT_COLUMNS = _names(ComparisonVerdict, "ppv_route_available")
 
 
 def _document_to_dict(doc: ReportDocument) -> dict:
@@ -353,43 +352,74 @@ def _document_to_dict(doc: ReportDocument) -> dict:
     return payload
 
 
+def csv_cells(values) -> list[str]:
+    """One CSV cell per value: 17 significant digits for floats, so a parsed
+    value is bit-identical to the JSON one; empty for an absent value;
+    true/false for a bool. A whole column is formatted in one pass."""
+    return ["" if v is None else format(v, ".17g") if isinstance(v, float)
+            else ("true" if v else "false") if isinstance(v, bool) else str(v)
+            for v in values]
+
+
 def csv_value(value) -> str:
-    """One CSV cell: 17 significant digits for floats, so a parsed value is
-    bit-identical to the JSON one; empty for an absent value."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    """One CSV cell, by the rule of csv_cells."""
+    return csv_cells((value,))[0]
+
+
+def _quoted(texts) -> list[str]:
+    """Text cells as csv.writer writes them inside a row, each distinct text
+    quoted once."""
+    quoted = {}
+    for text in set(texts):
+        out = io.StringIO()
+        # A second, empty field: a row of one empty field would be written "".
+        csv.writer(out, lineterminator="\n").writerow((text, ""))
+        quoted[text] = out.getvalue()[:-2]
+    return [quoted[text] for text in texts]
+
+
+def _column(cls, objects: list, name: str) -> list[str]:
+    """The CSV cells of field ``name`` over ``objects``, instances of ``cls``.
+    Only a text field goes through csv quoting: a number, an empty cell or
+    true/false never needs it."""
+    cells = csv_cells(map(attrgetter(name), objects))
+    return _quoted(cells) if _field_hints(cls)[name] is str else cells
 
 
 def _emit_csv(doc: ReportDocument) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    """The flat export, built a column at a time: each column's cells are
+    formatted in one pass, then every row is joined with commas."""
+    columns = []
     if doc.models:
         band_cells = _BAND_CELLS if doc.bands else ()
-        writer.writerow(("model",) + _POINT_COLUMNS + _CALIBRATION_COLUMNS + band_cells)
+        header = ("model",) + _POINT_COLUMNS + _CALIBRATION_COLUMNS + band_cells
         for model in doc.models:
+            points = model.points
+            calibrations = [p.calibration for p in points]
             band = doc.bands.get(model.name)
-            if band is None:
-                band_rows = repeat((None,) * len(band_cells))
-            else:
-                band_rows = zip(*(getattr(band, name) for name in band_cells))
-            for point, band_row in zip(model.points, band_rows):
-                writer.writerow([
-                    csv_value(v)
-                    for v in (model.name, *_point_values(point),
-                              *_calibration_values(point.calibration), *band_row)
-                ])
+            (name_cell,) = _quoted(csv_cells([model.name]))
+            columns.append([
+                repeat(name_cell),
+                *(_column(CurvePoint, points, name) for name in _POINT_COLUMNS),
+                *(_column(CalibrationSummary, calibrations, name)
+                  for name in _CALIBRATION_COLUMNS),
+                *(repeat("") if band is None else csv_cells(getattr(band, name))
+                  for name in band_cells),
+            ])
     elif doc.comparisons:
-        writer.writerow(_PAIR_COLUMNS + _VERDICT_COLUMNS)
+        header = _PAIR_COLUMNS + _VERDICT_COLUMNS
         for section in doc.comparisons:
-            pair = _pair_values(section)
-            for v in section.verdicts:
-                writer.writerow([csv_value(x) for x in (*pair, *_verdict_values(v))])
-    return out.getvalue()
+            verdicts = section.verdicts
+            pair = _quoted(csv_cells(getattr(section, name) for name in _PAIR_COLUMNS))
+            columns.append([*map(repeat, pair),
+                            *(_column(ComparisonVerdict, verdicts, name)
+                              for name in _VERDICT_COLUMNS)])
+    else:
+        return ""
+    lines = [",".join(_quoted(list(header)))]
+    for section in columns:
+        lines.extend(map(",".join, zip(*section)))
+    return "\n".join(lines) + "\n"
 
 
 def emit_report(doc: ReportDocument, format: str = "json") -> bytes:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .curves import ThresholdGrid
 from .errors import DataError
-from .metrics import PredictionSet, sweep_keys, tally_keys
+from .metrics import PredictionSet, net_benefit_counts, ppv_counts, sweep_keys, tally_keys
 
 __all__ = ["BandSpec", "CurveBand", "bootstrap_bands"]
 
@@ -97,12 +97,11 @@ def bootstrap_bands(data: PredictionSet, grid: ThresholdGrid, spec: BandSpec) ->
             f"{spec.replicates} replicates x {n_grid} thresholds exceed the band "
             f"pool cap of {MAX_BAND_CELLS} values"
         )
-    weight = thresholds / (1.0 - thresholds)
     keys = sweep_keys(data, thresholds)
     n = data.n
 
     nb_pool = np.empty((spec.replicates, n_grid))
-    ppv_pool = np.full((spec.replicates, n_grid), np.nan)
+    ppv_pool = np.empty((spec.replicates, n_grid))
     children = np.random.SeedSequence(spec.seed).spawn(spec.replicates)
 
     def run_block(start: int, stop: int) -> None:
@@ -111,10 +110,9 @@ def bootstrap_bands(data: PredictionSet, grid: ThresholdGrid, spec: BandSpec) ->
             rng = np.random.Generator(np.random.PCG64(children[i]))
             idx = rng.integers(0, n, size=n)
             tp, fp = tally_keys(keys[idx], n_grid)
-            positives = tp + fp
-            nb_pool[i] = tp / n - (fp / n) * weight
-            selected = positives > 0
-            ppv_pool[i, selected] = tp[selected] / positives[selected]
+            nb_pool[i] = net_benefit_counts(tp, fp, n, thresholds)
+            # NaN where nobody is selected: such replicates leave the PPV pool.
+            ppv_pool[i] = ppv_counts(tp, tp + fp, empty=np.nan)
 
     # Imported here, so that importing the CLI loads neither module.
     from concurrent.futures import ThreadPoolExecutor

@@ -1,13 +1,18 @@
 import csv
 import io
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from dcakit import (
     BandSpec,
+    CalibrationSummary,
     ComparisonSection,
+    ComparisonVerdict,
+    CurveBand,
+    CurvePoint,
     DataError,
     IngestionError,
     IngestionSpec,
@@ -16,6 +21,7 @@ from dcakit import (
     ThresholdGrid,
     UsageError,
     bootstrap_bands,
+    compare_curve,
     compare_models,
     decision_curve,
     emit_report,
@@ -23,6 +29,7 @@ from dcakit import (
     ingest,
     parse_report,
 )
+from dcakit.report import csv_value
 
 GRID = ThresholdGrid(0.1, 0.5, 0.1)
 
@@ -204,6 +211,73 @@ class TestSerialization:
         # 0.1 survives the trip through text exactly
         value = doc.models[0].points[-1].nb_model
         assert f"{value:.17g}" in text
+
+
+def _names(cls, *skip):
+    return [f.name for f in fields(cls) if f.name not in skip]
+
+
+def per_cell_csv(doc):
+    """The CSV export written row by row: one csv_value per cell, csv.writer
+    quoting every row."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    if doc.models:
+        point_names = _names(CurvePoint, "calibration")
+        calibration_names = _names(CalibrationSummary, "t", "s_t")
+        band_names = _names(CurveBand, "spec", "thresholds") if doc.bands else []
+        writer.writerow(["model", *point_names, *calibration_names, *band_names])
+        for model in doc.models:
+            band = doc.bands.get(model.name)
+            for j, point in enumerate(model.points):
+                writer.writerow([csv_value(v) for v in (
+                    model.name,
+                    *(getattr(point, name) for name in point_names),
+                    *(getattr(point.calibration, name) for name in calibration_names),
+                    *(getattr(band, name)[j] if band else None for name in band_names))])
+    else:
+        verdict_names = _names(ComparisonVerdict, "ppv_route_available")
+        writer.writerow(["model1", "model2", *verdict_names])
+        for section in doc.comparisons:
+            for verdict in section.verdicts:
+                writer.writerow([csv_value(v) for v in (
+                    section.model1, section.model2,
+                    *(getattr(verdict, name) for name in verdict_names))])
+    return out.getvalue().encode("utf-8")
+
+
+# Model names csv must quote: a comma, a double quote and a newline; and one
+# it must not.
+AWKWARD_NAMES = ["risk, v2", 'the "new" model', "two\nlines", "plain"]
+
+
+class TestCsvColumns:
+    """The column-at-a-time CSV writer against the row-by-row one."""
+
+    def test_curves_with_awkward_names(self, d0):
+        grid = ThresholdGrid(0.05, 0.95, 0.05)  # both kinds of empty group
+        models = tuple(ModelCurve(name=name, points=tuple(decision_curve(d0, grid)))
+                       for name in AWKWARD_NAMES)
+        # A band for some models only: the others get empty band cells.
+        band = bootstrap_bands(d0, grid, BandSpec(replicates=20, seed=3))
+        doc = ReportDocument(metadata={}, models=models,
+                             bands={name: band for name in AWKWARD_NAMES[::2]})
+        assert emit_report(doc, format="csv") == per_cell_csv(doc)
+        assert emit_report(replace(doc, bands={}), format="csv") == per_cell_csv(
+            replace(doc, bands={}))
+
+    def test_compare_with_awkward_names(self, d0, d0_degraded):
+        grid = ThresholdGrid(0.05, 0.95, 0.05)
+        verdicts = tuple(compare_curve(d0, d0_degraded, grid))
+        sections = tuple(ComparisonSection(a, b, verdicts)
+                         for a, b in zip(AWKWARD_NAMES, AWKWARD_NAMES[1:] + [""]))
+        doc = ReportDocument(metadata={}, comparisons=sections)
+        assert emit_report(doc, format="csv") == per_cell_csv(doc)
+
+    def test_text_cells_of_every_kind(self):
+        cells = [None, True, False, 0.1, 3, "a,b"]
+        assert [csv_value(v) for v in cells] == ["", "true", "false",
+                                                 "0.10000000000000001", "3", "a,b"]
 
 
 class TestParseMalformed:

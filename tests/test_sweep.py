@@ -30,12 +30,13 @@ from dcakit import (
     threshold_calibration,
     verdict_vs_defaults,
 )
-from dcakit import comparison, curves, equivalences
+from dcakit import ThresholdConfusion, comparison, curves, equivalences, metrics
 from dcakit.cli import cli_main
-from dcakit.comparison import decide_superiority
 from dcakit.curves import IDENTITY_TOL, MAX_GRID_POINTS
 from dcakit.equivalences import decide_defaults
-from masked import masked_calibration, masked_confusion, masked_risk_sums
+from dcakit.metrics import column_rows
+from masked import (masked_calibration, masked_confusion, masked_risk_sums, reference_superiority,
+                    reference_verdict)
 
 FINE_GRID = ThresholdGrid(0.001, 0.999, 0.001)
 GRIDS = (DEFAULT_GRID, FINE_GRID)
@@ -70,11 +71,14 @@ def assert_calibration_close(got, want):
 
 
 def assert_matches_oracle(grid, d1, d2):
-    sweep = sweep_counts(d1, grid.points)
-    for j, (c, point) in enumerate(zip(sweep.confusions(), decision_curve(d1, grid))):
-        t = grid.points[j]
-        assert c == masked_confusion(d1, t)
-        verdict = decide_defaults(c)
+    """The column path against the per-point reference, bit for bit: counts
+    and every float field equal; the risk-sum fields up to summation order."""
+    confusions = column_rows(ThresholdConfusion, sweep_counts(d1, grid.points).confusion())
+    for t, c, point in zip(grid.points, confusions, decision_curve(d1, grid), strict=True):
+        masked = masked_confusion(d1, t)
+        assert c == masked
+        verdict = reference_verdict(masked)
+        assert decide_defaults(c) == verdict
         assert (point.t, point.nb_model, point.nb_all, point.s_t, point.ppv,
                 point.ppv_none_ref, point.ppv_all_ref) == (
             t, verdict.nb, verdict.nb_all, verdict.s_t, verdict.ppv,
@@ -82,7 +86,7 @@ def assert_matches_oracle(grid, d1, d2):
         assert_calibration_close(point.calibration, masked_calibration(d1, t))
 
     assert compare_curve(d1, d2, grid) == [
-        decide_superiority(masked_confusion(d1, t), masked_confusion(d2, t))
+        reference_superiority(masked_confusion(d1, t), masked_confusion(d2, t))
         for t in grid.points]
 
 
@@ -157,6 +161,18 @@ class TestSweepCounts:
         with pytest.raises(DataError):
             sweep_counts(d0, [[0.2, 0.3]])
 
+    def test_validates_thresholds_once(self, d0, monkeypatch):
+        calls = []
+        real = metrics._check_thresholds
+
+        def counted(thresholds):
+            calls.append(thresholds)
+            return real(thresholds)
+
+        monkeypatch.setattr(metrics, "_check_thresholds", counted)
+        sweep_counts(d0, FINE_GRID.points)
+        assert len(calls) == 1
+
 
 # The single-threshold entry points, each as a function of (data, t).
 ONE_POINT = {
@@ -205,8 +221,8 @@ class TestOnePointPath:
         assert abs(sweep.risk_sum_above[0] - above) <= IDENTITY_TOL
         assert abs(sweep.risk_sum_below[0] - below) <= IDENTITY_TOL
         assert_calibration_close(threshold_calibration(d1, t), masked_calibration(d1, t))
-        assert verdict_vs_defaults(d1, t) == decide_defaults(c)
-        assert compare_models(d1, d2, t) == decide_superiority(c, masked_confusion(d2, t))
+        assert verdict_vs_defaults(d1, t) == reference_verdict(c)
+        assert compare_models(d1, d2, t) == reference_superiority(c, masked_confusion(d2, t))
 
 
 def _tamper(c, **fields):
@@ -256,17 +272,70 @@ class TestReproducers:
         assert "model2 tp=2 fp=3 n1=4 n0=6" in message
 
     def test_point_identity_violation(self, d0, monkeypatch):
-        real = curves.calibration_from_counts
+        # The identity check's input: the calibration columns.
+        real = curves.calibration_columns
 
         def skewed(c, above, below):
             summary = real(c, above, below)
             return dataclasses.replace(summary, y_below=summary.y_below + 0.1)
 
-        monkeypatch.setattr(curves, "calibration_from_counts", skewed)
+        monkeypatch.setattr(curves, "calibration_columns", skewed)
         with pytest.raises(RouteDisagreementError) as info:
             decision_curve(d0, ThresholdGrid(0.5, 0.5, 0.1))
         message = str(info.value)
         assert "treat-all margin vs below-group rate" in message
+        assert f"{D0_T_HALF}, {D0_COUNTS}" in message
+
+
+class TestColumnChecks:
+    """Every route and every identity runs at every threshold of a grid."""
+
+    @pytest.mark.parametrize("path,field,counts", [
+        # Nobody is selected at t = 0.999. Six extra false negatives turn the
+        # below-group rate against the net-benefit route; six extra true
+        # negatives turn model 1's below margin against the direct route.
+        ("curves", "fn", "tp=0 fp=0 n1=10 n0=6"),
+        ("compare", "tn", "model1 tp=0 fp=0 n1=4 n0=12"),
+    ])
+    def test_tampered_count_at_last_threshold(self, d0, d0_degraded, path, field, counts,
+                                              monkeypatch):
+        module, kernel = {"curves": (curves, "defaults_columns"),
+                          "compare": (comparison, "superiority_columns")}[path]
+        real = getattr(module, kernel)
+
+        def tampered(c, *rest):
+            column = getattr(c, field).copy()
+            column[-1] += 6
+            object.__setattr__(c, field, column)
+            return real(c, *rest)
+
+        monkeypatch.setattr(module, kernel, tampered)
+        with pytest.raises(RouteDisagreementError) as info:
+            if path == "curves":
+                decision_curve(d0, FINE_GRID)
+            else:
+                compare_curve(d0, d0_degraded, FINE_GRID)
+        last = FINE_GRID.points[-1]
+        num, den = last.as_integer_ratio()
+        message = str(info.value)
+        assert f"routes disagree at t={last!r} " in message
+        assert f"reproduce with t={num}/{den}, {counts}" in message
+
+    def test_nan_risk_sum_fails_closed(self, d0, monkeypatch):
+        # abs(nan) > tol is False: a NaN residual must still count as a
+        # violation, not pass every check and reach the report.
+        real = curves.sweep_counts
+
+        def poisoned(data, thresholds):
+            sweep = real(data, thresholds)
+            return dataclasses.replace(sweep,
+                                       risk_sum_above=np.full_like(sweep.risk_sum_above, np.nan))
+
+        monkeypatch.setattr(curves, "sweep_counts", poisoned)
+        with pytest.raises(RouteDisagreementError) as info:
+            decision_curve(d0, ThresholdGrid(0.5, 0.5, 0.1))
+        message = str(info.value)
+        assert "enrichment + calibration term closure" in message
         assert f"{D0_T_HALF}, {D0_COUNTS}" in message
 
 
