@@ -10,15 +10,26 @@ reported together with the calibration violation that explains each.
 import argparse
 from pathlib import Path
 
+import numpy as np
+
 from dcakit import (
     ModelCurve,
+    PredictionSet,
     ReportDocument,
     SyntheticSpec,
     ThresholdGrid,
+    compare_curve,
     decision_curve,
     generate_synthetic,
     render_svg,
 )
+
+
+def loses_to(data, risk, grid):
+    """Whether ``data`` loses to the default that gives everyone ``risk`` (1.0 is
+    treat-all, 0.0 treat-none) at each grid threshold, by the exact routes."""
+    default = PredictionSet(risks=np.full(data.n, risk), outcomes=data.outcomes)
+    return [v.winner == "model2" for v in compare_curve(data, default, grid)]
 
 
 def region(points, flagged):
@@ -50,8 +61,8 @@ def main() -> None:
                              label=f"shift{shift:+g}")
         truth, reported = generate_synthetic(spec)
         points = decision_curve(reported, grid)
-        below_none = [p for p in points if p.nb_model < 0.0]
-        below_all = [p for p in points if p.nb_model < p.nb_all]
+        below_none = [p for p, loses in zip(points, loses_to(reported, 0.0, grid)) if loses]
+        below_all = [p for p, loses in zip(points, loses_to(reported, 1.0, grid)) if loses]
         print(f"{shift:>+6.1f}  {reported.prevalence:>10.4f}  "
               f"{region(points, below_none):>24}  {region(points, below_all):>24}")
         if below_none:

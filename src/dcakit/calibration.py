@@ -10,18 +10,17 @@ rate reaches t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import UndefinedAtThresholdError
-from .metrics import (PredictionSet, ThresholdConfusion, column_rows, divide_where, group_masks,
-                      ppv_counts, sweep_counts)
+from .metrics import (ABOVE, BELOW, PredictionSet, ThresholdConfusion, column_rows, divide_where,
+                      group_masks, ppv_counts, sweep_counts)
 
 __all__ = [
     "CalibrationSummary",
     "calibration_columns",
-    "calibration_from_counts",
     "calibration_rows",
     "threshold_calibration",
     "nb_via_calibration",
@@ -35,7 +34,8 @@ __all__ = [
 class CalibrationSummary:
     """Group diagnostics at one threshold.
 
-    Fields tied to an empty group are None (absent), never NaN: the
+    Each field tied to a group names it in its metadata (ABOVE or BELOW)
+    and is None (absent), never NaN, where that group is empty: the
     above-group fields when s_t == 0 and the below-group fields when
     s_t == 1. ``delta_t`` is the selected-set calibration error
     y_above - p_above; ``enrichment`` and ``calibration_term`` are the
@@ -49,17 +49,13 @@ class CalibrationSummary:
 
     t: float
     s_t: float
-    y_above: float | None
-    y_below: float | None
-    p_above: float | None
-    p_below: float | None
-    delta_t: float | None
-    enrichment: float | None
-    calibration_term: float | None
-
-
-_ABOVE_FIELDS = ("y_above", "p_above", "delta_t", "enrichment", "calibration_term")
-_BELOW_FIELDS = ("y_below", "p_below")
+    y_above: float | None = field(metadata=ABOVE)
+    y_below: float | None = field(metadata=BELOW)
+    p_above: float | None = field(metadata=ABOVE)
+    p_below: float | None = field(metadata=BELOW)
+    delta_t: float | None = field(metadata=ABOVE)
+    enrichment: float | None = field(metadata=ABOVE)
+    calibration_term: float | None = field(metadata=ABOVE)
 
 
 def calibration_columns(c: ThresholdConfusion, risk_sum_above,
@@ -95,23 +91,15 @@ def calibration_rows(c: ThresholdConfusion,
     """One CalibrationSummary per threshold of ``c`` from its columns, with
     the fields of an empty group None."""
     above, below = group_masks(c)
-    optional = dict.fromkeys(_ABOVE_FIELDS, above) | dict.fromkeys(_BELOW_FIELDS, below)
-    return column_rows(CalibrationSummary, columns, optional)
-
-
-def calibration_from_counts(
-    c: ThresholdConfusion, risk_sum_above: float, risk_sum_below: float
-) -> CalibrationSummary:
-    """Group diagnostics from the counts at ``c.t`` and the risk sums of the
-    records classified positive (above) and negative (below)."""
-    return calibration_rows(c, calibration_columns(c, risk_sum_above, risk_sum_below))[0]
+    return column_rows(CalibrationSummary, columns, above=above, below=below)
 
 
 def threshold_calibration(data: PredictionSet, t: float) -> CalibrationSummary:
     """Observed event rates and mean predictions above and below ``t``."""
     sweep = sweep_counts(data, [t])
-    return calibration_from_counts(sweep.confusion(), sweep.risk_sum_above,
-                                   sweep.risk_sum_below)
+    c = sweep.confusion()
+    return calibration_rows(c, calibration_columns(c, sweep.risk_sum_above,
+                                                   sweep.risk_sum_below))[0]
 
 
 def nb_via_calibration(s: CalibrationSummary) -> float:

@@ -13,12 +13,15 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from . import __version__
 # compare_models stays importable here: bench/workloads.py traces it by name.
-from .comparison import compare_curve, compare_models  # noqa: F401
+from .comparison import WINNER_MODEL2, compare_curve, compare_models  # noqa: F401
 from .curves import SyntheticSpec, ThresholdGrid, decision_curve, generate_synthetic
 from .equivalences import ppv_bounds_given_nb
 from .errors import DataError, RouteDisagreementError, UsageError
+from .metrics import PredictionSet
 from .report import (
     ComparisonSection,
     IngestionSpec,
@@ -230,6 +233,14 @@ def _cmd_bootstrap(args) -> int:
     return EXIT_OK
 
 
+def _loses_to(data: PredictionSet, risk: float, grid: ThresholdGrid) -> list[bool]:
+    """Whether ``data`` loses to the default that gives everyone ``risk`` (1.0 is
+    treat-all, 0.0 treat-none) at each grid threshold, by compare_curve's
+    exact routes."""
+    default = PredictionSet(risks=np.full(data.n, risk), outcomes=data.outcomes)
+    return [v.winner == WINNER_MODEL2 for v in compare_curve(data, default, grid)]
+
+
 def _cmd_demo(args) -> int:
     grid = ThresholdGrid.from_string(args.grid)
     spec = SyntheticSpec(
@@ -251,8 +262,8 @@ def _cmd_demo(args) -> int:
           f"logit shift={args.shift:+g}")
     print(f"observed prevalence: {prevalence:.4f}")
 
-    below_none = [p for p in points if p.nb_model < 0.0]
-    below_all = [p for p in points if p.nb_model < p.nb_all]
+    below_none = [p for p, loses in zip(points, _loses_to(reported, 0.0, grid)) if loses]
+    below_all = [p for p, loses in zip(points, _loses_to(reported, 1.0, grid)) if loses]
     print()
     print("thresholds worse than treat-none (nb < 0):")
     if below_none:

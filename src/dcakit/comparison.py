@@ -8,7 +8,7 @@ on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "ComparisonVerdict",
     "compare_curve",
     "compare_models",
-    "decide_superiority",
     "ppv_superiority_reference",
     "superiority_columns",
     "superiority_route",
@@ -51,7 +50,8 @@ TIE_TOLERANCE = 1e-12
 class ComparisonVerdict:
     """Pairwise verdict at one threshold.
 
-    Margin fields are None when the corresponding group is empty;
+    A field tied to a group names it in its metadata, the above or below
+    group of model 1 or 2, and is None when that group is empty;
     ``ppv_superiority_ref`` is None (and ``ppv_route_available`` False)
     when model 1 classifies nobody positive, in which case the verdict
     rests on the direct net-benefit route alone. From
@@ -64,12 +64,12 @@ class ComparisonVerdict:
     nb2: float
     winner: str
     ppv1: float
-    ppv_superiority_ref: float | None
+    ppv_superiority_ref: float | None = field(metadata={"group": "above1"})
     ppv_route_available: bool
-    margin_above_1: float | None
-    margin_above_2: float | None
-    margin_below_1: float | None
-    margin_below_2: float | None
+    margin_above_1: float | None = field(metadata={"group": "above1"})
+    margin_above_2: float | None = field(metadata={"group": "above2"})
+    margin_below_1: float | None = field(metadata={"group": "below1"})
+    margin_below_2: float | None = field(metadata={"group": "below2"})
 
 
 def ppv_superiority_reference(nb2, positives1, n: int, t):
@@ -178,34 +178,21 @@ def superiority_rows(c1: ThresholdConfusion, c2: ThresholdConfusion,
     """One ComparisonVerdict per threshold from superiority_columns, with
     the fields of an empty group None."""
     (above1, below1), (above2, below2) = group_masks(c1), group_masks(c2)
-    return column_rows(ComparisonVerdict, columns, {
-        "ppv_superiority_ref": above1,
-        "margin_above_1": above1,
-        "margin_above_2": above2,
-        "margin_below_1": below1,
-        "margin_below_2": below2,
-    })
-
-
-def decide_superiority(c1: ThresholdConfusion, c2: ThresholdConfusion) -> ComparisonVerdict:
-    """Decide which of two models wins at a shared threshold from their counts:
-    superiority_columns at one threshold.
-
-    The counts must come from the same cohort at the same threshold.
-    Every route that is defined must agree on the strict ordering;
-    disagreement raises RouteDisagreementError.
-    """
-    return superiority_rows(c1, c2, superiority_columns(c1, c2))[0]
+    return column_rows(ComparisonVerdict, columns, above1=above1, below1=below1,
+                       above2=above2, below2=below2)
 
 
 def compare_models(d1: PredictionSet, d2: PredictionSet, t: float) -> ComparisonVerdict:
     """Compare two models scoring the same cohort at threshold ``t``.
 
-    Requires identical outcome vectors (same subjects, same order).
+    Requires identical outcome vectors (same subjects, same order). Every
+    route that is defined must agree on the strict ordering; disagreement
+    raises RouteDisagreementError.
     """
     t = check_threshold(t)
     _check_same_cohort(d1, d2)
-    return decide_superiority(classify_at_threshold(d1, t), classify_at_threshold(d2, t))
+    c1, c2 = classify_at_threshold(d1, t), classify_at_threshold(d2, t)
+    return superiority_rows(c1, c2, superiority_columns(c1, c2))[0]
 
 
 def compare_curve(d1: PredictionSet, d2: PredictionSet,

@@ -31,7 +31,7 @@ from .equivalences import (  # noqa: F401
     verdict_vs_defaults,
 )
 from .errors import DataError, RouteDisagreementError, UsageError
-from .metrics import (PredictionSet, ThresholdConfusion, column_rows, group_masks,
+from .metrics import (ABOVE, PredictionSet, ThresholdConfusion, column_rows, group_masks,
                       net_benefit_treat_none, reproducer, sweep_counts)
 
 __all__ = [
@@ -48,6 +48,11 @@ IDENTITY_TOL = 1e-12
 # Largest grid a ThresholdGrid may hold; finer grids are refused before any
 # point is built.
 MAX_GRID_POINTS = 10_000
+
+# Largest cohort a SyntheticSpec may draw. demo-miscalibration peaks at about
+# 100 traced bytes per record (tracemalloc at n = 1e5), so this keeps it
+# under 1 GiB.
+MAX_SYNTHETIC_RECORDS = 10_000_000
 
 # Generator endpoints: true risks are clamped away from {0, 1} before the
 # logit so the miscalibration shift is always defined.
@@ -115,7 +120,7 @@ class CurvePoint:
     s_t: float
     ppv: float
     ppv_none_ref: float
-    ppv_all_ref: float | None
+    ppv_all_ref: float | None = field(metadata=ABOVE)
     calibration: CalibrationSummary
 
 
@@ -194,7 +199,7 @@ def decision_curve(data: PredictionSet, grid: ThresholdGrid) -> list[CurvePoint]
         ppv_all_ref=verdict.ppv_all_ref,
         calibration=np.array(calibration_rows(c, cal), dtype=object),
     )
-    return column_rows(CurvePoint, columns, {"ppv_all_ref": group_masks(c)[0]})
+    return column_rows(CurvePoint, columns, above=group_masks(c)[0])
 
 
 @dataclass(frozen=True)
@@ -218,6 +223,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n < 1:
             raise DataError(f"n must be at least 1, got {self.n!r}")
+        if self.n > MAX_SYNTHETIC_RECORDS:
+            raise DataError(f"n must be at most {MAX_SYNTHETIC_RECORDS}, got {self.n!r}")
         if self.seed < 0:
             raise DataError(f"seed must be non-negative, got {self.seed!r}")
         if self.distribution not in ("uniform", "beta"):

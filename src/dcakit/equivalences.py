@@ -10,12 +10,13 @@ rounding can otherwise flip a boundary case such as ppv == t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, InfeasibleNetBenefitError, UndefinedAtThresholdError
 from .metrics import (
+    ABOVE,
     PredictionSet,
     ThresholdConfusion,
     check_routes,
@@ -67,7 +68,7 @@ class DefaultsVerdict:
     nb_all: float
     ppv: float
     ppv_none_ref: float
-    ppv_all_ref: float | None
+    ppv_all_ref: float | None = field(metadata=ABOVE)
     s_t: float
 
 
@@ -202,8 +203,7 @@ def defaults_columns(c: ThresholdConfusion) -> DefaultsVerdict:
 def decide_defaults(c: ThresholdConfusion) -> DefaultsVerdict:
     """Decide both default comparisons from the counts, through every route
     (default_routes): defaults_columns at one threshold."""
-    columns = defaults_columns(c)
-    return column_rows(DefaultsVerdict, columns, {"ppv_all_ref": group_masks(c)[0]})[0]
+    return column_rows(DefaultsVerdict, defaults_columns(c), above=group_masks(c)[0])[0]
 
 
 def verdict_vs_defaults(data: PredictionSet, t: float) -> DefaultsVerdict:

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import DataError, RouteDisagreementError, ThresholdError
 
 __all__ = [
+    "ABOVE",
+    "BELOW",
     "PredictionSet",
     "SweepCounts",
     "ThresholdConfusion",
@@ -275,20 +277,26 @@ def divide_where(num, den, where: np.ndarray, empty: float = np.nan) -> np.ndarr
     return np.divide(num, den, out=np.full(where.shape, empty), where=where)
 
 
-def column_rows(cls, columns, optional: dict | None = None) -> list:
+# Metadata of a group-tied field, one that is None where its group is empty:
+# the records classified positive (above) or negative (below) at a threshold.
+ABOVE = {"group": "above"}
+BELOW = {"group": "below"}
+
+
+def column_rows(cls, columns, **groups: np.ndarray) -> list:
     """One ``cls`` instance per row of ``columns``, an instance of the
     dataclass ``cls`` whose fields are arrays with one entry per threshold,
-    or scalars every row shares. A field named in ``optional`` is None on
-    the rows where its mask is False: its group is empty there."""
-    optional = optional or {}
+    or scalars every row shares. A group-tied field, one whose metadata
+    names a group, is None on the rows where that group's mask in
+    ``groups`` is False: the group is empty there."""
     values = []
     for f in fields(cls):
         column = getattr(columns, f.name)
         if not isinstance(column, np.ndarray):
             values.append(repeat(column))
-        elif f.name in optional:
+        elif "group" in f.metadata:
             cells = column.astype(object)
-            cells[~optional[f.name]] = None
+            cells[~groups[f.metadata["group"]]] = None
             values.append(cells.tolist())
         else:
             values.append(column.tolist())

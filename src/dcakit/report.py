@@ -14,7 +14,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from itertools import repeat
 from operator import attrgetter
@@ -27,7 +27,7 @@ from .comparison import ComparisonVerdict
 from .curves import CurvePoint
 from .errors import DataError, IngestionError, UsageError
 from .metrics import PredictionSet
-from .resampling import BandSpec, CurveBand
+from .resampling import CurveBand
 
 __all__ = [
     "IngestionSpec",
@@ -317,7 +317,7 @@ class ReportDocument:
 
     metadata: dict
     models: tuple[ModelCurve, ...] = ()
-    bands: dict = field(default_factory=dict)  # model name -> CurveBand
+    bands: dict[str, CurveBand] = field(default_factory=dict)  # by model name
     comparisons: tuple[ComparisonSection, ...] = ()
 
     def __post_init__(self):
@@ -449,66 +449,50 @@ def _is_json(value, kind) -> bool:
     return isinstance(value, kind)
 
 
-def _check_json(value, hint, what: str) -> None:
-    """Raise DataError unless the JSON ``value`` fits the type hint ``hint``.
-
-    A tuple is a JSON array, and a dict or dataclass a JSON object whose own
-    fields its builder checks.
-    """
-    if get_origin(hint) is tuple:
-        for i, item in enumerate(_expect(value, list, what)):
-            _check_json(item, get_args(hint)[0], f"{what}[{i}]")
-    elif hint is dict or is_dataclass(hint):
-        _expect(value, dict, what)
-    elif not any(_is_json(value, kind) for kind in get_args(hint) or (hint,)):
-        name = hint.__name__ if isinstance(hint, type) else str(hint)
-        raise DataError(f"{what} must be {name}, got {value!r}")
-
-
 @cache
 def _field_hints(cls) -> dict:
     return get_type_hints(cls)
 
 
-def _keys_of(cls, data, optional: tuple[str, ...] = ()) -> dict:
-    """``data`` as a JSON object holding exactly the fields of ``cls``, each
-    of its field's type; only the ``optional`` ones may be absent."""
-    _expect(data, dict, cls.__name__)
-    names = {f.name for f in fields(cls)}
-    missing = names.difference(data, optional)
-    extra = set(data).difference(names)
-    if missing or extra:
-        raise DataError(
-            f"{cls.__name__} keys do not match its fields: missing {sorted(missing)}, "
-            f"unexpected {sorted(extra)}"
-        )
-    for name, value in data.items():
-        _check_json(value, _field_hints(cls)[name], f"{cls.__name__}.{name}")
-    return data
+def _absent_allowed(f) -> bool:
+    """Whether a JSON object may leave out field ``f``: only when its default
+    is an empty container."""
+    default = f.default if f.default_factory is MISSING else f.default_factory()
+    return isinstance(default, (tuple, dict)) and not default
 
 
-def _point_from_dict(data) -> CurvePoint:
-    data = _keys_of(CurvePoint, data)
-    calibration = CalibrationSummary(**_keys_of(CalibrationSummary, data["calibration"]))
-    return CurvePoint(**{**data, "calibration": calibration})
-
-
-def _band_from_dict(data) -> CurveBand:
-    data = _keys_of(CurveBand, data)
-    spec = BandSpec(**_keys_of(BandSpec, data["spec"]))
-    sequences = {name: tuple(value) for name, value in data.items() if name != "spec"}
-    return CurveBand(spec=spec, **sequences)
-
-
-def _model_from_dict(data) -> ModelCurve:
-    data = _keys_of(ModelCurve, data)
-    return ModelCurve(**{**data, "points": [_point_from_dict(p) for p in data["points"]]})
-
-
-def _section_from_dict(data) -> ComparisonSection:
-    data = _keys_of(ComparisonSection, data)
-    verdicts = [ComparisonVerdict(**_keys_of(ComparisonVerdict, v)) for v in data["verdicts"]]
-    return ComparisonSection(**{**data, "verdicts": verdicts})
+def _build(hint, value, what: str):
+    """The parsed JSON ``value`` as the type hint ``hint`` describes it, or
+    DataError naming ``what`` where it does not fit. A dataclass is a JSON
+    object holding exactly its fields, ``tuple[X, ...]`` an array,
+    ``dict[str, X]`` an object (a bare dict holds any JSON), and a scalar
+    must fit one of the hint's types."""
+    if is_dataclass(hint):
+        data = _expect(value, dict, what)
+        names = {f.name for f in fields(hint)}
+        missing = {f.name for f in fields(hint) if not _absent_allowed(f)}.difference(data)
+        extra = set(data).difference(names)
+        if missing or extra:
+            raise DataError(
+                f"{hint.__name__} keys do not match its fields: missing {sorted(missing)}, "
+                f"unexpected {sorted(extra)}"
+            )
+        hints = _field_hints(hint)
+        return hint(**{name: _build(hints[name], item, f"{hint.__name__}.{name}")
+                       for name, item in data.items()})
+    if get_origin(hint) is tuple:
+        return tuple(_build(get_args(hint)[0], item, f"{what}[{i}]")
+                     for i, item in enumerate(_expect(value, list, what)))
+    if hint is dict or get_origin(hint) is dict:
+        data = _expect(value, dict, what)
+        if hint is dict:
+            return data
+        return {key: _build(get_args(hint)[1], item, f"{what}[{key!r}]")
+                for key, item in data.items()}
+    if not any(_is_json(value, kind) for kind in get_args(hint) or (hint,)):
+        name = hint.__name__ if isinstance(hint, type) else str(hint)
+        raise DataError(f"{what} must be {name}, got {value!r}")
+    return value
 
 
 def parse_report(data: bytes) -> ReportDocument:
@@ -521,10 +505,4 @@ def parse_report(data: bytes) -> ReportDocument:
         payload = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"not a valid JSON report: {exc}") from exc
-    payload = _keys_of(ReportDocument, payload, optional=("models", "bands", "comparisons"))
-    return ReportDocument(
-        metadata=payload["metadata"],
-        models=[_model_from_dict(m) for m in payload.get("models", [])],
-        bands={name: _band_from_dict(b) for name, b in payload.get("bands", {}).items()},
-        comparisons=[_section_from_dict(c) for c in payload.get("comparisons", [])],
-    )
+    return _build(ReportDocument, payload, "ReportDocument")

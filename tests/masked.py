@@ -110,7 +110,8 @@ def _margin_below(c):
 
 
 def reference_superiority(c1, c2):
-    """decide_superiority at one threshold: exact-rational winner, scalar floats."""
+    """compare_models from the counts at one threshold: exact-rational winner,
+    scalar floats."""
     t = c1.t
     nb1, nb2 = _net_benefit(c1), _net_benefit(c2)
     gap = _exact_nb(c1) - _exact_nb(c2)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from dcakit import parse_report
+from dcakit import curves, parse_report
 from dcakit.cli import cli_main
 
 
@@ -157,6 +157,36 @@ class TestDemoCommand:
         out = capsys.readouterr().out
         assert "worse than treat-all" in out
         assert "spared group is not actually low risk" in out
+
+    @staticmethod
+    def listed(out, default):
+        """The thresholds listed as worse than ``default``."""
+        section = out.split(f"worse than {default}")[1].split("\n\n")[0]
+        return [line.split()[0] for line in section.splitlines() if line.startswith("  t=")]
+
+    def test_everyone_selected_is_not_worse_than_treat_all(self, capsys):
+        # Everyone is selected at t = 0.21, where the below group is empty.
+        code = cli_main(["demo-miscalibration", "--n", "11", "--seed", "0",
+                         "--distribution", "uniform", "--shift", "3"])
+        assert code == 0
+        assert self.listed(capsys.readouterr().out, "treat-all") == [
+            "t=0.47", "t=0.48", "t=0.49"]
+
+    def test_exact_tie_with_treat_all_is_not_listed(self, capsys):
+        # At t = 0.25 and t = 0.50 the below-group event rate equals t exactly
+        # (fn=1 of 4 and fn=4 of 8), so the model ties treat-all there.
+        code = cli_main(["demo-miscalibration", "--n", "12", "--seed", "0",
+                         "--distribution", "uniform", "--shift", "-1"])
+        assert code == 0
+        listed = self.listed(capsys.readouterr().out, "treat-all")
+        assert "t=0.24" in listed
+        assert "t=0.25" not in listed and "t=0.50" not in listed
+
+    def test_cohort_over_the_cap_is_data_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(curves, "MAX_SYNTHETIC_RECORDS", 10)
+        assert cli_main(["demo-miscalibration", "--n", "10", "--seed", "0"]) == 0
+        assert cli_main(["demo-miscalibration", "--n", "11", "--seed", "0"]) == 2
+        assert "n must be at most 10, got 11" in capsys.readouterr().err
 
 
 class TestExitCodes:

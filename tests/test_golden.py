@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from dcakit import emit_report, parse_report
 from dcakit.cli import cli_main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -50,3 +51,11 @@ def test_report_bytes_match_golden(name, tmp_path, monkeypatch):
     out = tmp_path / name
     assert cli_main([*CASES[name], "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("stem", ["curves", "compare", "curves-edges", "compare-edges",
+                                  "bootstrap"])
+def test_parsed_report_emits_golden_bytes(stem):
+    doc = parse_report((GOLDEN_DIR / f"{stem}.json").read_bytes())
+    for fmt in ("json", "csv"):
+        assert emit_report(doc, fmt) == (GOLDEN_DIR / f"{stem}.{fmt}").read_bytes()

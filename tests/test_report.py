@@ -2,6 +2,7 @@ import csv
 import io
 import json
 from dataclasses import fields, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dcakit import (
     CurveBand,
     CurvePoint,
     DataError,
+    DefaultsVerdict,
     IngestionError,
     IngestionSpec,
     ModelCurve,
@@ -211,6 +213,15 @@ class TestSerialization:
         # 0.1 survives the trip through text exactly
         value = doc.models[0].points[-1].nb_model
         assert f"{value:.17g}" in text
+
+
+@pytest.mark.parametrize("cls", [CalibrationSummary, DefaultsVerdict, CurvePoint,
+                                 ComparisonVerdict])
+def test_group_tied_fields_are_the_fields_that_admit_none(cls):
+    tied = {f.name for f in fields(cls) if "group" in f.metadata}
+    admit_none = {name for name, hint in get_type_hints(cls).items()
+                  if type(None) in get_args(hint)}
+    assert tied and tied == admit_none
 
 
 def _names(cls, *skip):

@@ -38,3 +38,16 @@ def test_miscalibration_demo(tmp_path):
     for shift in ("-1", "+1"):
         for panel in ("decision", "ppv", "calibration"):
             assert (tmp_path / f"shift{shift}-{panel}.svg").stat().st_size > 0
+
+
+def test_miscalibration_demo_regions_come_from_exact_verdicts():
+    # Everyone is selected at t = 0.21 (empty below group) in the first cohort;
+    # the second ties treat-all exactly at t = 0.25 and t = 0.50.
+    result = run_script("miscalibration_demo.py", "--shifts", "3", "--n", "11", "--seed", "0",
+                        "--distribution", "uniform")
+    assert result.returncode == 0, result.stderr
+    assert "[0.47, 0.49] (3/50 pts)" in result.stdout
+    result = run_script("miscalibration_demo.py", "--shifts", "-1", "--n", "12", "--seed", "0",
+                        "--distribution", "uniform")
+    assert result.returncode == 0, result.stderr
+    assert "[0.12, 0.42] (25/50 pts)" in result.stdout
