@@ -8,6 +8,8 @@ reported together with the calibration violation that explains each.
 """
 
 import argparse
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +34,15 @@ def loses_to(data, risk, grid):
     return [v.winner == "model2" for v in compare_curve(data, default, grid)]
 
 
-def region(points, flagged):
-    if not flagged:
+def region(points, loses):
+    """One [lo, hi] range per run of consecutive grid points where ``loses``
+    holds, then how many points lose."""
+    runs = [[p.t for p, _ in run] for lost, run in groupby(zip(points, loses), key=itemgetter(1))
+            if lost]
+    if not runs:
         return "-"
-    return f"[{flagged[0].t:.2f}, {flagged[-1].t:.2f}] ({len(flagged)}/{len(points)} pts)"
+    ranges = ", ".join(f"[{run[0]:.2f}, {run[-1]:.2f}]" for run in runs)
+    return f"{ranges} ({sum(map(len, runs))}/{len(points)} pts)"
 
 
 def main() -> None:
@@ -61,10 +68,12 @@ def main() -> None:
                              label=f"shift{shift:+g}")
         truth, reported = generate_synthetic(spec)
         points = decision_curve(reported, grid)
-        below_none = [p for p, loses in zip(points, loses_to(reported, 0.0, grid)) if loses]
-        below_all = [p for p, loses in zip(points, loses_to(reported, 1.0, grid)) if loses]
+        loses_none = loses_to(reported, 0.0, grid)
+        loses_all = loses_to(reported, 1.0, grid)
+        below_none = [p for p, loses in zip(points, loses_none) if loses]
+        below_all = [p for p, loses in zip(points, loses_all) if loses]
         print(f"{shift:>+6.1f}  {reported.prevalence:>10.4f}  "
-              f"{region(points, below_none):>24}  {region(points, below_all):>24}")
+              f"{region(points, loses_none):>24}  {region(points, loses_all):>24}")
         if below_none:
             worst = min(below_none, key=lambda p: p.nb_model)
             print(f"        selected-group event rate {worst.calibration.y_above:.3f} "
@@ -72,7 +81,7 @@ def main() -> None:
         if below_all:
             worst = min(below_all, key=lambda p: p.nb_model - p.nb_all)
             print(f"        spared-group event rate {worst.calibration.y_below:.3f} "
-                  f">= t={worst.t:.2f}: withholding there is unjustified")
+                  f"> t={worst.t:.2f}: withholding there is unjustified")
         if args.svg_dir:
             doc = ReportDocument(
                 metadata={"shift": shift},

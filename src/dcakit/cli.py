@@ -12,6 +12,8 @@ import json
 import os
 import sys
 import tempfile
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -55,6 +57,12 @@ def _atomic_write(path: str, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+        # mkstemp creates the file 0600; give it the mode open() would. Setting
+        # the umask is the portable way to read it; os.fchmod is missing on
+        # Windows before Python 3.13.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -241,6 +249,14 @@ def _loses_to(data: PredictionSet, risk: float, grid: ThresholdGrid) -> list[boo
     return [v.winner == WINNER_MODEL2 for v in compare_curve(data, default, grid)]
 
 
+def _region(points: list, loses: list[bool]) -> str:
+    """One threshold range per run of consecutive grid points where ``loses``
+    holds, since the runs need not be adjacent."""
+    runs = [[p.t for p, _ in run] for lost, run in groupby(zip(points, loses), key=itemgetter(1))
+            if lost]
+    return ", ".join(f"{run[0]:.2f} <= t <= {run[-1]:.2f}" for run in runs)
+
+
 def _cmd_demo(args) -> int:
     grid = ThresholdGrid.from_string(args.grid)
     spec = SyntheticSpec(
@@ -262,16 +278,17 @@ def _cmd_demo(args) -> int:
           f"logit shift={args.shift:+g}")
     print(f"observed prevalence: {prevalence:.4f}")
 
-    below_none = [p for p, loses in zip(points, _loses_to(reported, 0.0, grid)) if loses]
-    below_all = [p for p, loses in zip(points, _loses_to(reported, 1.0, grid)) if loses]
+    loses_none = _loses_to(reported, 0.0, grid)
+    loses_all = _loses_to(reported, 1.0, grid)
+    below_none = [p for p, loses in zip(points, loses_none) if loses]
+    below_all = [p for p, loses in zip(points, loses_all) if loses]
     print()
     print("thresholds worse than treat-none (nb < 0):")
     if below_none:
         for p in below_none:
             print(f"  t={p.t:.2f}  nb={p.nb_model:+.5f}  "
                   f"event rate above t={p.calibration.y_above:.4f} < t")
-        lo, hi = below_none[0].t, below_none[-1].t
-        print(f"  region: {lo:.2f} <= t <= {hi:.2f} "
+        print(f"  region: {_region(points, loses_none)} "
               f"(selected group not event-rich enough to justify action)")
     else:
         print("  none on this grid")
@@ -280,9 +297,8 @@ def _cmd_demo(args) -> int:
     if below_all:
         for p in below_all:
             print(f"  t={p.t:.2f}  nb={p.nb_model:+.5f}  nb_all={p.nb_all:+.5f}  "
-                  f"event rate below t={p.calibration.y_below:.4f} >= t")
-        lo, hi = below_all[0].t, below_all[-1].t
-        print(f"  region: {lo:.2f} <= t <= {hi:.2f} "
+                  f"event rate below t={p.calibration.y_below:.4f} > t")
+        print(f"  region: {_region(points, loses_all)} "
               f"(spared group is not actually low risk)")
     else:
         print("  none on this grid")

@@ -1,9 +1,11 @@
-"""Two-model superiority at a threshold, decided through three routes.
+"""Two-model superiority at a threshold, decided through four routes.
 
-The direct net-benefit comparison, the PPV-versus-reference comparison
-and the calibration-margin comparison are algebraically equivalent;
-all three are evaluated in exact integer arithmetic and cross-checked
-on every call.
+The direct net-benefit comparison, model 1's PPV against the reference
+built from model 2's net benefit, and the above- and below-group
+calibration margins are algebraically equivalent. metrics.net_benefit_order
+evaluates each in exact integer arithmetic wherever its groups are
+defined and cross-checks them on every call; the comparisons with
+treat-none and treat-all go through the same kernel.
 """
 
 from __future__ import annotations
@@ -17,14 +19,15 @@ from .errors import UndefinedAtThresholdError, UsageError
 from .metrics import (
     PredictionSet,
     ThresholdConfusion,
-    check_routes,
     check_threshold,
     classify_at_threshold,
     column_rows,
+    confusion_cells,
     divide_where,
     first_failure,
     group_masks,
     net_benefit_counts,
+    net_benefit_order,
     ppv_counts,
     sweep_counts,
 )
@@ -35,7 +38,6 @@ __all__ = [
     "compare_models",
     "ppv_superiority_reference",
     "superiority_columns",
-    "superiority_route",
 ]
 
 WINNER_MODEL1 = "model1"
@@ -53,8 +55,8 @@ class ComparisonVerdict:
     A field tied to a group names it in its metadata, the above or below
     group of model 1 or 2, and is None when that group is empty;
     ``ppv_superiority_ref`` is None (and ``ppv_route_available`` False)
-    when model 1 classifies nobody positive, in which case the verdict
-    rests on the direct net-benefit route alone. From
+    when model 1 classifies nobody positive, in which case the PPV route is
+    not checked. From
     ``superiority_columns`` every field is a column, one entry per
     threshold, with NaN where a field's group is empty.
     """
@@ -90,46 +92,9 @@ def _check_same_cohort(d1: PredictionSet, d2: PredictionSet) -> None:
         raise UsageError("models must score the same cohort: outcome vectors differ")
 
 
-def superiority_route(t: float, cells1: tuple[int, int, int, int],
-                      cells2: tuple[int, int, int, int]) -> int:
-    """The sign of nb1 - nb2 at one threshold from each model's (tp, fp, tn, fn),
-    through every defined route, in exact integers.
-
-    Every route that is defined must agree on the strict ordering;
-    disagreement raises RouteDisagreementError.
-    """
-    tp1, fp1, tn1, fn1 = cells1
-    tp2, fp2, tn2, fn2 = cells2
-    num, den = t.as_integer_ratio()
-    pos1, pos2 = tp1 + fp1, tp2 + fp2
-    neg1, neg2 = tn1 + fn1, tn2 + fn2
-
-    def sign(a: int, b: int) -> int:
-        return (a > b) - (a < b)
-
-    # Route 1: direct net benefit, scaled to integers.
-    direct = sign(tp1 * (den - num) - fp1 * num, tp2 * (den - num) - fp2 * num)
-    routes = [("net benefit", direct)]
-
-    # Route 2: model 1's PPV against the reference built from nb2.
-    if pos1 > 0:
-        routes.append(
-            ("ppv reference", sign(tp1 * den - pos1 * num, tp2 * (den - num) - fp2 * num))
-        )
-
-    # Route 3: above- and below-threshold calibration margins.
-    if pos1 > 0 and pos2 > 0:
-        routes.append(("above margin", sign(tp1 * den - pos1 * num, tp2 * den - pos2 * num)))
-    if neg1 > 0 and neg2 > 0:
-        routes.append(("below margin", sign(num * neg1 - fn1 * den, num * neg2 - fn2 * den)))
-
-    check_routes("superiority", routes, t, cells1, cells2)
-    return direct
-
-
 def superiority_columns(c1: ThresholdConfusion, c2: ThresholdConfusion) -> ComparisonVerdict:
     """Which of two models wins at every threshold of their counts, as a
-    ComparisonVerdict of columns: superiority_route decides each threshold,
+    ComparisonVerdict of columns: net_benefit_order decides each threshold,
     and the float fields are computed a column at a time.
 
     The counts must come from the same cohort at the same thresholds.
@@ -139,12 +104,7 @@ def superiority_columns(c1: ThresholdConfusion, c2: ThresholdConfusion) -> Compa
     if c1.n != c2.n or not (np.array_equal(t, t2) and np.array_equal(tp1 + fn1, tp2 + fn2)):
         raise UsageError("confusions must share the threshold and the cohort")
     n = c1.n
-    direct = np.array([
-        superiority_route(*cells) for cells in zip(
-            t.tolist(),
-            zip(tp1.tolist(), fp1.tolist(), tn1.tolist(), fn1.tolist()),
-            zip(tp2.tolist(), fp2.tolist(), tn2.tolist(), fn2.tolist()))
-    ], dtype=np.int64)
+    direct = net_benefit_order("superiority", t, confusion_cells(c1), confusion_cells(c2))
     nb1 = net_benefit_counts(tp1, fp1, n, t)
     nb2 = net_benefit_counts(tp2, fp2, n, t)
     tie = (np.abs(nb1 - nb2) <= TIE_TOLERANCE) | (direct == 0)

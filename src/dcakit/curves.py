@@ -31,8 +31,8 @@ from .equivalences import (  # noqa: F401
     verdict_vs_defaults,
 )
 from .errors import DataError, RouteDisagreementError, UsageError
-from .metrics import (ABOVE, PredictionSet, ThresholdConfusion, column_rows, group_masks,
-                      net_benefit_treat_none, reproducer, sweep_counts)
+from .metrics import (ABOVE, PredictionSet, ThresholdConfusion, column_rows, confusion_cells,
+                      group_masks, net_benefit_treat_none, reproducer, sweep_counts)
 
 __all__ = [
     "ThresholdGrid",
@@ -169,10 +169,9 @@ def _assert_identities(c: ThresholdConfusion, verdict: DefaultsVerdict,
     if failing.size:
         j = failing[0]
         problems = [name for (name, _, _), bad in zip(residuals, violated[:, j]) if bad]
-        cells = (int(np.atleast_1d(v)[j]) for v in (c.tp, c.fp, c.tn, c.fn))
         raise RouteDisagreementError(
             f"curve point identities violated at t={t[j].item()!r}: {'; '.join(problems)} "
-            f"({reproducer(t[j].item(), tuple(cells))})"
+            f"({reproducer(t[j].item(), confusion_cells(c)[j])})"
         )
 
 

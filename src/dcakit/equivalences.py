@@ -1,11 +1,12 @@
 """The bridge between net benefit and PPV.
 
-Strict verdicts against the treat-none and treat-all defaults are
-computed from net-benefit comparisons, from PPV reference values and, for
-treat-all, from the below-group event rate. Every route is evaluated in
-exact integer arithmetic (a float threshold is a dyadic rational, so
-``t.as_integer_ratio()`` makes every strict comparison exact); float
-rounding can otherwise flip a boundary case such as ppv == t.
+Treat-none and treat-all are models: the one that selects nobody and the
+one that selects everybody. Strict verdicts against them are decided like
+any pairwise comparison, by metrics.net_benefit_order, through the net
+benefit, PPV-reference, above-margin and below-margin routes in exact
+integer arithmetic; float rounding could otherwise flip a boundary case
+such as ppv == t. The PPV reference against treat-none is t itself, and
+against treat-all it is (prevalence - t)/s_t + t.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ from .metrics import (
     ABOVE,
     PredictionSet,
     ThresholdConfusion,
-    check_routes,
     check_threshold,
     classify_at_threshold,
     column_rows,
+    confusion_cells,
     first_failure,
     group_masks,
     net_benefit_counts,
+    net_benefit_order,
     net_benefit_treat_all,
     ppv_counts,
 )
@@ -36,7 +38,6 @@ __all__ = [
     "ppv_from_nb",
     "treat_none_reference",
     "treat_all_reference_ppv",
-    "default_routes",
     "defaults_columns",
     "decide_defaults",
     "verdict_vs_defaults",
@@ -140,47 +141,23 @@ def treat_all_reference_ppv(prevalence, s_t, t):
     return (prevalence - t) / s_t + t
 
 
-def default_routes(t: float, tp: int, fp: int, tn: int, fn: int, n: int) -> tuple[bool, bool]:
-    """(beats_none, beats_all) at one threshold, through every route, in exact
-    integers (Python ints: t = num/den with den up to 2**60 overflows int64).
-
-    Treat-none: net benefit, and PPV against t; the PPV is the above-group
-    event rate, so that is also the above-group route. Treat-all: net
-    benefit, PPV against the treat-all reference, and the below-group event
-    rate against t, each where its group is non-empty. Disagreement raises
-    RouteDisagreementError; that would be an implementation bug.
-    """
-    positives = tp + fp
-    negatives = n - positives
-    num, den = t.as_integer_ratio()
-
-    # nb has the sign of tp*(den-num) - fp*num, and nb_all the analogue.
-    nb_scaled = tp * (den - num) - fp * num
-    beats_none = nb_scaled > 0
-    beats_all = nb_scaled > (tp + fn) * (den - num) - (fp + tn) * num
-    cells = (tp, fp, tn, fn)
-    check_routes("treat-none", [
-        ("net benefit", beats_none),
-        ("ppv", positives > 0 and tp * den > positives * num),
-    ], t, cells)
-    all_routes = [("net benefit", beats_all)]
-    if positives > 0:
-        all_routes.append(("ppv reference", tp * den + n * num > (tp + fn) * den + positives * num))
-    if negatives > 0:
-        all_routes.append(("below-group rate", fn * den < num * negatives))
-    check_routes("treat-all", all_routes, t, cells)
-    return beats_none, beats_all
-
-
 def defaults_columns(c: ThresholdConfusion) -> DefaultsVerdict:
     """Both default comparisons at every threshold of ``c``, as a
-    DefaultsVerdict of columns: default_routes decides each threshold, and
-    the float fields are computed a column at a time."""
-    t, tp, fp, tn, fn = (np.atleast_1d(v) for v in (c.t, c.tp, c.fp, c.tn, c.fn))
+    DefaultsVerdict of columns: net_benefit_order decides each against the
+    default's counts, and the float fields are computed a column at a time.
+
+    Treat-none is the model that selects nobody, (0, 0, n - n1, n1), and
+    treat-all the one that selects everybody, (n1, n - n1, 0, 0); they take
+    ``c.n``, so counts that contradict it trip a route.
+    """
+    t, tp, fp, fn = (np.atleast_1d(v) for v in (c.t, c.tp, c.fp, c.fn))
     n = c.n
-    beats = [default_routes(*cells, n) for cells in
-             zip(t.tolist(), tp.tolist(), fp.tolist(), tn.tolist(), fn.tolist())]
-    beats_none, beats_all = np.array(beats, dtype=bool).reshape(-1, 2).T
+    cells = confusion_cells(c)
+    n1s = (tp + fn).tolist()
+    none = [(0, 0, n - n1, n1) for n1 in n1s]
+    everyone = [(n1, n - n1, 0, 0) for n1 in n1s]
+    beats_none = net_benefit_order("treat-none", t, cells, none) > 0
+    beats_all = net_benefit_order("treat-all", t, cells, everyone) > 0
     positives = tp + fp
     s_t = positives / n
     prevalence = (tp + fn) / n
@@ -202,7 +179,7 @@ def defaults_columns(c: ThresholdConfusion) -> DefaultsVerdict:
 
 def decide_defaults(c: ThresholdConfusion) -> DefaultsVerdict:
     """Decide both default comparisons from the counts, through every route
-    (default_routes): defaults_columns at one threshold."""
+    (net_benefit_order): defaults_columns at one threshold."""
     return column_rows(DefaultsVerdict, defaults_columns(c), above=group_masks(c)[0])[0]
 
 
@@ -231,7 +208,8 @@ def ppv_bounds_given_nb(nb: float, prevalence: float, t: float) -> PpvInterval:
         raise DataError(f"prevalence must lie in [0, 1], got {prevalence!r}")
     nb_max = prevalence
     nb_min = -(1.0 - prevalence) * (t / (1.0 - t))
-    if nb > nb_max + _FEASIBILITY_SLACK or nb < nb_min - _FEASIBILITY_SLACK:
+    # Fails closed: a NaN nb is outside every range.
+    if not nb_min - _FEASIBILITY_SLACK <= nb <= nb_max + _FEASIBILITY_SLACK:
         raise InfeasibleNetBenefitError(
             f"net benefit {nb!r} unattainable at prevalence {prevalence!r}, t={t!r} "
             f"(feasible range [{nb_min!r}, {nb_max!r}])"

@@ -23,10 +23,10 @@ __all__ = [
     "PredictionSet",
     "SweepCounts",
     "ThresholdConfusion",
-    "check_routes",
     "check_threshold",
     "classify_at_threshold",
     "column_rows",
+    "confusion_cells",
     "divide_where",
     "first_failure",
     "group_masks",
@@ -36,6 +36,7 @@ __all__ = [
     "tally_keys",
     "net_benefit",
     "net_benefit_counts",
+    "net_benefit_order",
     "net_benefit_treat_all",
     "net_benefit_treat_none",
     "ppv",
@@ -173,15 +174,59 @@ def reproducer(t: float, *cells: tuple[int, int, int, int]) -> str:
     return f"reproduce with t={num}/{den}, {counts}"
 
 
-def check_routes(label: str, routes: list, t: float, *cells: tuple[int, int, int, int]) -> None:
-    """Raise RouteDisagreementError, listing every (name, value) route and the
-    reproducer of ``t`` and ``cells``, unless all routes give the same value."""
-    first = routes[0][1]
-    for _, value in routes:
-        if value != first:
-            detail = ", ".join(f"{name}: {value!r}" for name, value in routes)
-            raise RouteDisagreementError(f"{label} routes disagree at t={t!r} "
-                                         f"({detail}; {reproducer(t, *cells)})")
+def confusion_cells(c: ThresholdConfusion) -> list[tuple[int, int, int, int]]:
+    """(tp, fp, tn, fn) at each threshold of ``c``, as Python ints."""
+    return list(zip(*(np.atleast_1d(v).tolist() for v in (c.tp, c.fp, c.tn, c.fn))))
+
+
+def net_benefit_order(label: str, t: np.ndarray, cells1: list, cells2: list) -> np.ndarray:
+    """The sign of nb1 - nb2 at every threshold of ``t``, from each side's
+    (tp, fp, tn, fn) cells there, decided through every route in exact
+    integers. Treat-none and treat-all are sides like any model: the one
+    that selects nobody and the one that selects everybody.
+
+    A float threshold is a dyadic rational num/den, so every comparison
+    scaled by n*den is exact in Python ints (den up to 2**60 overflows
+    int64). The routes, each checked where its groups are defined:
+
+    * net benefit, always;
+    * side 1's PPV against the level that matches nb2, where side 1
+      selects anyone;
+    * the above-group margins s_t*(ppv - t), where either side's above
+      group is non-empty;
+    * the below-group margins (1 - s_t)*(t - y_below), where either side's
+      below group is non-empty.
+
+    An empty group's scaled margin is exactly 0. At the first threshold
+    where the routes disagree, RouteDisagreementError lists every route's
+    sign and the reproducer of both sides; that would be an implementation
+    bug, or counts that no classification produces.
+    """
+    order = []
+    for tj, side1, side2 in zip(t.tolist(), cells1, cells2):
+        (tp1, fp1, tn1, fn1), (tp2, fp2, tn2, fn2) = side1, side2
+        num, den = tj.as_integer_ratio()
+        pos1, pos2 = tp1 + fp1, tp2 + fp2
+        neg1, neg2 = tn1 + fn1, tn2 + fn2
+        # Each side's net benefit and margins, scaled by n*den.
+        nb1, nb2 = tp1 * (den - num) - fp1 * num, tp2 * (den - num) - fp2 * num
+        above1, above2 = tp1 * den - pos1 * num, tp2 * den - pos2 * num
+        below1, below2 = num * neg1 - fn1 * den, num * neg2 - fn2 * den
+        routes = [("net benefit", nb1 - nb2)]
+        if pos1 > 0:
+            # tp1 against pos1 times the PPV that matches nb2.
+            routes.append(("ppv reference", above1 - nb2))
+        if pos1 > 0 or pos2 > 0:
+            routes.append(("above margin", above1 - above2))
+        if neg1 > 0 or neg2 > 0:
+            routes.append(("below margin", below1 - below2))
+        signs = [(diff > 0) - (diff < 0) for _, diff in routes]
+        if len(set(signs)) > 1:
+            detail = ", ".join(f"{name}: {sign}" for (name, _), sign in zip(routes, signs))
+            raise RouteDisagreementError(f"{label} routes disagree at t={tj!r} "
+                                         f"({detail}; {reproducer(tj, side1, side2)})")
+        order.append(signs[0])
+    return np.array(order, dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import stat
 
 import pytest
 
@@ -70,6 +72,23 @@ class TestCurvesCommand:
             text = (tmp_path / f"charts-{panel}.svg").read_text()
             assert text.startswith("<svg ")
 
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_written_files_follow_umask(self, d0_csv_path, tmp_path, umask, mode):
+        # The mode a plain open() would give, not the temporary file's 0600.
+        previous = os.umask(umask)
+        try:
+            code = cli_main([
+                "curves", "--input", str(d0_csv_path), "--outcome", "y", "--models", "m1",
+                "--grid", "0.1:0.5:0.1", "--out", str(tmp_path / "r.json"),
+                "--svg", str(tmp_path / "charts"),
+            ])
+        finally:
+            os.umask(previous)
+        assert code == 0
+        for name in ("r.json", "charts-decision.svg", "charts-ppv.svg", "charts-calibration.svg"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
 
 class TestCompareCommand:
     def test_pairwise_verdicts(self, two_model_csv, capsys):
@@ -105,6 +124,11 @@ class TestBoundsCommand:
         code = cli_main(["bounds", "--nb", "0.9", "--prevalence", "0.4", "--t", "0.3"])
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_nan_nb_exits_2(self, capsys):
+        code = cli_main(["bounds", "--nb", "nan", "--prevalence", "0.4", "--t", "0.3"])
+        assert code == 2
+        assert "data error: net benefit nan unattainable" in capsys.readouterr().err
 
     def test_csv_format(self, capsys):
         code = cli_main(["bounds", "--nb", "0.1", "--prevalence", "0.4", "--t", "0.5",
@@ -163,6 +187,18 @@ class TestDemoCommand:
         """The thresholds listed as worse than ``default``."""
         section = out.split(f"worse than {default}")[1].split("\n\n")[0]
         return [line.split()[0] for line in section.splitlines() if line.startswith("  t=")]
+
+    def test_region_lists_each_run_of_losses(self, capsys):
+        # Losses to treat-all at t = 0.12-0.24 and 0.31-0.42, not in between.
+        code = cli_main(["demo-miscalibration", "--n", "12", "--seed", "0",
+                         "--distribution", "uniform", "--shift", "-1"])
+        assert code == 0
+        out = capsys.readouterr().out
+        listed = self.listed(out, "treat-all")
+        assert listed == [f"t={k / 100:.2f}" for k in [*range(12, 25), *range(31, 43)]]
+        assert ("  region: 0.12 <= t <= 0.24, 0.31 <= t <= 0.42 "
+                "(spared group is not actually low risk)\n") in out
+        assert "event rate below t=0.2500 > t\n" in out
 
     def test_everyone_selected_is_not_worse_than_treat_all(self, capsys):
         # Everyone is selected at t = 0.21, where the below group is empty.

@@ -230,6 +230,11 @@ class TestPpvBounds:
         assert interval.kind == "positive_nb"
         assert interval.lower == pytest.approx(1.0, abs=TOL)  # fp = 0 is forced
 
+    def test_nan_nb_is_infeasible(self):
+        # NaN fails every comparison, so the feasibility check must fail closed.
+        with pytest.raises(InfeasibleNetBenefitError, match=r"^net benefit nan unattainable"):
+            ppv_bounds_given_nb(float("nan"), 0.4, 0.5)
+
     def test_infeasible_below_floor(self):
         with pytest.raises(InfeasibleNetBenefitError):
             ppv_bounds_given_nb(-0.7, 0.4, 0.5)

@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,6 +17,7 @@ from dcakit import (
     net_benefit_treat_none,
     ppv,
 )
+from dcakit.metrics import net_benefit_order
 
 TOL = 1e-12
 
@@ -221,3 +225,36 @@ class TestPpv:
     def test_pure_positives(self):
         c = ThresholdConfusion(t=0.4, tp=3, fp=0, tn=2, fn=0, n=5)
         assert ppv(c) == 1.0
+
+
+def all_cells(n, n1):
+    """Every (tp, fp, tn, fn) that classifying n records with n1 events gives."""
+    return [(tp, fp, n - n1 - fp, n1 - tp)
+            for tp in range(n1 + 1) for fp in range(n - n1 + 1)]
+
+
+class TestNetBenefitOrder:
+    @pytest.mark.parametrize("t", [0.1, 0.25, 1 / 3, 0.5, 0.7])
+    def test_sign_matches_exact_net_benefit(self, t):
+        # Every pair of valid cells with n <= 6 and a shared n1. Each
+        # default's cells are among them: treat-none (0, 0, n - n1, n1) and
+        # treat-all (n1, n - n1, 0, 0).
+        pairs = []
+        for n in range(1, 7):
+            for n1 in range(n + 1):
+                cells = all_cells(n, n1)
+                assert {(0, 0, n - n1, n1), (n1, n - n1, 0, 0)} <= set(cells)
+                pairs += [(n, a, b) for a, b in itertools.product(cells, repeat=2)]
+        exact_t = Fraction(t)
+
+        def exact_nb(n, cells):
+            tp, fp, _, _ = cells
+            return Fraction(tp, n) - Fraction(fp, n) * exact_t / (1 - exact_t)
+
+        expected = []
+        for n, a, b in pairs:
+            diff = exact_nb(n, a) - exact_nb(n, b)
+            expected.append((diff > 0) - (diff < 0))
+        order = net_benefit_order("exhaustive", np.full(len(pairs), t),
+                                  [a for _, a, _ in pairs], [b for _, _, b in pairs])
+        assert order.tolist() == expected

@@ -50,4 +50,6 @@ def test_miscalibration_demo_regions_come_from_exact_verdicts():
     result = run_script("miscalibration_demo.py", "--shifts", "-1", "--n", "12", "--seed", "0",
                         "--distribution", "uniform")
     assert result.returncode == 0, result.stderr
-    assert "[0.12, 0.42] (25/50 pts)" in result.stdout
+    # t = 0.25-0.30 is not a loss: two ranges, not one that spans the gap.
+    assert "[0.12, 0.24], [0.31, 0.42] (25/50 pts)" in result.stdout
+    assert "spared-group event rate 0.500 > t=0.37" in result.stdout

@@ -240,11 +240,17 @@ class TestReproducers:
         monkeypatch.setattr(equivalences, "classify_at_threshold", classify)
         with pytest.raises(RouteDisagreementError) as info:
             verdict_vs_defaults(d0, 0.5)
-        assert f"{D0_T_HALF}, {D0_COUNTS}" in str(info.value)
+        # Treat-all takes the tampered n, (n1, n - n1, 0, 0); only the
+        # below margin reads d0's own tn + fn.
+        assert str(info.value) == (
+            "treat-all routes disagree at t=0.5 (net benefit: -1, ppv reference: -1, "
+            f"above margin: -1, below margin: 1; reproduce with {D0_T_HALF}, "
+            f"model1 {D0_COUNTS}, model2 tp=4 fp=1 n1=4 n0=1)")
 
     def test_below_group_route_disagreement(self, monkeypatch):
-        # Nobody is selected, so net benefit and the below-group rate alone
-        # decide treat-all; a tampered n moves only the below-group rate.
+        # Nobody is selected, so net benefit and the below margins alone
+        # decide treat-none; a tampered n moves only treat-none's below
+        # margin, through its cells (0, 0, n - n1, n1).
         data = PredictionSet(risks=np.full(10, 0.1), outcomes=np.array([1] * 4 + [0] * 6))
 
         def classify(data, t):
@@ -253,10 +259,41 @@ class TestReproducers:
         monkeypatch.setattr(equivalences, "classify_at_threshold", classify)
         with pytest.raises(RouteDisagreementError) as info:
             verdict_vs_defaults(data, 0.5)
-        message = str(info.value)
-        assert "treat-all routes disagree" in message
-        assert "(net benefit: True, below-group rate: False;" in message
-        assert message.endswith(f"{D0_T_HALF}, tp=0 fp=0 n1=4 n0=6)")
+        assert str(info.value) == (
+            "treat-none routes disagree at t=0.5 (net benefit: 0, below margin: 1; "
+            f"reproduce with {D0_T_HALF}, model1 tp=0 fp=0 n1=4 n0=6, "
+            "model2 tp=0 fp=0 n1=4 n0=3)")
+
+    def test_treat_none_below_margin_disagreement(self, d0, monkeypatch):
+        # tn 4 -> 2 shrinks d0's below group; treat-none's below margin, a
+        # route the treat-none verdict gains from the shared kernel, sees it.
+        def classify(data, t):
+            return _tamper(classify_at_threshold(data, t), tn=2)
+
+        monkeypatch.setattr(equivalences, "classify_at_threshold", classify)
+        with pytest.raises(RouteDisagreementError) as info:
+            verdict_vs_defaults(d0, 0.5)
+        assert str(info.value) == (
+            "treat-none routes disagree at t=0.5 (net benefit: 1, ppv reference: 1, "
+            f"above margin: 1, below margin: -1; reproduce with {D0_T_HALF}, "
+            "model1 tp=3 fp=2 n1=4 n0=4, model2 tp=0 fp=0 n1=4 n0=6)")
+
+    def test_one_sided_below_margin_disagreement(self, d0, monkeypatch):
+        # Model 2 selects everyone, so only model 1 has a below group; its
+        # margin is still checked against model 2's exact 0.
+        everyone = PredictionSet(risks=np.ones(d0.n), outcomes=d0.outcomes, name="all")
+
+        def classify(data, t):
+            c = classify_at_threshold(data, t)
+            return _tamper(c, tn=0) if data is d0 else c
+
+        monkeypatch.setattr(comparison, "classify_at_threshold", classify)
+        with pytest.raises(RouteDisagreementError) as info:
+            compare_models(d0, everyone, 0.5)
+        assert str(info.value) == (
+            "superiority routes disagree at t=0.5 (net benefit: 1, ppv reference: 1, "
+            f"above margin: 1, below margin: -1; reproduce with {D0_T_HALF}, "
+            "model1 tp=3 fp=2 n1=4 n0=2, model2 tp=4 fp=6 n1=4 n0=6)")
 
     def test_compare_route_disagreement(self, d0, d0_degraded, monkeypatch):
         def classify(data, t):
@@ -290,14 +327,20 @@ class TestReproducers:
 class TestColumnChecks:
     """Every route and every identity runs at every threshold of a grid."""
 
-    @pytest.mark.parametrize("path,field,counts", [
-        # Nobody is selected at t = 0.999. Six extra false negatives turn the
-        # below-group rate against the net-benefit route; six extra true
-        # negatives turn model 1's below margin against the direct route.
-        ("curves", "fn", "tp=0 fp=0 n1=10 n0=6"),
-        ("compare", "tn", "model1 tp=0 fp=0 n1=4 n0=12"),
+    @pytest.mark.parametrize("path,field,label,counts", [
+        # Nobody is selected at t = 0.999. Six extra false negatives turn
+        # d0's below margin against treat-none's, which takes n1 = tp + fn;
+        # six extra true negatives turn model 1's below margin against
+        # model 2's. Net benefit reads 0 on both sides. Each id names the
+        # path, the tampered field and the tampered side's counts.
+        pytest.param("curves", "fn", "treat-none",
+                     "model1 tp=0 fp=0 n1=10 n0=6, model2 tp=0 fp=0 n1=10 n0=0",
+                     id="curves-fn-tp=0 fp=0 n1=10 n0=6"),
+        pytest.param("compare", "tn", "superiority",
+                     "model1 tp=0 fp=0 n1=4 n0=12, model2 tp=0 fp=0 n1=4 n0=6",
+                     id="compare-tn-model1 tp=0 fp=0 n1=4 n0=12"),
     ])
-    def test_tampered_count_at_last_threshold(self, d0, d0_degraded, path, field, counts,
+    def test_tampered_count_at_last_threshold(self, d0, d0_degraded, path, field, label, counts,
                                               monkeypatch):
         module, kernel = {"curves": (curves, "defaults_columns"),
                           "compare": (comparison, "superiority_columns")}[path]
@@ -317,9 +360,9 @@ class TestColumnChecks:
                 compare_curve(d0, d0_degraded, FINE_GRID)
         last = FINE_GRID.points[-1]
         num, den = last.as_integer_ratio()
-        message = str(info.value)
-        assert f"routes disagree at t={last!r} " in message
-        assert f"reproduce with t={num}/{den}, {counts}" in message
+        assert str(info.value) == (
+            f"{label} routes disagree at t={last!r} (net benefit: 0, below margin: 1; "
+            f"reproduce with t={num}/{den}, {counts})")
 
     def test_nan_risk_sum_fails_closed(self, d0, monkeypatch):
         # abs(nan) > tol is False: a NaN residual must still count as a
