@@ -31,9 +31,10 @@ from .report import (
     ReportDocument,
     csv_value,
     emit_report,
-    file_digest,
     ingest,
 )
+# file_digest stays importable here: bench/workloads.py traces it by name.
+from .report import file_digest  # noqa: F401
 from .resampling import BandSpec, bootstrap_bands
 from .svg import PANELS, render_svg
 
@@ -161,17 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _metadata(args, grid: ThresholdGrid, **options) -> dict:
-    meta = {
+def _metadata(args, grid: ThresholdGrid, digest: str, **options) -> dict:
+    return {
         "tool": "dcakit",
         "version": __version__,
         "grid": {"lo": grid.lo, "hi": grid.hi, "step": grid.step},
         "options": options,
+        "input": args.input,
+        "input_digest": digest,
     }
-    if getattr(args, "input", None):
-        meta["input"] = args.input
-        meta["input_digest"] = file_digest(args.input)
-    return meta
 
 
 def _ingest_from_args(args):
@@ -191,7 +190,8 @@ def _cmd_curves(args) -> int:
     models = tuple(
         ModelCurve(name=d.name, points=tuple(decision_curve(d, grid))) for d in datasets
     )
-    doc = ReportDocument(metadata=_metadata(args, grid, outcome=args.outcome), models=models)
+    doc = ReportDocument(metadata=_metadata(args, grid, datasets.digest, outcome=args.outcome),
+                         models=models)
     _write_output(emit_report(doc, format=args.format), args.out)
     if args.svg:
         for panel in PANELS:
@@ -201,10 +201,11 @@ def _cmd_curves(args) -> int:
 
 def _cmd_compare(args) -> int:
     grid = ThresholdGrid.from_string(args.grid)
-    d1, d2 = _ingest_from_args(args)
+    datasets = _ingest_from_args(args)
+    d1, d2 = datasets
     verdicts = tuple(compare_curve(d1, d2, grid))
     doc = ReportDocument(
-        metadata=_metadata(args, grid, outcome=args.outcome),
+        metadata=_metadata(args, grid, datasets.digest, outcome=args.outcome),
         comparisons=(ComparisonSection(model1=d1.name, model2=d2.name, verdicts=verdicts),),
     )
     _write_output(emit_report(doc, format=args.format), args.out)
@@ -232,7 +233,7 @@ def _cmd_bootstrap(args) -> int:
     )
     bands = {d.name: bootstrap_bands(d, grid, spec) for d in datasets}
     doc = ReportDocument(
-        metadata=_metadata(args, grid, outcome=args.outcome,
+        metadata=_metadata(args, grid, datasets.digest, outcome=args.outcome,
                            replicates=spec.replicates, seed=spec.seed, level=spec.level),
         models=models,
         bands=bands,

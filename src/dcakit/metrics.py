@@ -63,6 +63,15 @@ def check_threshold(t):
     return t
 
 
+def _is_binary(outcomes: np.ndarray) -> np.ndarray:
+    """Where ``outcomes`` equals 0 or 1, as ``np.isin(outcomes, (0, 1))``
+    decides, without its temporaries. Text equals no number; it is not
+    compared, because numpy 1.24 answers ``text == 0`` with one scalar."""
+    if outcomes.dtype.kind in "SU":
+        return np.zeros(outcomes.shape, dtype=bool)
+    return (outcomes == 0) | (outcomes == 1)
+
+
 @dataclass(frozen=True, eq=False)
 class PredictionSet:
     """A named, ordered set of paired (risk, outcome) records.
@@ -77,7 +86,7 @@ class PredictionSet:
 
     def __post_init__(self):
         risks = np.asarray(self.risks, dtype=np.float64).copy()
-        outcomes = np.asarray(self.outcomes).copy()
+        outcomes = np.asarray(self.outcomes)
         if risks.ndim != 1 or outcomes.ndim != 1:
             raise DataError("risks and outcomes must be one-dimensional")
         if risks.shape != outcomes.shape:
@@ -90,10 +99,11 @@ class PredictionSet:
         if bad.size:
             i = int(bad[0])
             raise DataError(f"risk out of [0, 1] at position {i}: {risks[i]!r}")
-        if not np.isin(outcomes, (0, 1)).all():
-            i = int(np.flatnonzero(~np.isin(outcomes, (0, 1)))[0])
+        binary = _is_binary(outcomes)
+        if not binary.all():
+            i = int(np.argmin(binary))
             raise DataError(f"outcome must be 0 or 1 at position {i}: {outcomes[i]!r}")
-        outcomes = outcomes.astype(np.int64)
+        outcomes = outcomes.astype(np.int64)  # the one copy
         risks.setflags(write=False)
         outcomes.setflags(write=False)
         object.__setattr__(self, "risks", risks)

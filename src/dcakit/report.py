@@ -14,8 +14,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import stat
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import repeat
 from operator import attrgetter
 from typing import get_args, get_origin, get_type_hints
@@ -42,9 +44,16 @@ __all__ = [
 
 FORMATS = ("json", "csv")
 
+# Largest input file ingest reads, checked from the file's size before the
+# read, so that a hostile size fails with a DataError instead of running out
+# of memory. Ingest needs about 1.4 times the file's size.
+MAX_INPUT_BYTES = 2 << 30
+
 _BOM = b"\xef\xbb\xbf"
 _NEWLINE = ord("\n")
-_SCAN_BLOCK = 1 << 18  # bytes per block of the fast path's separator scan
+_SCAN_BLOCK = 1 << 18  # bytes per block of the fast path's row scan
+_DIGEST_BLOCK = 1 << 20  # bytes per read of file_digest
+
 
 @dataclass(frozen=True)
 class IngestionSpec:
@@ -72,11 +81,76 @@ class IngestionSpec:
 
 
 def file_digest(path: str) -> str:
-    """SHA-256 of the raw file bytes; changes iff the bytes change."""
+    """SHA-256 of the raw file bytes; changes iff the bytes change. The file
+    is read a block at a time, so memory stays small whatever its size."""
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
-        digest.update(handle.read())
+        for block in iter(partial(handle.read, _DIGEST_BLOCK), b""):
+            digest.update(block)
     return digest.hexdigest()
+
+
+def _read_input(path: str) -> tuple[bytes, os.stat_result]:
+    """A file's bytes and its status at the read. A file over
+    MAX_INPUT_BYTES is refused from its status, before any byte is read."""
+    try:
+        with open(path, "rb") as handle:
+            status = os.fstat(handle.fileno())
+            if status.st_size > MAX_INPUT_BYTES:
+                raise DataError(f"{path!r} is {status.st_size} bytes, over the "
+                                f"{MAX_INPUT_BYTES}-byte input limit")
+            return handle.read(), status
+    except OSError as exc:
+        raise IngestionError(f"cannot read {path!r}: {exc}") from exc
+
+
+def _identity(status: os.stat_result) -> tuple[int, int, int, int]:
+    return status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns
+
+
+class _InputFile:
+    """An input file read once: its bytes, their SHA-256 digest, and the
+    file's identity (device, inode, size and mtime) at that read.
+
+    ``release`` drops the bytes, so that a parser reading the path itself
+    does not hold the file twice. ``check_unchanged`` and ``read`` then make
+    sure the path still names the file that was read and digested; the
+    digest must name the bytes that were parsed.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self.data, status = _read_input(path)
+        self.digest = hashlib.sha256(self.data).hexdigest()
+        self.identity = _identity(status)
+        # Only a regular file reads the same bytes a second time: a pipe
+        # gives them once.
+        self.rereadable = stat.S_ISREG(status.st_mode)
+
+    def release(self) -> None:
+        self.data = None
+
+    def _changed(self) -> IngestionError:
+        return IngestionError(f"{self.path!r} changed while being read")
+
+    def check_unchanged(self) -> None:
+        try:
+            identity = _identity(os.stat(self.path))
+        except OSError:
+            raise self._changed() from None
+        if identity != self.identity:
+            raise self._changed()
+
+    def read(self) -> bytes:
+        """The bytes read; once released, the file read again, which must
+        be the same file with the same bytes."""
+        if self.data is not None:
+            return self.data
+        data, status = _read_input(self.path)
+        if (_identity(status) != self.identity
+                or hashlib.sha256(data).hexdigest() != self.digest):
+            raise self._changed()
+        return data
 
 
 def _parse_outcome(text: str, row: int, column: str) -> int:
@@ -166,28 +240,19 @@ def _parse_rows(data: bytes, spec: IngestionSpec) -> tuple[np.ndarray, list[np.n
             [np.array(risks[name], dtype=np.float64) for name in spec.model_columns])
 
 
-def _separator_positions(body: np.ndarray, delimiter: int) -> np.ndarray:
-    """Positions of the delimiter and newline bytes in ``body``, found block by
-    block so that the comparison masks stay small next to the file."""
-    found = []
-    for start in range(0, body.size, _SCAN_BLOCK):
-        block = body[start:start + _SCAN_BLOCK]
-        hits = block == delimiter
-        hits |= block == _NEWLINE
-        found.append(np.flatnonzero(hits) + start)
-    return np.concatenate(found)
-
-
-def _scan_outcomes(body: np.ndarray, fields: int, column: int,
-                   delimiter: int) -> np.ndarray | None:
-    """The outcome column of a body whose every row has ``fields`` fields,
-    no line is longer than csv's field size limit and every outcome cell is
-    the single byte 0 or 1; None when any of that fails."""
-    sep = _separator_positions(body, delimiter)
-    if body[-1] != _NEWLINE:
-        sep = np.append(sep, body.size)  # the last row ends at the end of the file
+def _block_outcomes(block: np.ndarray, fields: int, column: int, delimiter: int,
+                    limit: int) -> np.ndarray | None:
+    """The outcome cells of ``block``, whole rows that end in a newline except
+    perhaps the file's last: None unless every row has ``fields`` fields, no
+    line is longer than ``limit`` and every outcome cell is the single byte
+    0 or 1."""
+    hits = block == delimiter
+    hits |= block == _NEWLINE
+    sep = np.flatnonzero(hits)
+    if block[-1] != _NEWLINE:
+        sep = np.append(sep, block.size)  # the last row ends at the end of the file
     rows, extra = divmod(sep.size, fields)
-    kinds = body[sep[:-1]]  # the last separator always ends the last row
+    kinds = block[sep[:-1]]  # the last separator always ends the last row
     if (extra or (kinds[fields - 1::fields] != _NEWLINE).any()
             or np.count_nonzero(kinds == _NEWLINE) != rows - 1):
         return None
@@ -195,19 +260,91 @@ def _scan_outcomes(body: np.ndarray, fields: int, column: int,
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    if (ends - starts).max() > csv.field_size_limit():
+    if (ends - starts).max() > limit:
         return None
     cell_start = starts if column == 0 else sep[column - 1::fields] + 1
     if (sep[column::fields] - cell_start != 1).any():
         return None
-    cells = body[cell_start]
+    cells = block[cell_start]
     outcomes = cells == ord("1")
     if not (outcomes | (cells == ord("0"))).all():
         return None
-    return outcomes.astype(np.int64)
+    return outcomes
 
 
-def _parse_fast(data: bytes,
+def _scan_outcomes(data: bytes, start: int, fields: int, column: int,
+                   delimiter: int) -> np.ndarray | None:
+    """The outcome column of the body ``data[start:]``; None unless the body
+    is ASCII with no quote and no CR outside CRLF, and ``_block_outcomes``
+    takes each of its blocks. The body is scanned in blocks of whole rows,
+    so every array but the outcome vector stays small next to the file."""
+    if start >= len(data):
+        return None
+    limit = csv.field_size_limit()
+    outcomes = np.empty(data.count(b"\n", start) + (not data.endswith(b"\n")), dtype=np.int64)
+    filled = 0
+    while start < len(data):
+        stop = data.rfind(b"\n", start, start + _SCAN_BLOCK) + 1
+        if not stop:  # no row ends within a block: take the one row, unless too long
+            stop = data.find(b"\n", start) + 1 or len(data)
+            if stop - start > limit + 2:  # longer than the limit without its CRLF
+                return None
+        block = data[start:stop]
+        start = stop
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n")
+            if b"\r" in block:
+                return None
+        if not block.isascii() or b'"' in block:
+            return None
+        cells = _block_outcomes(np.frombuffer(block, dtype=np.uint8), fields, column,
+                                delimiter, limit)
+        if cells is None:
+            return None
+        outcomes[filled:filled + cells.size] = cells
+        filled += cells.size
+    return outcomes
+
+
+def _scan_plain(data: bytes, spec: IngestionSpec) -> tuple[np.ndarray, list[int]] | None:
+    """The outcome vector of a plain file and the positions of its risk
+    columns, from the header and a block-wise scan of the body; None when
+    the file needs the row parser."""
+    wanted = (spec.outcome_column, *spec.model_columns)
+    delimiter = spec.delimiter
+    if (spec.outcome_column in spec.model_columns or not delimiter.isascii()
+            or delimiter in '\r\n"'):
+        return None
+    limit = csv.field_size_limit()
+    start = len(_BOM) if data.startswith(_BOM) else 0
+    first_end = data.find(b"\n", start)
+    if first_end == -1:
+        first_end = len(data)
+    if first_end - start > limit + 1:  # longer than the limit without its CR
+        return None
+    first = data[start:first_end]
+    if first_end < len(data):
+        first = first.removesuffix(b"\r")
+    if b'"' in first or b"\r" in first or not 0 < len(first) <= limit:
+        return None
+    try:
+        cells = first.decode("utf-8").split(delimiter)
+    except UnicodeDecodeError:
+        return None
+    if spec.header:
+        names = [name.strip() for name in cells]
+        start = first_end + 1
+    else:
+        names = [str(i) for i in range(len(cells))]
+    index = _column_index(names)
+    if not all(name in index for name in wanted):
+        return None
+    columns = [index[name] for name in wanted]
+    outcomes = _scan_outcomes(data, start, len(names), columns[0], ord(delimiter))
+    return None if outcomes is None else (outcomes, columns[1:])
+
+
+def _parse_fast(source: _InputFile,
                 spec: IngestionSpec) -> tuple[np.ndarray, list[np.ndarray]] | None:
     """numpy's C parser on a plain file; None when the file needs the row parser.
 
@@ -217,75 +354,53 @@ def _parse_fast(data: bytes,
     outcome cells that are the single byte 0 or 1, and risks that
     ``np.loadtxt`` parses and finds in [0, 1]. Anything else, every error
     included, is left to the row parser.
+
+    ``np.loadtxt`` reads the path, so ``source`` releases its bytes first, and
+    the path must still name the file they came from afterwards.
     """
-    wanted = (spec.outcome_column, *spec.model_columns)
-    delimiter = spec.delimiter
-    if (spec.outcome_column in spec.model_columns or not delimiter.isascii()
-            or delimiter in '\r\n"'):
+    scanned = _scan_plain(source.data, spec) if source.rereadable else None
+    if scanned is None:
         return None
-    data = data.removeprefix(_BOM)
-    if b'"' in data:
-        return None
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")
-        if b"\r" in data:
-            return None
-    first_end = data.find(b"\n")
-    if first_end == -1:
-        first_end = len(data)
-    if not 0 < first_end <= csv.field_size_limit():
-        return None
+    outcomes, usecols = scanned
+    source.release()
     try:
-        cells = data[:first_end].decode("utf-8").split(delimiter)
-    except UnicodeDecodeError:
-        return None
-    if spec.header:
-        names = [name.strip() for name in cells]
-        body_start = first_end + 1
-    else:
-        names = [str(i) for i in range(len(cells))]
-        body_start = 0
-    index = _column_index(names)
-    if not all(name in index for name in wanted):
-        return None
-    columns = [index[name] for name in wanted]
-    body = np.frombuffer(data, dtype=np.uint8)[body_start:]
-    if body.size == 0 or body.max() >= 0x80:
-        return None
-    outcomes = _scan_outcomes(body, len(names), columns[0], ord(delimiter))
-    if outcomes is None:
-        return None
-    try:
-        risks = np.loadtxt(spec.path, dtype=np.float64, delimiter=delimiter, comments=None,
-                           quotechar=None, skiprows=int(spec.header), usecols=columns[1:],
-                           ndmin=2, encoding="utf-8-sig")
+        risks = np.loadtxt(spec.path, dtype=np.float64, delimiter=spec.delimiter,
+                           comments=None, quotechar=None, skiprows=int(spec.header),
+                           usecols=usecols, ndmin=2, encoding="utf-8-sig")
     except (OSError, ValueError):
-        return None
-    if (risks.shape != (outcomes.size, len(spec.model_columns))
+        risks = None
+    source.check_unchanged()
+    if (risks is None or risks.shape != (outcomes.size, len(spec.model_columns))
             or not ((risks >= 0.0) & (risks <= 1.0)).all()):
         return None
     return outcomes, list(risks.T)
 
 
-def ingest(spec: IngestionSpec) -> list[PredictionSet]:
+class Datasets(list):
+    """The PredictionSets ``ingest`` read, one per model column in column
+    order; ``digest`` is the SHA-256 of the raw file bytes they were parsed
+    from, as ``file_digest`` would give for an unchanged file."""
+
+    def __init__(self, datasets, digest: str):
+        super().__init__(datasets)
+        self.digest = digest
+
+
+def ingest(spec: IngestionSpec) -> Datasets:
     """Read one PredictionSet per model column, all sharing the outcome vector.
 
     Row order is preserved; rows are numbered from 1 (header excluded)
     in error messages. One leading UTF-8 byte order mark is skipped. A
     plain file goes through numpy's C parser, any other file through the
     row parser; both give the same arrays, and every error comes from the
-    row parser.
+    row parser. The file is read and digested once; a file that changes
+    while it is read raises IngestionError, and one over MAX_INPUT_BYTES
+    raises DataError before it is read.
     """
-    try:
-        with open(spec.path, "rb") as handle:
-            data = handle.read()
-    except OSError as exc:
-        raise IngestionError(f"cannot read {spec.path!r}: {exc}") from exc
-    outcomes, risks = _parse_fast(data, spec) or _parse_rows(data, spec)
-    return [
-        PredictionSet(risks=column, outcomes=outcomes, name=name)
-        for name, column in zip(spec.model_columns, risks)
-    ]
+    source = _InputFile(spec.path)
+    outcomes, risks = _parse_fast(source, spec) or _parse_rows(source.read(), spec)
+    return Datasets((PredictionSet(risks=column, outcomes=outcomes, name=name)
+                     for name, column in zip(spec.model_columns, risks)), source.digest)
 
 
 @dataclass(frozen=True)

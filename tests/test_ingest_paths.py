@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcakit import IngestionError, IngestionSpec, ingest
-from dcakit.report import _parse_fast, _parse_rows
+from dcakit.report import _InputFile, _parse_fast, _parse_rows
 
 
 def _arrays(parsed):
@@ -46,7 +46,7 @@ def check_paths(path, data, **options):
     path.write_bytes(data)
     spec = IngestionSpec(path=str(path), **options)
     expected = _row_parser(data, spec)
-    fast = _parse_fast(data, spec)
+    fast = _parse_fast(_InputFile(str(path)), spec)
     if fast is not None:
         assert _arrays(fast) == expected
     assert _ingest(spec) == expected
@@ -135,7 +135,8 @@ def test_megabyte_single_line_stays_near_the_file_size(tmp_path):
         with pytest.raises(IngestionError, match=r"field limit.*row 1"):
             _parse_rows(data, spec)
 
-    fast, peak = _traced(lambda: _parse_fast(data, spec))
+    source = _InputFile(str(path))
+    fast, peak = _traced(lambda: _parse_fast(source, spec))
     assert fast is None and peak < len(data)
     assert _traced(row_parser)[1] < 2.5 * len(data)
     assert _ingest(spec)[:3] == ("error", f"malformed CSV: field larger than field limit "

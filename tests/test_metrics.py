@@ -100,6 +100,40 @@ class TestPredictionSet:
         with pytest.raises(ValueError):
             d0.risks[0] = 0.0
 
+    def test_outcomes_copied_once_into_int64(self):
+        outcomes = np.array([0, 1, 1])
+        data = PredictionSet(risks=np.full(3, 0.5), outcomes=outcomes)
+        outcomes[0] = 1
+        assert data.outcomes.dtype == np.int64 and data.outcomes.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("outcomes", [
+        np.array([0, 1, 1, 0]),
+        np.array([0, 1, 2, 1]),
+        np.array([1, 0, 1, 255], dtype=np.uint8),
+        np.array([0.0, 1.0, 1.0]),
+        np.array([0.0, 1.0, 0.5]),
+        np.array([1.0, np.nan, 0.0]),
+        np.array([-0.0, 1.0]),
+        np.array([True, False, True]),
+        np.array([0, 1, True, 1.0], dtype=object),
+        np.array([0, 1, None, 1], dtype=object),
+        np.array([1, "1", 0], dtype=object),
+        np.array(["0", "1"]),
+        np.array([b"1", b"0"]),
+    ], ids=lambda a: f"{a.dtype}:{a.tolist()}")
+    def test_outcome_check_matches_isin(self, outcomes):
+        """The outcome check gives np.isin's verdict and message on every dtype."""
+        ok = np.isin(outcomes, (0, 1))
+        risks = np.full(outcomes.size, 0.5)
+        if ok.all():
+            data = PredictionSet(risks=risks, outcomes=outcomes)
+            assert data.outcomes.tolist() == outcomes.astype(np.int64).tolist()
+        else:
+            i = int(np.flatnonzero(~ok)[0])
+            with pytest.raises(DataError) as error:
+                PredictionSet(risks=risks, outcomes=outcomes)
+            assert str(error.value) == f"outcome must be 0 or 1 at position {i}: {outcomes[i]!r}"
+
 
 class TestClassify:
     def test_d0_at_half(self, d0):
