@@ -100,7 +100,7 @@ class TestPredictionSet:
         with pytest.raises(ValueError):
             d0.risks[0] = 0.0
 
-    def test_outcomes_copied_once_into_int64(self):
+    def test_outcomes_copied_into_int64(self):
         outcomes = np.array([0, 1, 1])
         data = PredictionSet(risks=np.full(3, 0.5), outcomes=outcomes)
         outcomes[0] = 1
