@@ -29,7 +29,7 @@ from dcakit import (
 
 def loses_to(data, risk, grid):
     """Whether ``data`` loses to the default that gives everyone ``risk`` (1.0 is
-    treat-all, 0.0 treat-none) at each grid threshold, by the exact routes."""
+    treat-all, 0.0 treat-none) at each grid threshold, by the exact sign."""
     default = PredictionSet(risks=np.full(data.n, risk), outcomes=data.outcomes)
     return [v.winner == "model2" for v in compare_curve(data, default, grid)]
 

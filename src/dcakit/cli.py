@@ -245,7 +245,7 @@ def _cmd_bootstrap(args) -> int:
 def _loses_to(data: PredictionSet, risk: float, grid: ThresholdGrid) -> list[bool]:
     """Whether ``data`` loses to the default that gives everyone ``risk`` (1.0 is
     treat-all, 0.0 treat-none) at each grid threshold, by compare_curve's
-    exact routes."""
+    exact sign."""
     default = PredictionSet(risks=np.full(data.n, risk), outcomes=data.outcomes)
     return [v.winner == WINNER_MODEL2 for v in compare_curve(data, default, grid)]
 

@@ -1,11 +1,13 @@
-"""Two-model superiority at a threshold, decided through four routes.
+"""Two-model superiority at a threshold, decided by one exact sign.
 
 The direct net-benefit comparison, model 1's PPV against the reference
 built from model 2's net benefit, and the above- and below-group
-calibration margins are algebraically equivalent. metrics.net_benefit_order
-evaluates each in exact integer arithmetic wherever its groups are
-defined and cross-checks them on every call; the comparisons with
-treat-none and treat-all go through the same kernel.
+calibration margins are algebraically equivalent: for two models of one
+cohort they are one integer once scaled by n times the threshold's
+denominator. metrics.net_benefit_order computes that sign exactly; the
+report carries the PPV reference and the margins as the paper reads
+them. The comparisons with treat-none and treat-all go through the same
+kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .metrics import (
     check_threshold,
     classify_at_threshold,
     column_rows,
-    confusion_cells,
     divide_where,
     first_failure,
     group_masks,
@@ -55,10 +56,9 @@ class ComparisonVerdict:
     A field tied to a group names it in its metadata, the above or below
     group of model 1 or 2, and is None when that group is empty;
     ``ppv_superiority_ref`` is None (and ``ppv_route_available`` False)
-    when model 1 classifies nobody positive, in which case the PPV route is
-    not checked. From
-    ``superiority_columns`` every field is a column, one entry per
-    threshold, with NaN where a field's group is empty.
+    when model 1 classifies nobody positive, so the verdict has no PPV
+    reading there. From ``superiority_columns`` every field is a column,
+    one entry per threshold, with NaN where a field's group is empty.
     """
 
     t: float
@@ -104,7 +104,7 @@ def superiority_columns(c1: ThresholdConfusion, c2: ThresholdConfusion) -> Compa
     if c1.n != c2.n or not (np.array_equal(t, t2) and np.array_equal(tp1 + fn1, tp2 + fn2)):
         raise UsageError("confusions must share the threshold and the cohort")
     n = c1.n
-    direct = net_benefit_order("superiority", t, confusion_cells(c1), confusion_cells(c2))
+    direct = net_benefit_order(t, (tp1, fp1), (tp2, fp2))
     nb1 = net_benefit_counts(tp1, fp1, n, t)
     nb2 = net_benefit_counts(tp2, fp2, n, t)
     tie = (np.abs(nb1 - nb2) <= TIE_TOLERANCE) | (direct == 0)
@@ -145,9 +145,9 @@ def superiority_rows(c1: ThresholdConfusion, c2: ThresholdConfusion,
 def compare_models(d1: PredictionSet, d2: PredictionSet, t: float) -> ComparisonVerdict:
     """Compare two models scoring the same cohort at threshold ``t``.
 
-    Requires identical outcome vectors (same subjects, same order). Every
-    route that is defined must agree on the strict ordering; disagreement
-    raises RouteDisagreementError.
+    Requires identical outcome vectors (same subjects, same order). Each
+    model's counts are checked as sweep_counts checks them, and a failure
+    raises RouteDisagreementError; net_benefit_order decides the winner.
     """
     t = check_threshold(t)
     _check_same_cohort(d1, d2)
@@ -159,9 +159,9 @@ def compare_curve(d1: PredictionSet, d2: PredictionSet,
                   grid: ThresholdGrid) -> list[ComparisonVerdict]:
     """compare_models at every grid threshold, in grid order.
 
-    The outcome vectors are checked once, each model is counted in one
-    pass (sweep_counts), and superiority_columns runs every route at every
-    threshold.
+    The outcome vectors are checked once, each model is counted and its
+    counts checked at every threshold by sweep_counts, and
+    superiority_columns decides every threshold by its exact sign.
     """
     _check_same_cohort(d1, d2)
     c1 = sweep_counts(d1, grid.points).confusion()

@@ -31,8 +31,8 @@ from .equivalences import (  # noqa: F401
     verdict_vs_defaults,
 )
 from .errors import DataError, RouteDisagreementError, UsageError
-from .metrics import (ABOVE, PredictionSet, ThresholdConfusion, column_rows, confusion_cells,
-                      group_masks, net_benefit_treat_none, reproducer, sweep_counts)
+from .metrics import (ABOVE, PredictionSet, ThresholdConfusion, column_rows, group_masks,
+                      net_benefit_treat_none, reproducer, sweep_counts)
 
 __all__ = [
     "ThresholdGrid",
@@ -169,18 +169,20 @@ def _assert_identities(c: ThresholdConfusion, verdict: DefaultsVerdict,
     if failing.size:
         j = failing[0]
         problems = [name for (name, _, _), bad in zip(residuals, violated[:, j]) if bad]
+        counts = (np.atleast_1d(v)[j].item() for v in (c.tp, c.fp, c.tn, c.fn))
         raise RouteDisagreementError(
             f"curve point identities violated at t={t[j].item()!r}: {'; '.join(problems)} "
-            f"({reproducer(t[j].item(), confusion_cells(c)[j])})"
+            f"({reproducer(t[j].item(), *counts)})"
         )
 
 
 def decision_curve(data: PredictionSet, grid: ThresholdGrid) -> list[CurvePoint]:
     """One CurvePoint per grid threshold, in grid order, identities verified.
 
-    All thresholds are counted in one pass (sweep_counts); every route and
-    every identity then runs at every threshold, a column at a time, with
-    the formulas verdict_vs_defaults and threshold_calibration use.
+    All thresholds are counted, and the counts checked, by sweep_counts;
+    both default verdicts and every identity then run at every threshold,
+    a column at a time, with the formulas verdict_vs_defaults and
+    threshold_calibration use.
     """
     sweep = sweep_counts(data, grid.points)
     c = sweep.confusion()

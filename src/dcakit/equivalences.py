@@ -2,11 +2,12 @@
 
 Treat-none and treat-all are models: the one that selects nobody and the
 one that selects everybody. Strict verdicts against them are decided like
-any pairwise comparison, by metrics.net_benefit_order, through the net
-benefit, PPV-reference, above-margin and below-margin routes in exact
-integer arithmetic; float rounding could otherwise flip a boundary case
-such as ppv == t. The PPV reference against treat-none is t itself, and
-against treat-all it is (prevalence - t)/s_t + t.
+any pairwise comparison, by metrics.net_benefit_order's exact sign of the
+net-benefit difference; float rounding could otherwise flip a boundary
+case such as ppv == t. The verdict against treat-none reads ppv > t. The
+one against treat-all reads ppv > (prevalence - t)/s_t + t in the
+selected group, or y_below < t in the spared one. Each reading is the
+same sign.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .metrics import (
     check_threshold,
     classify_at_threshold,
     column_rows,
-    confusion_cells,
     first_failure,
     group_masks,
     net_benefit_counts,
@@ -144,23 +144,20 @@ def treat_all_reference_ppv(prevalence, s_t, t):
 def defaults_columns(c: ThresholdConfusion) -> DefaultsVerdict:
     """Both default comparisons at every threshold of ``c``, as a
     DefaultsVerdict of columns: net_benefit_order decides each against the
-    default's counts, and the float fields are computed a column at a time.
+    default's (tp, fp), and the float fields are computed a column at a time.
 
-    Treat-none is the model that selects nobody, (0, 0, n - n1, n1), and
-    treat-all the one that selects everybody, (n1, n - n1, 0, 0); they take
-    ``c.n``, so counts that contradict it trip a route.
+    Treat-none is the model that selects nobody, (0, 0), and treat-all the
+    one that selects everybody, (n1, n - n1).
     """
     t, tp, fp, fn = (np.atleast_1d(v) for v in (c.t, c.tp, c.fp, c.fn))
     n = c.n
-    cells = confusion_cells(c)
-    n1s = (tp + fn).tolist()
-    none = [(0, 0, n - n1, n1) for n1 in n1s]
-    everyone = [(n1, n - n1, 0, 0) for n1 in n1s]
-    beats_none = net_benefit_order("treat-none", t, cells, none) > 0
-    beats_all = net_benefit_order("treat-all", t, cells, everyone) > 0
+    n1 = tp + fn
+    nobody = np.zeros_like(tp)
+    beats_none = net_benefit_order(t, (tp, fp), (nobody, nobody)) > 0
+    beats_all = net_benefit_order(t, (tp, fp), (n1, n - n1)) > 0
     positives = tp + fp
     s_t = positives / n
-    prevalence = (tp + fn) / n
+    prevalence = n1 / n
     above = group_masks(c)[0]
     ppv_all_ref = np.full(t.shape, np.nan)
     ppv_all_ref[above] = treat_all_reference_ppv(prevalence[above], s_t[above], t[above])
@@ -178,13 +175,14 @@ def defaults_columns(c: ThresholdConfusion) -> DefaultsVerdict:
 
 
 def decide_defaults(c: ThresholdConfusion) -> DefaultsVerdict:
-    """Decide both default comparisons from the counts, through every route
-    (net_benefit_order): defaults_columns at one threshold."""
+    """Decide both default comparisons from the counts, by the exact sign of
+    net_benefit_order: defaults_columns at one threshold."""
     return column_rows(DefaultsVerdict, defaults_columns(c), above=group_masks(c)[0])[0]
 
 
 def verdict_vs_defaults(data: PredictionSet, t: float) -> DefaultsVerdict:
-    """Classify at ``t``, then decide both default comparisons via every route."""
+    """Classify at ``t``, with the counts checked as sweep_counts checks
+    them, then decide both default comparisons by their exact sign."""
     return decide_defaults(classify_at_threshold(data, t))
 
 

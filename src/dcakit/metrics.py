@@ -26,7 +26,6 @@ __all__ = [
     "check_threshold",
     "classify_at_threshold",
     "column_rows",
-    "confusion_cells",
     "divide_where",
     "first_failure",
     "group_masks",
@@ -76,8 +75,10 @@ def _is_binary(outcomes: np.ndarray) -> np.ndarray:
 class PredictionSet:
     """A named, ordered set of paired (risk, outcome) records.
 
-    Arrays are copied and frozen on construction; ``n1``, ``n0`` and
-    ``prevalence`` are derived from the outcome counts.
+    Arrays are copied and frozen on construction, except an outcome array
+    that is already a frozen int64 array owning its data: sets that score
+    one cohort share it. ``n1``, ``n0`` and ``prevalence`` are derived from
+    the outcome counts.
     """
 
     risks: np.ndarray
@@ -103,9 +104,11 @@ class PredictionSet:
         if not binary.all():
             i = int(np.argmin(binary))
             raise DataError(f"outcome must be 0 or 1 at position {i}: {outcomes[i]!r}")
-        outcomes = outcomes.astype(np.int64)  # the one copy
+        if not (outcomes.dtype == np.int64 and outcomes.flags.owndata
+                and not outcomes.flags.writeable):
+            outcomes = outcomes.astype(np.int64)
+            outcomes.setflags(write=False)
         risks.setflags(write=False)
-        outcomes.setflags(write=False)
         object.__setattr__(self, "risks", risks)
         object.__setattr__(self, "outcomes", outcomes)
 
@@ -170,87 +173,47 @@ class ThresholdConfusion:
         return self.n1 / self.n
 
 
-def reproducer(t: float, *cells: tuple[int, int, int, int]) -> str:
+def reproducer(t: float, tp: int, fp: int, tn: int, fn: int) -> str:
     """Exact inputs of a threshold decision, for invariant-failure messages:
-    t as an integer ratio, then the counts of each model from its
-    (tp, fp, tn, fn) cells. The cells are not validated, so the message
-    can show counts no classification produces."""
+    t as an integer ratio, then the counts. They are not validated, so the
+    message can show counts no classification produces."""
     num, den = float(t).as_integer_ratio()
-    label = "model{} " if len(cells) > 1 else ""
-    counts = ", ".join(
-        f"{label.format(i)}tp={tp} fp={fp} n1={tp + fn} n0={fp + tn}"
-        for i, (tp, fp, tn, fn) in enumerate(cells, 1)
-    )
-    return f"reproduce with t={num}/{den}, {counts}"
+    return f"reproduce with t={num}/{den}, tp={tp} fp={fp} n1={tp + fn} n0={fp + tn}"
 
 
-def confusion_cells(c: ThresholdConfusion) -> list[tuple[int, int, int, int]]:
-    """(tp, fp, tn, fn) at each threshold of ``c``, as Python ints."""
-    return list(zip(*(np.atleast_1d(v).tolist() for v in (c.tp, c.fp, c.tn, c.fn))))
+def net_benefit_order(t: np.ndarray, side1: tuple, side2: tuple) -> np.ndarray:
+    """The sign of nb1 - nb2 at every threshold of ``t``, in exact integers,
+    from each side's (tp, fp) columns. Both sides count the same n records;
+    treat-none is the side (0, 0) and treat-all the side (n1, n0).
 
-
-def net_benefit_order(label: str, t: np.ndarray, cells1: list, cells2: list) -> np.ndarray:
-    """The sign of nb1 - nb2 at every threshold of ``t``, from each side's
-    (tp, fp, tn, fn) cells there, decided through every route in exact
-    integers. Treat-none and treat-all are sides like any model: the one
-    that selects nobody and the one that selects everybody.
-
-    A float threshold is a dyadic rational num/den, so every comparison
-    scaled by n*den is exact in Python ints (den up to 2**60 overflows
-    int64). The routes, each checked where its groups are defined:
-
-    * net benefit, always;
-    * side 1's PPV against the level that matches nb2, where side 1
-      selects anyone;
-    * the above-group margins s_t*(ppv - t), where either side's above
-      group is non-empty;
-    * the below-group margins (1 - s_t)*(t - y_below), where either side's
-      below group is non-empty.
-
-    An empty group's scaled margin is exactly 0. At the first threshold
-    where the routes disagree, RouteDisagreementError lists every route's
-    sign and the reproducer of both sides; that would be an implementation
-    bug, or counts that no classification produces.
+    A float threshold is a dyadic rational num/den, so n*den*(nb1 - nb2)
+    is an integer, exact in Python ints (den up to 2**60 overflows int64).
     """
     order = []
-    for tj, side1, side2 in zip(t.tolist(), cells1, cells2):
-        (tp1, fp1, tn1, fn1), (tp2, fp2, tn2, fn2) = side1, side2
+    for tj, tp1, fp1, tp2, fp2 in zip(t.tolist(), *(v.tolist() for v in (*side1, *side2))):
         num, den = tj.as_integer_ratio()
-        pos1, pos2 = tp1 + fp1, tp2 + fp2
-        neg1, neg2 = tn1 + fn1, tn2 + fn2
-        # Each side's net benefit and margins, scaled by n*den.
-        nb1, nb2 = tp1 * (den - num) - fp1 * num, tp2 * (den - num) - fp2 * num
-        above1, above2 = tp1 * den - pos1 * num, tp2 * den - pos2 * num
-        below1, below2 = num * neg1 - fn1 * den, num * neg2 - fn2 * den
-        routes = [("net benefit", nb1 - nb2)]
-        if pos1 > 0:
-            # tp1 against pos1 times the PPV that matches nb2.
-            routes.append(("ppv reference", above1 - nb2))
-        if pos1 > 0 or pos2 > 0:
-            routes.append(("above margin", above1 - above2))
-        if neg1 > 0 or neg2 > 0:
-            routes.append(("below margin", below1 - below2))
-        signs = [(diff > 0) - (diff < 0) for _, diff in routes]
-        if len(set(signs)) > 1:
-            detail = ", ".join(f"{name}: {sign}" for (name, _), sign in zip(routes, signs))
-            raise RouteDisagreementError(f"{label} routes disagree at t={tj!r} "
-                                         f"({detail}; {reproducer(tj, side1, side2)})")
-        order.append(signs[0])
+        diff = (tp1 - tp2) * (den - num) - (fp1 - fp2) * num
+        order.append((diff > 0) - (diff < 0))
     return np.array(order, dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
 class SweepCounts:
-    """Counts at every threshold of a non-decreasing sequence, from one pass.
+    """Counts at every threshold of a non-decreasing sequence.
 
-    ``tp`` and ``fp`` are int64 arrays; ``risk_sum_above[j]`` sums the risks
-    classified positive at ``thresholds[j]`` and ``risk_sum_below[j]`` the
-    rest.
+    ``tp`` and ``fp`` come from one pass of the sweep's keys; ``fn`` and
+    ``tn``, the events and non-events below each threshold, from a sort of
+    each class, and sweep_counts checks that they add up to ``n1`` and
+    ``n - n1``. All four are int64 arrays. ``risk_sum_above[j]`` sums the
+    risks classified positive at ``thresholds[j]`` and ``risk_sum_below[j]``
+    the rest.
     """
 
     thresholds: np.ndarray
     tp: np.ndarray
     fp: np.ndarray
+    tn: np.ndarray
+    fn: np.ndarray
     risk_sum_above: np.ndarray
     risk_sum_below: np.ndarray
     n: int
@@ -258,9 +221,8 @@ class SweepCounts:
 
     def confusion(self) -> ThresholdConfusion:
         """The counts at every threshold, as one ThresholdConfusion of columns."""
-        n0 = self.n - self.n1
-        return ThresholdConfusion(t=self.thresholds, tp=self.tp, fp=self.fp, tn=n0 - self.fp,
-                                  fn=self.n1 - self.tp, n=self.n)
+        return ThresholdConfusion(t=self.thresholds, tp=self.tp, fp=self.fp, tn=self.tn,
+                                  fn=self.fn, n=self.n)
 
 
 def _check_thresholds(thresholds) -> np.ndarray:
@@ -294,23 +256,49 @@ def tally_keys(keys: np.ndarray, n_thresholds: int) -> tuple[np.ndarray, np.ndar
     return at_or_above[1:, 1], at_or_above[1:, 0]
 
 
-def sweep_counts(data: PredictionSet, thresholds) -> SweepCounts:
-    """Counts and risk sums at every threshold in O(n log G + G).
+def _count_below(data: PredictionSet, thresholds: np.ndarray) -> list[np.ndarray]:
+    """fn and tn at every threshold, the events and the non-events with
+    risk < t, from each class's risks sorted: the tie rule stated from the
+    other side, by code that shares nothing with the sweep's keys."""
+    counts = []
+    for outcome in (1, 0):
+        risks = data.risks.compress(data.outcomes == outcome)
+        risks.sort()
+        counts.append(np.searchsorted(risks, thresholds, side="left"))
+    return counts
 
-    The counts are exact; the risk sums agree with a direct masked sum up
-    to rounding.
+
+def sweep_counts(data: PredictionSet, thresholds) -> SweepCounts:
+    """Counts and risk sums at every threshold in O(n log n + G).
+
+    The counts are exact, and each threshold's are counted twice: tp + fn
+    must be n1 and fp + tn must be n0, or RouteDisagreementError names the
+    first threshold where they are not. The risk sums agree with a direct
+    masked sum up to rounding.
     """
     thresholds = _check_thresholds(thresholds)
+    # Counted before the keys exist, so the two counts' arrays are never
+    # live together.
+    fn, tn = _count_below(data, thresholds)
     keys = _keys(data, thresholds)
     tp, fp = tally_keys(keys, len(thresholds))
     risk_by_cut = np.bincount(
         keys, weights=data.risks, minlength=2 * (len(thresholds) + 1)
     ).reshape(-1, 2).sum(axis=1)
+    n1 = data.n1
+    n0 = data.n - n1
+    bad = first_failure(np.arange(len(thresholds)), (tp + fn == n1) & (fp + tn == n0))
+    if bad is not None:
+        t = thresholds[bad].item()
+        num, den = t.as_integer_ratio()
+        raise RouteDisagreementError(
+            f"sweep and sort counts disagree at t={t!r} (reproduce with t={num}/{den}, "
+            f"sweep tp={tp[bad]} fp={fp[bad]}, sort fn={fn[bad]} tn={tn[bad]}, n1={n1} n0={n0})")
     # Suffix and prefix sums: neither is derived from the other by subtraction.
     above = np.cumsum(risk_by_cut[::-1])[::-1][1:]
     below = np.cumsum(risk_by_cut)[:-1]
-    return SweepCounts(thresholds=thresholds, tp=tp, fp=fp, risk_sum_above=above,
-                       risk_sum_below=below, n=data.n, n1=data.n1)
+    return SweepCounts(thresholds=thresholds, tp=tp, fp=fp, tn=tn, fn=fn, risk_sum_above=above,
+                       risk_sum_below=below, n=data.n, n1=n1)
 
 
 def classify_at_threshold(data: PredictionSet, t: float) -> ThresholdConfusion:

@@ -46,7 +46,7 @@ FORMATS = ("json", "csv")
 
 # Largest input file ingest reads, checked from the file's size before the
 # read, so that a hostile size fails with a DataError instead of running out
-# of memory. Ingest needs about 1.4 times the file's size.
+# of memory. Ingest needs about 1.2 times the file's size.
 MAX_INPUT_BYTES = 2 << 30
 
 _BOM = b"\xef\xbb\xbf"
@@ -399,8 +399,11 @@ def ingest(spec: IngestionSpec) -> Datasets:
     """
     source = _InputFile(spec.path)
     outcomes, risks = _parse_fast(source, spec) or _parse_rows(source.read(), spec)
-    return Datasets((PredictionSet(risks=column, outcomes=outcomes, name=name)
-                     for name, column in zip(spec.model_columns, risks)), source.digest)
+    datasets = Datasets([], source.digest)
+    for name, column in zip(spec.model_columns, risks):
+        datasets.append(PredictionSet(risks=column, outcomes=outcomes, name=name))
+        outcomes = datasets[0].outcomes  # frozen int64: the other models share it
+    return datasets
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ of a verdict, a calibration summary and a pairwise verdict are computed
 here one threshold at a time, with Python floats, in the order of
 operations dcakit's column kernels must reproduce bit for bit; the
 win/lose verdicts come from exact rationals, not from dcakit's integer
-routes.
+sign.
 """
 
 from fractions import Fraction

@@ -180,10 +180,10 @@ def test_ac3_fixture_d0(d0):
         assert at_07.beats_none is False
 
 
-def test_ac4_two_model_routes():
-    """Direct, PPV-reference and margin routes agree on random model pairs."""
+def test_ac4_two_model_verdicts():
+    """The exact winner reads the same from PPV and the margins on random model pairs."""
     rng = np.random.default_rng(777)
-    with criterion("AC-4 two-model routes (200 random pairs x default grid)"):
+    with criterion("AC-4 two-model verdicts (200 random pairs x default grid)"):
         for case in range(200):
             n = int(rng.integers(4, 120))
             outcomes = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(int)
@@ -195,7 +195,7 @@ def test_ac4_two_model_routes():
             d1 = PredictionSet(risks=risks1, outcomes=outcomes, name="m1")
             d2 = PredictionSet(risks=risks2, outcomes=outcomes, name="m2")
             for t in DEFAULT_GRID.points:
-                verdict = compare_models(d1, d2, t)  # raises on route disagreement
+                verdict = compare_models(d1, d2, t)  # raises if the two counts disagree
                 c1 = masked_confusion(d1, t)
                 c2 = masked_confusion(d2, t)
                 nb1 = exact_nb(c1.tp, c1.fp, n, t)

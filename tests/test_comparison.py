@@ -80,7 +80,7 @@ class TestCompareModels:
     @settings(max_examples=200)
     def test_winner_matches_rational_oracle(self, pair, t):
         d1, d2 = pair
-        v = compare_models(d1, d2, t)  # raises internally on route disagreement
+        v = compare_models(d1, d2, t)  # raises if the two counts disagree
         nb1 = exact_nb(classify_at_threshold(d1, t), t)
         nb2 = exact_nb(classify_at_threshold(d2, t), t)
         if v.winner == "model1":

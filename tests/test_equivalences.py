@@ -155,10 +155,10 @@ class TestVerdict:
 
     @given(recs=records, t=thresholds)
     @settings(max_examples=200)
-    def test_routes_match_rational_oracle(self, recs, t):
+    def test_verdicts_match_rational_oracle(self, recs, t):
         data = make_set(recs)
         c = classify_at_threshold(data, t)
-        v = verdict_vs_defaults(data, t)  # raises if internal routes disagree
+        v = verdict_vs_defaults(data, t)  # raises if the two counts disagree
         nb = exact_nb(c.tp, c.fp, c.n, t)
         nb_all = exact_nb_all(data.n1, data.n0, data.n, t)
         assert v.beats_none == (nb > 0)
@@ -168,8 +168,8 @@ class TestVerdict:
 
     @pytest.mark.parametrize("t", [0.1, 0.25, 0.3, 1 / 3, 0.5, 0.7])
     def test_below_group_route_by_enumeration(self, t):
-        # Every confusion with n <= 12. decide_defaults raises if the
-        # below-group route ever disagrees with net benefit or the PPV route.
+        # Every confusion with n <= 12: the treat-all verdict, an exact sign
+        # of net benefits, reads the same from the below group's event rate.
         ft = Fraction(t)
         for n1, n0 in itertools.product(range(13), repeat=2):
             n = n1 + n0

@@ -137,6 +137,12 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
+def test_models_share_one_outcome_vector(plain):
+    m1, m2 = ingest(_spec(plain))
+    assert m1.outcomes is m2.outcomes
+    assert not m1.outcomes.flags.writeable and m1.outcomes.tolist() == [1, 0]
+
+
 def test_file_digest_streams(tmp_path):
     data = np.random.default_rng(3).bytes(report._DIGEST_BLOCK * 3 + 12345)
     path = tmp_path / "blob"

@@ -106,6 +106,22 @@ class TestPredictionSet:
         outcomes[0] = 1
         assert data.outcomes.dtype == np.int64 and data.outcomes.tolist() == [0, 1, 1]
 
+    def test_frozen_int64_outcomes_are_shared(self):
+        outcomes = np.array([0, 1, 1])
+        outcomes.setflags(write=False)
+        data = PredictionSet(risks=np.full(3, 0.5), outcomes=outcomes)
+        assert data.outcomes is outcomes
+
+    def test_frozen_view_of_writable_buffer_is_copied(self):
+        # Read-only, but whoever holds the buffer can still write through it.
+        buffer = np.array([0, 1, 1])
+        view = buffer[:]
+        view.setflags(write=False)
+        data = PredictionSet(risks=np.full(3, 0.5), outcomes=view)
+        buffer[0] = 1
+        assert data.outcomes is not view and data.outcomes.tolist() == [0, 1, 1]
+        assert not data.outcomes.flags.writeable
+
     @pytest.mark.parametrize("outcomes", [
         np.array([0, 1, 1, 0]),
         np.array([0, 1, 2, 1]),
@@ -289,6 +305,8 @@ class TestNetBenefitOrder:
         for n, a, b in pairs:
             diff = exact_nb(n, a) - exact_nb(n, b)
             expected.append((diff > 0) - (diff < 0))
-        order = net_benefit_order("exhaustive", np.full(len(pairs), t),
-                                  [a for _, a, _ in pairs], [b for _, _, b in pairs])
+        # The kernel reads each side's (tp, fp) columns.
+        side1 = np.array([a[:2] for _, a, _ in pairs]).T
+        side2 = np.array([b[:2] for _, _, b in pairs]).T
+        order = net_benefit_order(np.full(len(pairs), t), side1, side2)
         assert order.tolist() == expected

@@ -30,11 +30,11 @@ from dcakit import (
     threshold_calibration,
     verdict_vs_defaults,
 )
-from dcakit import ThresholdConfusion, comparison, curves, equivalences, metrics
+from dcakit import ThresholdConfusion, curves, metrics
 from dcakit.cli import cli_main
 from dcakit.curves import IDENTITY_TOL, MAX_GRID_POINTS
 from dcakit.equivalences import decide_defaults
-from dcakit.metrics import column_rows
+from dcakit.metrics import column_rows, tally_keys
 from masked import (masked_calibration, masked_confusion, masked_risk_sums, reference_superiority,
                     reference_verdict)
 
@@ -161,6 +161,21 @@ class TestSweepCounts:
         with pytest.raises(DataError):
             sweep_counts(d0, [[0.2, 0.3]])
 
+    @given(seed=st.integers(0, 2**32 - 1), grid=st.sampled_from(GRIDS))
+    @settings(max_examples=20, deadline=None)
+    def test_sorted_count_matches_masked(self, seed, grid):
+        # Risks exactly at every grid point and one ulp either side of it.
+        rng = np.random.default_rng(seed)
+        points = np.asarray(grid.points)
+        risks = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+                                rng.random(50), [0.0, 1.0]])
+        rng.shuffle(risks)
+        data = PredictionSet(risks=risks, outcomes=(rng.random(risks.size) < rng.random()) * 1)
+        sweep = sweep_counts(data, points)
+        masked = [masked_confusion(data, t) for t in grid.points]
+        assert sweep.fn.tolist() == [c.fn for c in masked]
+        assert sweep.tn.tolist() == [c.tn for c in masked]
+
     def test_validates_thresholds_once(self, d0, monkeypatch):
         calls = []
         real = metrics._check_thresholds
@@ -225,88 +240,105 @@ class TestOnePointPath:
         assert compare_models(d1, d2, t) == reference_superiority(c, masked_confusion(d2, t))
 
 
-def _tamper(c, **fields):
-    # Counts no real classification can produce; the routes then disagree.
-    for name, value in fields.items():
-        object.__setattr__(c, name, value)
-    return c
+def _left_keys(data, thresholds):
+    # The sweep's keys with ties counted negative: risk > t selects.
+    return np.searchsorted(thresholds, data.risks, side="left") * 2 + data.outcomes
+
+
+def _right_sort(data, thresholds):
+    # The sorted count with ties counted below: risk <= t is spared.
+    return [np.searchsorted(np.sort(data.risks[data.outcomes == k]), thresholds, side="right")
+            for k in (1, 0)]
+
+
+def _swapped_sort(data, thresholds):
+    # The sorted count with the classes swapped: fn and tn trade places.
+    return [np.searchsorted(np.sort(data.risks[data.outcomes == k]), thresholds, side="left")
+            for k in (0, 1)]
+
+
+def _flipped_tally(keys, n_thresholds):
+    # The tally fed the keys of the opposite outcomes: tp and fp trade places.
+    return tally_keys(keys ^ 1, n_thresholds)
+
+
+def count_check(t, tp, fp, fn, tn, n1=4, n0=6):
+    """The count check's message at ``t``; the defaults are d0's classes."""
+    num, den = t.as_integer_ratio()
+    return (f"sweep and sort counts disagree at t={t!r} (reproduce with t={num}/{den}, "
+            f"sweep tp={tp} fp={fp}, sort fn={fn} tn={tn}, n1={n1} n0={n0})")
+
+
+# d0 at its tied risk 0.55, a non-event, with ties counted negative by the
+# sweep: the sweep misses it and the sort does not count it below.
+D0_TIE_LEFT = count_check(0.55, tp=3, fp=1, fn=1, tn=4)
+
+# Every path that counts through sweep_counts, as a function of d0 and d0_degraded;
+# the grid paths hold d0's tied risk 0.55 between two clean thresholds.
+TIE_GRID = ThresholdGrid(0.5, 0.6, 0.05)
+COUNTED_PATHS = {
+    "decision_curve": lambda d0, _: decision_curve(d0, TIE_GRID),
+    "compare_curve": lambda d0, other: compare_curve(d0, other, TIE_GRID),
+    "classify_at_threshold": lambda d0, _: classify_at_threshold(d0, 0.55),
+    "threshold_calibration": lambda d0, _: threshold_calibration(d0, 0.55),
+    "verdict_vs_defaults": lambda d0, _: verdict_vs_defaults(d0, 0.55),
+    "compare_models": lambda d0, other: compare_models(d0, other, 0.55),
+}
 
 
 class TestReproducers:
-    def test_verdict_route_disagreement(self, d0, monkeypatch):
-        def classify(data, t):
-            return _tamper(classify_at_threshold(data, t), n=5)
+    """A count that goes wrong is caught by the other count."""
 
-        monkeypatch.setattr(equivalences, "classify_at_threshold", classify)
+    @pytest.mark.parametrize("path", COUNTED_PATHS)
+    def test_tie_rule_mutation_fails_every_path(self, d0, d0_degraded, path, monkeypatch):
+        monkeypatch.setattr(metrics, "_keys", _left_keys)
+        with pytest.raises(RouteDisagreementError) as info:
+            COUNTED_PATHS[path](d0, d0_degraded)
+        assert str(info.value) == D0_TIE_LEFT
+
+    def test_cli_curves_exits_3(self, d0_csv_path, monkeypatch, capsys):
+        monkeypatch.setattr(metrics, "_keys", _left_keys)
+        code = cli_main(["curves", "--input", str(d0_csv_path), "--outcome", "y",
+                         "--models", "m1", "--grid", "0.5:0.6:0.05"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"dcakit: internal invariant violation: {D0_TIE_LEFT}\n")
+
+    def test_verdict_route_disagreement(self, d0, monkeypatch):
+        monkeypatch.setattr(metrics, "tally_keys", _flipped_tally)
         with pytest.raises(RouteDisagreementError) as info:
             verdict_vs_defaults(d0, 0.5)
-        # Treat-all takes the tampered n, (n1, n - n1, 0, 0); only the
-        # below margin reads d0's own tn + fn.
-        assert str(info.value) == (
-            "treat-all routes disagree at t=0.5 (net benefit: -1, ppv reference: -1, "
-            f"above margin: -1, below margin: 1; reproduce with {D0_T_HALF}, "
-            f"model1 {D0_COUNTS}, model2 tp=4 fp=1 n1=4 n0=1)")
+        assert str(info.value) == count_check(0.5, tp=2, fp=3, fn=1, tn=4)
 
-    def test_below_group_route_disagreement(self, monkeypatch):
-        # Nobody is selected, so net benefit and the below margins alone
-        # decide treat-none; a tampered n moves only treat-none's below
-        # margin, through its cells (0, 0, n - n1, n1).
-        data = PredictionSet(risks=np.full(10, 0.1), outcomes=np.array([1] * 4 + [0] * 6))
-
-        def classify(data, t):
-            return _tamper(classify_at_threshold(data, t), n=7)
-
-        monkeypatch.setattr(equivalences, "classify_at_threshold", classify)
+    def test_below_group_route_disagreement(self, d0, monkeypatch):
+        # The sorted count of the below group is the one that goes wrong.
+        monkeypatch.setattr(metrics, "_count_below", _right_sort)
         with pytest.raises(RouteDisagreementError) as info:
-            verdict_vs_defaults(data, 0.5)
-        assert str(info.value) == (
-            "treat-none routes disagree at t=0.5 (net benefit: 0, below margin: 1; "
-            f"reproduce with {D0_T_HALF}, model1 tp=0 fp=0 n1=4 n0=6, "
-            "model2 tp=0 fp=0 n1=4 n0=3)")
+            classify_at_threshold(d0, 0.55)
+        assert str(info.value) == count_check(0.55, tp=3, fp=2, fn=1, tn=5)
 
     def test_treat_none_below_margin_disagreement(self, d0, monkeypatch):
-        # tn 4 -> 2 shrinks d0's below group; treat-none's below margin, a
-        # route the treat-none verdict gains from the shared kernel, sees it.
-        def classify(data, t):
-            return _tamper(classify_at_threshold(data, t), tn=2)
-
-        monkeypatch.setattr(equivalences, "classify_at_threshold", classify)
+        # The below group's rate, which the margins read, from swapped classes.
+        monkeypatch.setattr(metrics, "_count_below", _swapped_sort)
         with pytest.raises(RouteDisagreementError) as info:
             verdict_vs_defaults(d0, 0.5)
-        assert str(info.value) == (
-            "treat-none routes disagree at t=0.5 (net benefit: 1, ppv reference: 1, "
-            f"above margin: 1, below margin: -1; reproduce with {D0_T_HALF}, "
-            "model1 tp=3 fp=2 n1=4 n0=4, model2 tp=0 fp=0 n1=4 n0=6)")
+        assert str(info.value) == count_check(0.5, tp=3, fp=2, fn=4, tn=1)
 
     def test_one_sided_below_margin_disagreement(self, d0, monkeypatch):
-        # Model 2 selects everyone, so only model 1 has a below group; its
-        # margin is still checked against model 2's exact 0.
+        # Model 2 selects everyone and has no tie, so only model 1's counts
+        # disagree; the check names them.
         everyone = PredictionSet(risks=np.ones(d0.n), outcomes=d0.outcomes, name="all")
-
-        def classify(data, t):
-            c = classify_at_threshold(data, t)
-            return _tamper(c, tn=0) if data is d0 else c
-
-        monkeypatch.setattr(comparison, "classify_at_threshold", classify)
+        assert classify_at_threshold(everyone, 0.55) == masked_confusion(everyone, 0.55)
+        monkeypatch.setattr(metrics, "_keys", _left_keys)
         with pytest.raises(RouteDisagreementError) as info:
-            compare_models(d0, everyone, 0.5)
-        assert str(info.value) == (
-            "superiority routes disagree at t=0.5 (net benefit: 1, ppv reference: 1, "
-            f"above margin: 1, below margin: -1; reproduce with {D0_T_HALF}, "
-            "model1 tp=3 fp=2 n1=4 n0=2, model2 tp=4 fp=6 n1=4 n0=6)")
+            compare_models(d0, everyone, 0.55)
+        assert str(info.value) == D0_TIE_LEFT
 
     def test_compare_route_disagreement(self, d0, d0_degraded, monkeypatch):
-        def classify(data, t):
-            c = classify_at_threshold(data, t)
-            return _tamper(c, tn=0) if data is d0 else c
-
-        monkeypatch.setattr(comparison, "classify_at_threshold", classify)
+        monkeypatch.setattr(metrics, "tally_keys", _flipped_tally)
         with pytest.raises(RouteDisagreementError) as info:
-            compare_models(d0, d0_degraded, 0.5)
-        message = str(info.value)
-        assert "below margin: -1" in message
-        assert f"{D0_T_HALF}, model1 tp=3 fp=2 n1=4 n0=2" in message
-        assert "model2 tp=2 fp=3 n1=4 n0=6" in message
+            compare_models(d0_degraded, d0, 0.5)
+        assert str(info.value) == count_check(0.5, tp=3, fp=2, fn=2, tn=3)
 
     def test_point_identity_violation(self, d0, monkeypatch):
         # The identity check's input: the calibration columns.
@@ -325,44 +357,34 @@ class TestReproducers:
 
 
 class TestColumnChecks:
-    """Every route and every identity runs at every threshold of a grid."""
+    """The count check and every identity run at every threshold of a grid."""
 
-    @pytest.mark.parametrize("path,field,label,counts", [
-        # Nobody is selected at t = 0.999. Six extra false negatives turn
-        # d0's below margin against treat-none's, which takes n1 = tp + fn;
-        # six extra true negatives turn model 1's below margin against
-        # model 2's. Net benefit reads 0 on both sides. Each id names the
-        # path, the tampered field and the tampered side's counts.
-        pytest.param("curves", "fn", "treat-none",
-                     "model1 tp=0 fp=0 n1=10 n0=6, model2 tp=0 fp=0 n1=10 n0=0",
-                     id="curves-fn-tp=0 fp=0 n1=10 n0=6"),
-        pytest.param("compare", "tn", "superiority",
-                     "model1 tp=0 fp=0 n1=4 n0=12, model2 tp=0 fp=0 n1=4 n0=6",
+    @pytest.mark.parametrize("path,field,counts", [
+        # Nobody is selected at t = 0.999, so the sweep gives tp = fp = 0,
+        # and six extra below-group records are counted at that threshold
+        # alone. Each id names the path, the tampered sort count and the
+        # sums tp + fn and fp + tn that the check compares with n1 and n0.
+        pytest.param("curves", "fn", dict(fn=10, tn=6), id="curves-fn-tp=0 fp=0 n1=10 n0=6"),
+        pytest.param("compare", "tn", dict(fn=4, tn=12),
                      id="compare-tn-model1 tp=0 fp=0 n1=4 n0=12"),
     ])
-    def test_tampered_count_at_last_threshold(self, d0, d0_degraded, path, field, label, counts,
+    def test_tampered_count_at_last_threshold(self, d0, d0_degraded, path, field, counts,
                                               monkeypatch):
-        module, kernel = {"curves": (curves, "defaults_columns"),
-                          "compare": (comparison, "superiority_columns")}[path]
-        real = getattr(module, kernel)
+        real = metrics._count_below
 
-        def tampered(c, *rest):
-            column = getattr(c, field).copy()
+        def tampered(data, thresholds):
+            fn, tn = real(data, thresholds)
+            column = {"fn": fn, "tn": tn}[field]
             column[-1] += 6
-            object.__setattr__(c, field, column)
-            return real(c, *rest)
+            return fn, tn
 
-        monkeypatch.setattr(module, kernel, tampered)
+        monkeypatch.setattr(metrics, "_count_below", tampered)
         with pytest.raises(RouteDisagreementError) as info:
             if path == "curves":
                 decision_curve(d0, FINE_GRID)
             else:
                 compare_curve(d0, d0_degraded, FINE_GRID)
-        last = FINE_GRID.points[-1]
-        num, den = last.as_integer_ratio()
-        assert str(info.value) == (
-            f"{label} routes disagree at t={last!r} (net benefit: 0, below margin: 1; "
-            f"reproduce with t={num}/{den}, {counts})")
+        assert str(info.value) == count_check(FINE_GRID.points[-1], tp=0, fp=0, **counts)
 
     def test_nan_risk_sum_fails_closed(self, d0, monkeypatch):
         # abs(nan) > tol is False: a NaN residual must still count as a
