@@ -21,7 +21,6 @@ from .metrics import (ABOVE, BELOW, PredictionSet, ThresholdConfusion, column_ro
 __all__ = [
     "CalibrationSummary",
     "calibration_columns",
-    "calibration_rows",
     "threshold_calibration",
     "nb_via_calibration",
     "nb_gap_treat_all",
@@ -86,20 +85,13 @@ def calibration_columns(c: ThresholdConfusion, risk_sum_above,
     )
 
 
-def calibration_rows(c: ThresholdConfusion,
-                     columns: CalibrationSummary) -> list[CalibrationSummary]:
-    """One CalibrationSummary per threshold of ``c`` from its columns, with
-    the fields of an empty group None."""
-    above, below = group_masks(c)
-    return column_rows(CalibrationSummary, columns, above=above, below=below)
-
-
 def threshold_calibration(data: PredictionSet, t: float) -> CalibrationSummary:
     """Observed event rates and mean predictions above and below ``t``."""
     sweep = sweep_counts(data, [t])
     c = sweep.confusion()
-    return calibration_rows(c, calibration_columns(c, sweep.risk_sum_above,
-                                                   sweep.risk_sum_below))[0]
+    above, below = group_masks(c)
+    columns = calibration_columns(c, sweep.risk_sum_above, sweep.risk_sum_below)
+    return column_rows(CalibrationSummary, columns, above=above, below=below)[0]
 
 
 def nb_via_calibration(s: CalibrationSummary) -> float:

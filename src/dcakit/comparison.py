@@ -19,11 +19,11 @@ import numpy as np
 from .curves import ThresholdGrid
 from .errors import UndefinedAtThresholdError, UsageError
 from .metrics import (
+    Columns,
     PredictionSet,
     ThresholdConfusion,
     check_threshold,
     classify_at_threshold,
-    column_rows,
     divide_where,
     first_failure,
     group_masks,
@@ -35,6 +35,7 @@ from .metrics import (
 
 __all__ = [
     "ComparisonVerdict",
+    "compare_columns",
     "compare_curve",
     "compare_models",
     "ppv_superiority_reference",
@@ -57,8 +58,8 @@ class ComparisonVerdict:
     group of model 1 or 2, and is None when that group is empty;
     ``ppv_superiority_ref`` is None (and ``ppv_route_available`` False)
     when model 1 classifies nobody positive, so the verdict has no PPV
-    reading there. From ``superiority_columns`` every field is a column,
-    one entry per threshold, with NaN where a field's group is empty.
+    reading there. In ``superiority_columns``' Columns every field is a
+    column, one entry per threshold, with NaN where a field's group is empty.
     """
 
     t: float
@@ -92,10 +93,11 @@ def _check_same_cohort(d1: PredictionSet, d2: PredictionSet) -> None:
         raise UsageError("models must score the same cohort: outcome vectors differ")
 
 
-def superiority_columns(c1: ThresholdConfusion, c2: ThresholdConfusion) -> ComparisonVerdict:
-    """Which of two models wins at every threshold of their counts, as a
-    ComparisonVerdict of columns: net_benefit_order decides each threshold,
-    and the float fields are computed a column at a time.
+def superiority_columns(c1: ThresholdConfusion, c2: ThresholdConfusion) -> Columns:
+    """Which of two models wins at every threshold of their counts, as
+    Columns of ComparisonVerdict with both models' group masks:
+    net_benefit_order decides each threshold, and the float fields are
+    computed a column at a time.
 
     The counts must come from the same cohort at the same thresholds.
     """
@@ -118,7 +120,7 @@ def superiority_columns(c1: ThresholdConfusion, c2: ThresholdConfusion) -> Compa
                                                             t[above1])
     # Each margin is NaN where its group is empty: the PPV or the below-group
     # rate it scales is NaN there.
-    return ComparisonVerdict(
+    return Columns(ComparisonVerdict(
         t=t,
         nb1=nb1,
         nb2=nb2,
@@ -130,16 +132,7 @@ def superiority_columns(c1: ThresholdConfusion, c2: ThresholdConfusion) -> Compa
         margin_above_2=s_t2 * (ppv_counts(tp2, pos2, empty=np.nan) - t),
         margin_below_1=(1.0 - s_t1) * (t - divide_where(fn1, tn1 + fn1, below1)),
         margin_below_2=(1.0 - s_t2) * (t - divide_where(fn2, tn2 + fn2, below2)),
-    )
-
-
-def superiority_rows(c1: ThresholdConfusion, c2: ThresholdConfusion,
-                     columns: ComparisonVerdict) -> list[ComparisonVerdict]:
-    """One ComparisonVerdict per threshold from superiority_columns, with
-    the fields of an empty group None."""
-    (above1, below1), (above2, below2) = group_masks(c1), group_masks(c2)
-    return column_rows(ComparisonVerdict, columns, above1=above1, below1=below1,
-                       above2=above2, below2=below2)
+    ), {"above1": above1, "below1": below1, "above2": above2, "below2": below2})
 
 
 def compare_models(d1: PredictionSet, d2: PredictionSet, t: float) -> ComparisonVerdict:
@@ -152,18 +145,20 @@ def compare_models(d1: PredictionSet, d2: PredictionSet, t: float) -> Comparison
     t = check_threshold(t)
     _check_same_cohort(d1, d2)
     c1, c2 = classify_at_threshold(d1, t), classify_at_threshold(d2, t)
-    return superiority_rows(c1, c2, superiority_columns(c1, c2))[0]
+    return superiority_columns(c1, c2).rows()[0]
+
+
+def compare_columns(d1: PredictionSet, d2: PredictionSet, grid: ThresholdGrid) -> Columns:
+    """compare_models at every grid threshold, as columns. The outcome
+    vectors are checked once, and sweep_counts counts and checks each
+    model at every threshold; superiority_columns decides each exactly."""
+    _check_same_cohort(d1, d2)
+    return superiority_columns(sweep_counts(d1, grid.points).confusion(),
+                               sweep_counts(d2, grid.points).confusion())
 
 
 def compare_curve(d1: PredictionSet, d2: PredictionSet,
                   grid: ThresholdGrid) -> list[ComparisonVerdict]:
-    """compare_models at every grid threshold, in grid order.
-
-    The outcome vectors are checked once, each model is counted and its
-    counts checked at every threshold by sweep_counts, and
-    superiority_columns decides every threshold by its exact sign.
-    """
-    _check_same_cohort(d1, d2)
-    c1 = sweep_counts(d1, grid.points).confusion()
-    c2 = sweep_counts(d2, grid.points).confusion()
-    return superiority_rows(c1, c2, superiority_columns(c1, c2))
+    """compare_models at every grid threshold, in grid order: compare_columns'
+    rows, with the fields of an empty group None."""
+    return compare_columns(d1, d2, grid).rows()

@@ -17,7 +17,6 @@ import numpy as np
 from .calibration import (  # noqa: F401
     CalibrationSummary,
     calibration_columns,
-    calibration_rows,
     nb_decomposition,
     nb_gap_treat_all,
     nb_via_calibration,
@@ -31,7 +30,7 @@ from .equivalences import (  # noqa: F401
     verdict_vs_defaults,
 )
 from .errors import DataError, RouteDisagreementError, UsageError
-from .metrics import (ABOVE, PredictionSet, ThresholdConfusion, column_rows, group_masks,
+from .metrics import (ABOVE, Columns, PredictionSet, ThresholdConfusion, group_masks,
                       net_benefit_treat_none, reproducer, sweep_counts)
 
 __all__ = [
@@ -39,6 +38,7 @@ __all__ = [
     "CurvePoint",
     "SyntheticSpec",
     "DEFAULT_GRID",
+    "curve_columns",
     "decision_curve",
     "generate_synthetic",
 ]
@@ -176,14 +176,12 @@ def _assert_identities(c: ThresholdConfusion, verdict: DefaultsVerdict,
         )
 
 
-def decision_curve(data: PredictionSet, grid: ThresholdGrid) -> list[CurvePoint]:
-    """One CurvePoint per grid threshold, in grid order, identities verified.
+def curve_columns(data: PredictionSet, grid: ThresholdGrid) -> Columns:
+    """Every grid threshold's CurvePoint, identities verified, as columns.
 
-    All thresholds are counted, and the counts checked, by sweep_counts;
-    both default verdicts and every identity then run at every threshold,
-    a column at a time, with the formulas verdict_vs_defaults and
-    threshold_calibration use.
-    """
+    sweep_counts counts and checks every threshold; both default verdicts
+    and every identity then run a column at a time, with the formulas
+    verdict_vs_defaults and threshold_calibration use."""
     sweep = sweep_counts(data, grid.points)
     c = sweep.confusion()
     verdict = defaults_columns(c)
@@ -193,14 +191,20 @@ def decision_curve(data: PredictionSet, grid: ThresholdGrid) -> list[CurvePoint]
         t=verdict.t,
         nb_model=verdict.nb,
         nb_all=verdict.nb_all,
-        nb_none=net_benefit_treat_none(),
+        nb_none=np.full(verdict.t.shape, net_benefit_treat_none()),
         s_t=verdict.s_t,
         ppv=verdict.ppv,
         ppv_none_ref=verdict.ppv_none_ref,
         ppv_all_ref=verdict.ppv_all_ref,
-        calibration=np.array(calibration_rows(c, cal), dtype=object),
+        calibration=cal,
     )
-    return column_rows(CurvePoint, columns, above=group_masks(c)[0])
+    return Columns(columns, dict(zip(("above", "below"), group_masks(c))))
+
+
+def decision_curve(data: PredictionSet, grid: ThresholdGrid) -> list[CurvePoint]:
+    """One CurvePoint per grid threshold, in grid order: curve_columns' rows,
+    with the fields of an empty group None."""
+    return curve_columns(data, grid).rows()
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, fields, is_dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,9 +22,11 @@ from .errors import DataError, RouteDisagreementError, ThresholdError
 __all__ = [
     "ABOVE",
     "BELOW",
+    "Columns",
     "PredictionSet",
     "SweepCounts",
     "ThresholdConfusion",
+    "blank",
     "check_threshold",
     "classify_at_threshold",
     "column_rows",
@@ -77,8 +81,8 @@ class PredictionSet:
 
     Arrays are copied and frozen on construction, except an outcome array
     that is already a frozen int64 array owning its data: sets that score
-    one cohort share it. ``n1``, ``n0`` and ``prevalence`` are derived from
-    the outcome counts.
+    one cohort share it. ``n1``, the number of events, is counted once, at
+    construction; ``n0`` and ``prevalence`` are derived from it.
     """
 
     risks: np.ndarray
@@ -111,6 +115,8 @@ class PredictionSet:
         risks.setflags(write=False)
         object.__setattr__(self, "risks", risks)
         object.__setattr__(self, "outcomes", outcomes)
+        # Not a field: fields, repr and equality stay the records and the name.
+        object.__setattr__(self, "_n1", int(np.count_nonzero(outcomes)))
 
     @property
     def n(self) -> int:
@@ -118,15 +124,15 @@ class PredictionSet:
 
     @property
     def n1(self) -> int:
-        return int(np.count_nonzero(self.outcomes))
+        return self._n1
 
     @property
     def n0(self) -> int:
-        return self.n - self.n1
+        return self.n - self._n1
 
     @property
     def prevalence(self) -> float:
-        return self.n1 / self.n
+        return self._n1 / self.n
 
 
 @dataclass(frozen=True)
@@ -235,10 +241,44 @@ def _check_thresholds(thresholds) -> np.ndarray:
     return thresholds
 
 
+_PLACE_BLOCK = 1 << 16  # records placed at a time, so temporaries stay small
+
+
 def _keys(data: PredictionSet, thresholds: np.ndarray) -> np.ndarray:
-    keys = np.searchsorted(thresholds, data.risks, side="right")
-    keys *= 2
-    keys += data.outcomes
+    """Each record's ``cut*2 + outcome``, cut as ``searchsorted(side="right")``
+    gives it: guessed as if the thresholds were evenly spaced, moved by at
+    most one, and proved by ``t[cut-1] <= risk < t[cut]`` (t padded by -inf
+    and +inf). Records the proof rejects are binary searched."""
+    size = len(thresholds)
+    lo, hi = (thresholds[0].item(), thresholds[-1].item()) if size else (0.0, 0.0)
+    scale = (size - 1) / (hi - lo) if hi > lo else 0.0
+    scale = scale if math.isfinite(scale) else 0.0  # a span so tiny the step overflows
+    padded = np.concatenate(([-np.inf], thresholds, [np.inf]))
+    keys = np.empty(data.n, dtype=np.int64)
+    for start in range(0, data.n, _PLACE_BLOCK):
+        block = slice(start, start + _PLACE_BLOCK)
+        risks = data.risks[block]
+        # |risk - lo| <= 1, so the guess is finite before it is clipped into range.
+        guess = risks - lo
+        guess *= scale
+        guess += 1.0
+        np.floor(guess, out=guess)
+        np.clip(guess, 0.0, size, out=guess)
+        cut = guess.astype(np.int64)
+        # A record that moves neither way is proved by these two comparisons;
+        # one that moves has its new bounds compared again.
+        down = risks < padded[cut]
+        up = risks >= padded[cut + 1]
+        cut -= down
+        cut += up
+        moved = np.flatnonzero(down | up)
+        if moved.size:
+            at, risk = cut[moved], risks[moved]
+            wrong = moved[(risk < padded[at]) | (risk >= padded[at + 1])]
+            cut[wrong] = np.searchsorted(thresholds, risks[wrong], side="right")
+        cut *= 2
+        cut += data.outcomes[block]
+        keys[block] = cut
     return keys
 
 
@@ -285,8 +325,7 @@ def sweep_counts(data: PredictionSet, thresholds) -> SweepCounts:
     risk_by_cut = np.bincount(
         keys, weights=data.risks, minlength=2 * (len(thresholds) + 1)
     ).reshape(-1, 2).sum(axis=1)
-    n1 = data.n1
-    n0 = data.n - n1
+    n1, n0 = data.n1, data.n0
     bad = first_failure(np.arange(len(thresholds)), (tp + fn == n1) & (fp + tn == n0))
     if bad is not None:
         t = thresholds[bad].item()
@@ -326,24 +365,64 @@ ABOVE = {"group": "above"}
 BELOW = {"group": "below"}
 
 
-def column_rows(cls, columns, **groups: np.ndarray) -> list:
+def _present(f, present: dict) -> np.ndarray | None:
+    """Where field ``f`` has a value: None (every row) unless it is
+    group-tied, else ``present``'s mask for the field's name or its group's."""
+    if "group" not in f.metadata:
+        return None
+    return present[f.name] if f.name in present else present[f.metadata["group"]]
+
+
+def blank(cells: list, present: np.ndarray | None, empty=None) -> list:
+    """``cells`` with ``empty`` on the rows where ``present`` is False."""
+    if present is not None:
+        for i in np.flatnonzero(~present).tolist():
+            cells[i] = empty
+    return cells
+
+
+def _cells(f, column, present: dict):
+    if is_dataclass(column):
+        return column_rows(type(column), column, **present)
+    if not isinstance(column, np.ndarray):
+        return repeat(column)
+    return blank(column.tolist(), _present(f, present))
+
+
+def column_rows(cls, columns, **present: np.ndarray) -> list:
     """One ``cls`` instance per row of ``columns``, an instance of the
     dataclass ``cls`` whose fields are arrays with one entry per threshold,
-    or scalars every row shares. A group-tied field, one whose metadata
-    names a group, is None on the rows where that group's mask in
-    ``groups`` is False: the group is empty there."""
-    values = []
-    for f in fields(cls):
-        column = getattr(columns, f.name)
-        if not isinstance(column, np.ndarray):
-            values.append(repeat(column))
-        elif "group" in f.metadata:
-            cells = column.astype(object)
-            cells[~groups[f.metadata["group"]]] = None
-            values.append(cells.tolist())
-        else:
-            values.append(column.tolist())
-    return list(map(cls, *values))
+    scalars every row shares, or nested dataclasses of such columns. A
+    group-tied field, one whose metadata names a group, is None on the rows
+    where its mask in ``present``, by field name or else by group name, is
+    False: the group is empty there."""
+    return list(map(cls, *(_cells(f, getattr(columns, f.name), present)
+                           for f in fields(cls))))
+
+
+class Columns(NamedTuple):
+    """Rows of a dataclass held as columns: ``values`` is an instance whose
+    fields are columns as column_rows reads them, with ``present``."""
+
+    values: object
+    present: dict
+
+    def rows(self) -> list:
+        return column_rows(type(self.values), self.values, **self.present)
+
+    def column(self, name: str) -> tuple[np.ndarray, np.ndarray | None]:
+        """Field ``name``, ``outer.inner`` for a nested one: its column, and
+        where it has a value (None: every row)."""
+        column = self.values
+        for part in name.split("."):
+            f = next(f for f in fields(column) if f.name == part)
+            column = getattr(column, part)
+        return column, _present(f, self.present)
+
+    def cells(self, name: str) -> list:
+        """Field ``name`` row by row, None where it has no value."""
+        column, present = self.column(name)
+        return blank(column.tolist(), present)
 
 
 def net_benefit_counts(tp, fp, n, t):

@@ -18,8 +18,7 @@ import os
 import stat
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache, partial
-from itertools import repeat
-from operator import attrgetter
+from itertools import chain, repeat
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -28,7 +27,7 @@ from .calibration import CalibrationSummary
 from .comparison import ComparisonVerdict
 from .curves import CurvePoint
 from .errors import DataError, IngestionError, UsageError
-from .metrics import PredictionSet
+from .metrics import Columns, PredictionSet, blank
 from .resampling import CurveBand
 
 __all__ = [
@@ -90,22 +89,23 @@ def file_digest(path: str) -> str:
     return digest.hexdigest()
 
 
-def _read_input(path: str) -> tuple[bytes, os.stat_result]:
-    """A file's bytes and its status at the read. A file over
-    MAX_INPUT_BYTES is refused from its status, before any byte is read."""
-    try:
-        with open(path, "rb") as handle:
-            status = os.fstat(handle.fileno())
-            if status.st_size > MAX_INPUT_BYTES:
-                raise DataError(f"{path!r} is {status.st_size} bytes, over the "
-                                f"{MAX_INPUT_BYTES}-byte input limit")
-            return handle.read(), status
-    except OSError as exc:
-        raise IngestionError(f"cannot read {path!r}: {exc}") from exc
-
-
 def _identity(status: os.stat_result) -> tuple[int, int, int, int]:
     return status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns
+
+
+class _Digesting(io.RawIOBase):
+    """A binary file whose bytes go through a SHA-256 digest as they are read."""
+
+    def __init__(self, handle):
+        self.handle, self.digest = handle, hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self.handle.readinto(buffer)
+        self.digest.update(memoryview(buffer)[:count])
+        return count
 
 
 class _InputFile:
@@ -113,14 +113,22 @@ class _InputFile:
     file's identity (device, inode, size and mtime) at that read.
 
     ``release`` drops the bytes, so that a parser reading the path itself
-    does not hold the file twice. ``check_unchanged`` and ``read`` then make
-    sure the path still names the file that was read and digested; the
-    digest must name the bytes that were parsed.
+    does not hold the file twice. ``check_unchanged`` and ``parse_rows``
+    then make sure the path still names the file that was read and
+    digested; the digest must name the bytes that were parsed.
     """
 
     def __init__(self, path: str):
         self.path = path
-        self.data, status = _read_input(path)
+        try:
+            with open(path, "rb") as handle:
+                status = os.fstat(handle.fileno())
+                if status.st_size > MAX_INPUT_BYTES:  # refused before any byte is read
+                    raise DataError(f"{path!r} is {status.st_size} bytes, over the "
+                                    f"{MAX_INPUT_BYTES}-byte input limit")
+                self.data = handle.read()
+        except OSError as exc:
+            raise IngestionError(f"cannot read {path!r}: {exc}") from exc
         self.digest = hashlib.sha256(self.data).hexdigest()
         self.identity = _identity(status)
         # Only a regular file reads the same bytes a second time: a pipe
@@ -141,16 +149,28 @@ class _InputFile:
         if identity != self.identity:
             raise self._changed()
 
-    def read(self) -> bytes:
-        """The bytes read; once released, the file read again, which must
-        be the same file with the same bytes."""
+    def parse_rows(self, spec: IngestionSpec) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``_parse_rows`` on the bytes of a pipe. A regular file's bytes are
+        checked to be UTF-8 and released, and the file is parsed as it is read
+        again through a digest; a changed file overrides the parse's result."""
+        if not self.rereadable:
+            return _parse_rows(self.data, spec)
         if self.data is not None:
-            return self.data
-        data, status = _read_input(self.path)
-        if (_identity(status) != self.identity
-                or hashlib.sha256(data).hexdigest() != self.digest):
-            raise self._changed()
-        return data
+            _check_utf8(self.data, self.path)
+            self.release()
+        try:
+            with open(self.path, "rb", buffering=0) as handle:
+                reread = _Digesting(handle)
+                try:
+                    return _parse_rows(io.BufferedReader(reread), spec)
+                finally:
+                    for block in iter(partial(handle.read, _DIGEST_BLOCK), b""):
+                        reread.digest.update(block)
+                    if (_identity(os.fstat(handle.fileno())) != self.identity
+                            or reread.digest.hexdigest() != self.digest):
+                        raise self._changed()
+        except OSError:
+            raise self._changed() from None
 
 
 def _parse_outcome(text: str, row: int, column: str) -> int:
@@ -185,59 +205,75 @@ def _column_index(names: list[str]) -> dict[str, int]:
     return index
 
 
-def _parse_rows(data: bytes, spec: IngestionSpec) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The validating row-by-row parser: any delimited UTF-8 file, and the
-    exact row and column of the first bad cell."""
+def _check_utf8(data: bytes, path: str) -> None:
     if not data.isascii():
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise IngestionError(
-                f"{spec.path!r} is not UTF-8 text: byte {data[exc.start]:#04x} "
-                f"at offset {exc.start}"
+                f"{path!r} is not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}"
             ) from None
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
-    rows = []
+
+
+def _csv_rows(text, spec: IngestionSpec):
+    """The rows of ``text`` as csv reads them; a csv error names its row."""
+    read = 0
     try:
         for row in csv.reader(text, delimiter=spec.delimiter):
-            rows.append(row)
+            yield row
+            read += 1
     except csv.Error as exc:
-        row_number = len(rows) if spec.header else len(rows) + 1
-        raise IngestionError(f"malformed CSV: {exc}", row=row_number) from None
-    if not rows:
-        raise IngestionError(f"{spec.path!r} is empty")
+        raise IngestionError(f"malformed CSV: {exc}",
+                             row=read if spec.header else read + 1) from None
 
+
+def _parse_rows(data, spec: IngestionSpec) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The validating row-by-row parser: any delimited UTF-8 file, as bytes
+    or as a binary stream checked to be UTF-8, and the exact row and column
+    of the first bad cell. Rows stream through; only parsed values are kept.
+    Errors keep a whole-file parse's order (non-UTF-8 byte, malformed row,
+    empty file, no data rows, missing column, first bad row), so after a
+    missing column or bad row the rest is only read through csv."""
+    if isinstance(data, bytes):
+        _check_utf8(data, spec.path)
+        data = io.BytesIO(data)
+    rows = _csv_rows(io.TextIOWrapper(data, encoding="utf-8-sig", newline=""), spec)
+    first = next(rows, None)
+    if first is None:
+        raise IngestionError(f"{spec.path!r} is empty")
     if spec.header:
-        names = [name.strip() for name in rows[0]]
-        data_rows = rows[1:]
+        names = [name.strip() for name in first]
     else:
-        names = [str(i) for i in range(len(rows[0]))]
-        data_rows = rows
-    if not data_rows:
-        raise IngestionError(f"{spec.path!r} has no data rows")
+        names = [str(i) for i in range(len(first))]
+        rows = chain([first], rows)
 
     index = _column_index(names)
-    wanted = (spec.outcome_column, *spec.model_columns)
-    for name in wanted:
-        if name not in index:
-            raise IngestionError(
-                f"column {name!r} not found; available: {', '.join(map(repr, names))}"
-            )
-
+    failure = next((IngestionError(f"column {name!r} not found; available: "
+                                   f"{', '.join(map(repr, names))}")
+                    for name in (spec.outcome_column, *spec.model_columns)
+                    if name not in index), None)
     outcomes = []
-    risks = {name: [] for name in spec.model_columns}
-    for row_number, row in enumerate(data_rows, start=1):
-        if len(row) != len(names):
-            raise IngestionError(
-                f"expected {len(names)} fields, found {len(row)}", row=row_number
-            )
-        outcomes.append(_parse_outcome(row[index[spec.outcome_column]], row_number,
-                                       spec.outcome_column))
-        for name in spec.model_columns:
-            risks[name].append(_parse_risk(row[index[name]], row_number, name))
-
+    risks = [[] for _ in spec.model_columns]
+    row_number = 0
+    for row_number, row in enumerate(rows, start=1):
+        if failure is not None:
+            continue
+        try:
+            if len(row) != len(names):
+                raise IngestionError(f"expected {len(names)} fields, found {len(row)}",
+                                     row=row_number)
+            outcomes.append(_parse_outcome(row[index[spec.outcome_column]], row_number,
+                                           spec.outcome_column))
+            for name, values in zip(spec.model_columns, risks):
+                values.append(_parse_risk(row[index[name]], row_number, name))
+        except IngestionError as exc:
+            failure = exc
+    if not row_number:
+        raise IngestionError(f"{spec.path!r} has no data rows")
+    if failure is not None:
+        raise failure
     return (np.array(outcomes, dtype=np.int64),
-            [np.array(risks[name], dtype=np.float64) for name in spec.model_columns])
+            [np.array(values, dtype=np.float64) for values in risks])
 
 
 def _block_outcomes(block: np.ndarray, fields: int, column: int, delimiter: int,
@@ -398,7 +434,7 @@ def ingest(spec: IngestionSpec) -> Datasets:
     raises DataError before it is read.
     """
     source = _InputFile(spec.path)
-    outcomes, risks = _parse_fast(source, spec) or _parse_rows(source.read(), spec)
+    outcomes, risks = _parse_fast(source, spec) or source.parse_rows(spec)
     datasets = Datasets([], source.digest)
     for name, column in zip(spec.model_columns, risks):
         datasets.append(PredictionSet(risks=column, outcomes=outcomes, name=name))
@@ -406,27 +442,61 @@ def ingest(spec: IngestionSpec) -> Datasets:
     return datasets
 
 
+def _columns_of(cls, rows: list, present: dict):
+    """An instance of ``cls`` holding the fields of ``rows``, instances of
+    ``cls``, as columns. A group-tied field (a float or None) has NaN where
+    it is None, and its mask in ``present``, by field name, is False there."""
+    hints, columns = _field_hints(cls), {}
+    for f in fields(cls):
+        cells = [getattr(row, f.name) for row in rows]
+        if is_dataclass(hints[f.name]):
+            columns[f.name] = _columns_of(hints[f.name], cells, present)
+        elif "group" in f.metadata:
+            present[f.name] = np.array([cell is not None for cell in cells], dtype=bool)
+            columns[f.name] = np.array([np.nan if c is None else c for c in cells], dtype=float)
+        else:
+            columns[f.name] = np.array(cells)
+    return cls(**columns)
+
+
+class _Rows:
+    """A dataclass field of rows of ``cls``, given as rows or as Columns: the
+    owner keeps Columns, as its ``columns``, and the field reads as a tuple
+    of rows, built from them on first read unless rows were given."""
+
+    def __init__(self, cls):
+        self.cls = cls
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            raise AttributeError("no default")  # so the dataclass field has none
+        if "rows" not in instance.__dict__:
+            instance.__dict__["rows"] = tuple(instance.columns.rows())
+        return instance.__dict__["rows"]
+
+    def __set__(self, instance, value):
+        if not isinstance(value, Columns):  # the rows given are the rows read
+            rows = instance.__dict__["rows"] = tuple(value)
+            present = {}
+            value = Columns(_columns_of(self.cls, rows, present), present)
+        instance.__dict__["columns"] = value
+
+
 @dataclass(frozen=True)
 class ModelCurve:
-    """One model's curve points, in grid order."""
+    """One model's curve points, in grid order, kept as columns (_Rows)."""
 
     name: str
-    points: tuple[CurvePoint, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+    points: tuple[CurvePoint, ...] = _Rows(CurvePoint)
 
 
 @dataclass(frozen=True)
 class ComparisonSection:
-    """Pairwise verdicts for one ordered model pair."""
+    """Pairwise verdicts for one ordered model pair, kept as columns (_Rows)."""
 
     model1: str
     model2: str
-    verdicts: tuple[ComparisonVerdict, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "verdicts", tuple(self.verdicts))
+    verdicts: tuple[ComparisonVerdict, ...] = _Rows(ComparisonVerdict)
 
 
 @dataclass(frozen=True)
@@ -496,42 +566,40 @@ def _quoted(texts) -> list[str]:
     return [quoted[text] for text in texts]
 
 
-def _column(cls, objects: list, name: str) -> list[str]:
-    """The CSV cells of field ``name`` over ``objects``, instances of ``cls``.
-    Only a text field goes through csv quoting: a number, an empty cell or
-    true/false never needs it."""
-    cells = csv_cells(map(attrgetter(name), objects))
-    return _quoted(cells) if _field_hints(cls)[name] is str else cells
+def _column(columns: Columns, name: str) -> list[str]:
+    """The CSV cells of field ``name`` of ``columns``: a float column goes
+    through ``format`` in one pass, a cell without a value is empty, and
+    only text goes through csv quoting, each distinct text once."""
+    column, present = columns.column(name)
+    values = column.tolist()
+    kind = column.dtype.kind
+    cells = list(map(format, values, repeat(".17g"))) if kind == "f" else csv_cells(values)
+    return _quoted(blank(cells, present, "")) if kind == "U" else blank(cells, present, "")
 
 
 def _emit_csv(doc: ReportDocument) -> str:
-    """The flat export, built a column at a time: each column's cells are
+    """The flat export, built from the columns: each column's cells are
     formatted in one pass, then every row is joined with commas."""
     columns = []
     if doc.models:
         band_cells = _BAND_CELLS if doc.bands else ()
         header = ("model",) + _POINT_COLUMNS + _CALIBRATION_COLUMNS + band_cells
         for model in doc.models:
-            points = model.points
-            calibrations = [p.calibration for p in points]
             band = doc.bands.get(model.name)
             (name_cell,) = _quoted(csv_cells([model.name]))
             columns.append([
                 repeat(name_cell),
-                *(_column(CurvePoint, points, name) for name in _POINT_COLUMNS),
-                *(_column(CalibrationSummary, calibrations, name)
-                  for name in _CALIBRATION_COLUMNS),
+                *(_column(model.columns, name) for name in _POINT_COLUMNS),
+                *(_column(model.columns, f"calibration.{name}") for name in _CALIBRATION_COLUMNS),
                 *(repeat("") if band is None else csv_cells(getattr(band, name))
                   for name in band_cells),
             ])
     elif doc.comparisons:
         header = _PAIR_COLUMNS + _VERDICT_COLUMNS
         for section in doc.comparisons:
-            verdicts = section.verdicts
             pair = _quoted(csv_cells(getattr(section, name) for name in _PAIR_COLUMNS))
             columns.append([*map(repeat, pair),
-                            *(_column(ComparisonVerdict, verdicts, name)
-                              for name in _VERDICT_COLUMNS)])
+                            *(_column(section.columns, name) for name in _VERDICT_COLUMNS)])
     else:
         return ""
     lines = [",".join(_quoted(list(header)))]

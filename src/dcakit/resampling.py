@@ -69,11 +69,11 @@ class CurveBand:
     ppv_replicates: tuple[int, ...]
 
 
-def _nearest_rank(sorted_values: np.ndarray, q) -> float:
-    """The value at rank ceil(q * m) of m sorted values, for an exact Fraction q."""
-    m = len(sorted_values)
-    rank = min(max(math.ceil(q * m), 1), m)
-    return float(sorted_values[rank - 1])
+def _nearest_rank(pool: np.ndarray, counts: list, q) -> tuple:
+    """Per column j of ``pool``, sorted, the value at rank ceil(q * m) of its
+    first m = counts[j] values, for an exact Fraction q; None where m is 0."""
+    return tuple(float(pool[min(max(math.ceil(q * m), 1), m) - 1, j]) if m else None
+                 for j, m in enumerate(counts))
 
 
 def _worker_count() -> int:
@@ -97,7 +97,8 @@ def bootstrap_bands(data: PredictionSet, grid: ThresholdGrid, spec: BandSpec) ->
             f"{spec.replicates} replicates x {n_grid} thresholds exceed the band "
             f"pool cap of {MAX_BAND_CELLS} values"
         )
-    keys = sweep_keys(data, thresholds)
+    # Gathered in the smallest type holding 2 * n_grid + 1 (uint8 on the default grid).
+    keys = sweep_keys(data, thresholds).astype(np.min_scalar_type(2 * n_grid + 1))
     n = data.n
 
     nb_pool = np.empty((spec.replicates, n_grid))
@@ -127,28 +128,17 @@ def bootstrap_bands(data: PredictionSet, grid: ThresholdGrid, spec: BandSpec) ->
 
     q_lo = (1 - Fraction(repr(spec.level))) / 2
     q_hi = 1 - q_lo
-    nb_lower, nb_upper = [], []
-    ppv_lower, ppv_upper, ppv_used = [], [], []
-    for j in range(n_grid):
-        nb_sorted = np.sort(nb_pool[:, j])
-        nb_lower.append(_nearest_rank(nb_sorted, q_lo))
-        nb_upper.append(_nearest_rank(nb_sorted, q_hi))
-        col = ppv_pool[:, j]
-        col = np.sort(col[~np.isnan(col)])
-        ppv_used.append(len(col))
-        if len(col):
-            ppv_lower.append(_nearest_rank(col, q_lo))
-            ppv_upper.append(_nearest_rank(col, q_hi))
-        else:
-            ppv_lower.append(None)
-            ppv_upper.append(None)
+    nb_pool.sort(axis=0)
+    ppv_pool.sort(axis=0)  # NaN, a replicate out of the PPV pool, sorts last
+    nb_used = [spec.replicates] * n_grid
+    ppv_used = np.count_nonzero(~np.isnan(ppv_pool), axis=0).tolist()
 
     return CurveBand(
         spec=spec,
         thresholds=tuple(float(t) for t in grid.points),
-        nb_lower=tuple(nb_lower),
-        nb_upper=tuple(nb_upper),
-        ppv_lower=tuple(ppv_lower),
-        ppv_upper=tuple(ppv_upper),
+        nb_lower=_nearest_rank(nb_pool, nb_used, q_lo),
+        nb_upper=_nearest_rank(nb_pool, nb_used, q_hi),
+        ppv_lower=_nearest_rank(ppv_pool, ppv_used, q_lo),
+        ppv_upper=_nearest_rank(ppv_pool, ppv_used, q_hi),
         ppv_replicates=tuple(ppv_used),
     )

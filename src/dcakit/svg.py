@@ -181,79 +181,47 @@ def _color(i: int) -> str:
 
 
 def _x_range(doc: ReportDocument):
-    ts = [p.t for model in doc.models for p in model.points]
+    ts = [t for model in doc.models for t in model.columns.cells("t")]
     return (min(ts), max(ts)) if ts else (0.0, 1.0)
 
 
-def _decision_panel(doc: ReportDocument) -> str:
+# Per panel: the reference curves, drawn once from the first model because
+# models share one cohort (field, class, color, dash, width; the field "t"
+# draws the diagonal); each model's series (field, class, dash, width) and
+# legend entries (label, dash); the closing legend entries (label, color,
+# dash). Colors, dashes and widths name STYLE entries.
+_LAYOUTS = {
+    "decision": ((("nb_all", "nb-treat-all", "reference_color", "dashed", "reference_width"),
+                  ("nb_none", "nb-treat-none", "axis_color", None, "reference_width")),
+                 (("nb_model", "nb-model", None, "stroke_width"),),
+                 (("{}", None),),
+                 (("treat all", "reference_color", "dashed"), ("treat none", "axis_color", None))),
+    "ppv": ((("t", "ppv-treat-none", "reference_color", None, "reference_width"),),
+            (("ppv_all_ref", "ppv-treat-all-ref", "dotted", "reference_width"),
+             ("ppv", "ppv-model", None, "stroke_width")),
+            (("{}", None), ("{} treat-all ref", "dotted")),
+            (("treat none (diagonal)", "reference_color", None),)),
+    "calibration": ((("t", "cal-diagonal", "reference_color", None, "reference_width"),),
+                    (("calibration.y_above", "cal-above", None, "stroke_width"),
+                     ("calibration.y_below", "cal-below", "dashed", "stroke_width")),
+                    (("{} rate above t", None), ("{} rate below t", "dashed")),
+                    (("diagonal", "reference_color", None),)),
+}
+
+
+def _y_range(doc: ReportDocument, which: str) -> tuple[float, float]:
+    if which != "decision":
+        return 0.0, 1.0
     values = [0.0]
     for model in doc.models:
-        values.extend(p.nb_model for p in model.points)
-        values.extend(p.nb_all for p in model.points)
+        values += model.columns.cells("nb_model") + model.columns.cells("nb_all")
     y_lo = max(STYLE["nb_floor"], min(values))
     y_hi = max(values)
-    pad = 0.05 * (y_hi - y_lo or 1.0)
-    panel = _Panel(_x_range(doc), (y_lo, y_hi + pad))
-    panel.add_axes(_TITLES["decision"], _Y_LABELS["decision"])
-    legend = []
-    first = doc.models[0]
-    ts = [p.t for p in first.points]
-    # Models share one cohort, so one treat-all / treat-none pair suffices.
-    panel.add_series(ts, [p.nb_all for p in first.points], STYLE["reference_color"],
-                     "nb-treat-all", dasharray=STYLE["dashed"],
-                     width=STYLE["reference_width"])
-    panel.add_series(ts, [p.nb_none for p in first.points], STYLE["axis_color"],
-                     "nb-treat-none", width=STYLE["reference_width"])
-    for i, model in enumerate(doc.models):
-        panel.add_series([p.t for p in model.points], [p.nb_model for p in model.points],
-                         _color(i), "nb-model")
-        legend.append((model.name, _color(i), None))
-    legend.append(("treat all", STYLE["reference_color"], STYLE["dashed"]))
-    legend.append(("treat none", STYLE["axis_color"], None))
-    panel.add_legend(legend)
-    return panel.render()
+    return y_lo, y_hi + 0.05 * (y_hi - y_lo or 1.0)
 
 
-def _ppv_panel(doc: ReportDocument) -> str:
-    panel = _Panel(_x_range(doc), (0.0, 1.0))
-    panel.add_axes(_TITLES["ppv"], _Y_LABELS["ppv"])
-    legend = []
-    first = doc.models[0]
-    ts = [p.t for p in first.points]
-    panel.add_series(ts, ts, STYLE["reference_color"], "ppv-treat-none",
-                     width=STYLE["reference_width"])
-    for i, model in enumerate(doc.models):
-        mts = [p.t for p in model.points]
-        panel.add_series(mts, [p.ppv_all_ref for p in model.points], _color(i),
-                         "ppv-treat-all-ref", dasharray=STYLE["dotted"],
-                         width=STYLE["reference_width"])
-        panel.add_series(mts, [p.ppv for p in model.points], _color(i), "ppv-model")
-        legend.append((model.name, _color(i), None))
-        legend.append((f"{model.name} treat-all ref", _color(i), STYLE["dotted"]))
-    legend.append(("treat none (diagonal)", STYLE["reference_color"], None))
-    panel.add_legend(legend)
-    return panel.render()
-
-
-def _calibration_panel(doc: ReportDocument) -> str:
-    panel = _Panel(_x_range(doc), (0.0, 1.0))
-    panel.add_axes(_TITLES["calibration"], _Y_LABELS["calibration"])
-    legend = []
-    first = doc.models[0]
-    ts = [p.t for p in first.points]
-    panel.add_series(ts, ts, STYLE["reference_color"], "cal-diagonal",
-                     width=STYLE["reference_width"])
-    for i, model in enumerate(doc.models):
-        mts = [p.t for p in model.points]
-        panel.add_series(mts, [p.calibration.y_above for p in model.points], _color(i),
-                         "cal-above")
-        panel.add_series(mts, [p.calibration.y_below for p in model.points], _color(i),
-                         "cal-below", dasharray=STYLE["dashed"])
-        legend.append((f"{model.name} rate above t", _color(i), None))
-        legend.append((f"{model.name} rate below t", _color(i), STYLE["dashed"]))
-    legend.append(("diagonal", STYLE["reference_color"], None))
-    panel.add_legend(legend)
-    return panel.render()
+def _dash(name):
+    return name and STYLE[name]
 
 
 def render_svg(doc: ReportDocument, which: str) -> str:
@@ -262,8 +230,20 @@ def render_svg(doc: ReportDocument, which: str) -> str:
         raise UsageError(f"unknown panel {which!r}; expected one of {PANELS}")
     if not doc.models:
         raise UsageError("report has no model curves to draw")
-    if which == "decision":
-        return _decision_panel(doc)
-    if which == "ppv":
-        return _ppv_panel(doc)
-    return _calibration_panel(doc)
+    references, series, labels, closing = _LAYOUTS[which]
+    panel = _Panel(_x_range(doc), _y_range(doc, which))
+    panel.add_axes(_TITLES[which], _Y_LABELS[which])
+    first = doc.models[0].columns
+    for name, css_class, color, dash, width in references:
+        panel.add_series(first.cells("t"), first.cells(name), STYLE[color], css_class,
+                         dasharray=_dash(dash), width=STYLE[width])
+    legend = []
+    for i, model in enumerate(doc.models):
+        ts = model.columns.cells("t")
+        for name, css_class, dash, width in series:
+            panel.add_series(ts, model.columns.cells(name), _color(i), css_class,
+                             dasharray=_dash(dash), width=STYLE[width])
+        legend += [(label.format(model.name), _color(i), _dash(dash)) for label, dash in labels]
+    legend += [(label, STYLE[color], _dash(dash)) for label, color, dash in closing]
+    panel.add_legend(legend)
+    return panel.render()

@@ -288,7 +288,7 @@ class TestExitCodes:
         def explode(*args, **kwargs):
             raise RouteDisagreementError("synthetic failure for the exit-code contract")
 
-        monkeypatch.setattr(cli_module, "decision_curve", explode)
+        monkeypatch.setattr(cli_module, "curve_columns", explode)
         code = cli_main(["curves", "--input", str(d0_csv_path), "--outcome", "y",
                          "--models", "m1"])
         assert code == 3

@@ -222,3 +222,44 @@ def test_blocks_end_where_rows_end(tmp_path, monkeypatch, eol, final_eol):
     assert fast is not None
     assert fast[0].tobytes() == outcomes.tobytes()
     assert np.ascontiguousarray(fast[1][0]).tobytes() == risks.tobytes()
+
+
+class TestRowParserStreams:
+    """A file the fast path declines is parsed as it is read again, through
+    a digest, keeping only the parsed values."""
+
+    @staticmethod
+    def declined(tmp_path, rows=100_000):
+        rng = np.random.default_rng(2)
+        risks = rng.random((rows, 2))
+        lines = [b"y,m1,m2"] + [b"%d,%r,%r" % (k, a, b) for k, (a, b) in
+                                zip(rng.integers(0, 2, rows), risks.tolist())]
+        lines[-1] = b"1.0" + lines[-1][1:]  # not a literal outcome: the row parser reads it
+        path = tmp_path / "declined.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        return path
+
+    def test_peak_stays_below_thrice_the_file(self, tmp_path):
+        path = self.declined(tmp_path)
+        with pytest.raises(IngestionError, match=r"literal 0 or 1.*row 100000.*'y'"):
+            ingest(_spec(path))  # numpy's lazy imports and caches
+        _, peak = _traced_peak(lambda: pytest.raises(IngestionError, ingest, _spec(path)))
+        assert peak < 3 * os.path.getsize(path)
+
+    def test_rewrite_during_the_parse_raises(self, tmp_path, monkeypatch):
+        """Rewritten to other bytes of the same size, with the mtime put back,
+        while the row parser reads it: only the digest of the reread shows it."""
+        path = self.declined(tmp_path, rows=2000)
+        original = report._parse_outcome
+        status = os.stat(path)
+
+        def rewrite_once(text, row, column):
+            if row == 1:  # flip the file's last digit: '0' and '1', '2' and '3', ...
+                data = path.read_bytes()
+                path.write_bytes(data[:-2] + bytes([data[-2] ^ 1]) + b"\n")
+                os.utime(path, ns=(status.st_atime_ns, status.st_mtime_ns))
+            return original(text, row, column)
+
+        monkeypatch.setattr(report, "_parse_outcome", rewrite_once)
+        with pytest.raises(IngestionError, match="changed while being read"):
+            ingest(_spec(path))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -75,6 +76,12 @@ class TestPredictionSet:
 
     def test_counts_partition(self, d0):
         assert d0.n1 + d0.n0 == d0.n
+
+    def test_events_counted_once_outside_the_fields(self, d0, monkeypatch):
+        monkeypatch.setattr(np, "count_nonzero", None)  # no count after construction
+        assert (d0.n1, d0.n0, d0.prevalence) == (4, 6, 0.4)
+        assert [f.name for f in dataclasses.fields(d0)] == ["risks", "outcomes", "name"]
+        assert "_n1" not in repr(d0)
 
     def test_rejects_risk_outside_unit_interval(self):
         with pytest.raises(DataError, match="position 1"):
