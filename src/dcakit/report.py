@@ -10,6 +10,7 @@ are bit-identical to the JSON ones.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import io
@@ -43,14 +44,14 @@ __all__ = [
 
 FORMATS = ("json", "csv")
 
-# Largest input file ingest reads, checked from the file's size before the
-# read, so that a hostile size fails with a DataError instead of running out
-# of memory. Ingest needs about 1.2 times the file's size.
+# Largest input file ingest reads, checked from a regular file's size before
+# the read and from a pipe's bytes as they arrive, so that a hostile size
+# fails with a DataError instead of running out of memory.
 MAX_INPUT_BYTES = 2 << 30
 
 _BOM = b"\xef\xbb\xbf"
 _NEWLINE = ord("\n")
-_SCAN_BLOCK = 1 << 18  # bytes per block of the fast path's row scan
+_SCAN_BLOCK = 1 << 18  # bytes per read of the fast path's streamed pass
 _DIGEST_BLOCK = 1 << 20  # bytes per read of file_digest
 
 
@@ -108,71 +109,6 @@ class _Digesting(io.RawIOBase):
         return count
 
 
-class _InputFile:
-    """An input file read once: its bytes, their SHA-256 digest, and the
-    file's identity (device, inode, size and mtime) at that read.
-
-    ``release`` drops the bytes, so that a parser reading the path itself
-    does not hold the file twice. ``check_unchanged`` and ``parse_rows``
-    then make sure the path still names the file that was read and
-    digested; the digest must name the bytes that were parsed.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        try:
-            with open(path, "rb") as handle:
-                status = os.fstat(handle.fileno())
-                if status.st_size > MAX_INPUT_BYTES:  # refused before any byte is read
-                    raise DataError(f"{path!r} is {status.st_size} bytes, over the "
-                                    f"{MAX_INPUT_BYTES}-byte input limit")
-                self.data = handle.read()
-        except OSError as exc:
-            raise IngestionError(f"cannot read {path!r}: {exc}") from exc
-        self.digest = hashlib.sha256(self.data).hexdigest()
-        self.identity = _identity(status)
-        # Only a regular file reads the same bytes a second time: a pipe
-        # gives them once.
-        self.rereadable = stat.S_ISREG(status.st_mode)
-
-    def release(self) -> None:
-        self.data = None
-
-    def _changed(self) -> IngestionError:
-        return IngestionError(f"{self.path!r} changed while being read")
-
-    def check_unchanged(self) -> None:
-        try:
-            identity = _identity(os.stat(self.path))
-        except OSError:
-            raise self._changed() from None
-        if identity != self.identity:
-            raise self._changed()
-
-    def parse_rows(self, spec: IngestionSpec) -> tuple[np.ndarray, list[np.ndarray]]:
-        """``_parse_rows`` on the bytes of a pipe. A regular file's bytes are
-        checked to be UTF-8 and released, and the file is parsed as it is read
-        again through a digest; a changed file overrides the parse's result."""
-        if not self.rereadable:
-            return _parse_rows(self.data, spec)
-        if self.data is not None:
-            _check_utf8(self.data, self.path)
-            self.release()
-        try:
-            with open(self.path, "rb", buffering=0) as handle:
-                reread = _Digesting(handle)
-                try:
-                    return _parse_rows(io.BufferedReader(reread), spec)
-                finally:
-                    for block in iter(partial(handle.read, _DIGEST_BLOCK), b""):
-                        reread.digest.update(block)
-                    if (_identity(os.fstat(handle.fileno())) != self.identity
-                            or reread.digest.hexdigest() != self.digest):
-                        raise self._changed()
-        except OSError:
-            raise self._changed() from None
-
-
 def _parse_outcome(text: str, row: int, column: str) -> int:
     value = text.strip()
     if value == "0":
@@ -205,14 +141,26 @@ def _column_index(names: list[str]) -> dict[str, int]:
     return index
 
 
-def _check_utf8(data: bytes, path: str) -> None:
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise IngestionError(
-                f"{path!r} is not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}"
-            ) from None
+class _Utf8Check:
+    """Checks bytes that arrive in pieces to be UTF-8 text, as one decode of
+    them all would: an error names the first bad byte and its offset in the
+    file, whose first piece starts at ``offset``."""
+
+    def __init__(self, path: str, offset: int = 0):
+        self.path, self.offset = path, offset
+        self.decoder = codecs.getincrementaldecoder("utf-8")()
+
+    def update(self, data: bytes, final: bool = False) -> None:
+        pending = len(self.decoder.getstate()[0])  # bytes of a split character
+        if pending or not data.isascii():
+            try:
+                self.decoder.decode(data, final)
+            except UnicodeDecodeError as exc:  # exc.object is the pending bytes and data
+                raise IngestionError(
+                    f"{self.path!r} is not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                    f"at offset {self.offset - pending + exc.start}"
+                ) from None
+        self.offset += len(data)
 
 
 def _csv_rows(text, spec: IngestionSpec):
@@ -235,7 +183,7 @@ def _parse_rows(data, spec: IngestionSpec) -> tuple[np.ndarray, list[np.ndarray]
     empty file, no data rows, missing column, first bad row), so after a
     missing column or bad row the rest is only read through csv."""
     if isinstance(data, bytes):
-        _check_utf8(data, spec.path)
+        _Utf8Check(spec.path).update(data, final=True)
         data = io.BytesIO(data)
     rows = _csv_rows(io.TextIOWrapper(data, encoding="utf-8-sig", newline=""), spec)
     first = next(rows, None)
@@ -276,21 +224,41 @@ def _parse_rows(data, spec: IngestionSpec) -> tuple[np.ndarray, list[np.ndarray]
             [np.array(values, dtype=np.float64) for values in risks])
 
 
-def _block_outcomes(block: np.ndarray, fields: int, column: int, delimiter: int,
-                    limit: int) -> np.ndarray | None:
-    """The outcome cells of ``block``, whole rows that end in a newline except
-    perhaps the file's last: None unless every row has ``fields`` fields, no
-    line is longer than ``limit`` and every outcome cell is the single byte
-    0 or 1."""
+def _header_layout(first: bytes, spec: IngestionSpec) -> tuple[int, list[int]] | None:
+    """The field count of the first line ``first`` (BOM and line end removed)
+    and the positions of the outcome and risk columns, as ``_parse_rows``
+    finds them; None when the line or the spec needs the row parser."""
+    delimiter = spec.delimiter
+    if (spec.outcome_column in spec.model_columns or not delimiter.isascii()
+            or delimiter in '\r\n"' or b'"' in first or b"\r" in first
+            or not 0 < len(first) <= csv.field_size_limit()):
+        return None
+    try:
+        cells = first.decode("utf-8").split(delimiter)
+    except UnicodeDecodeError:
+        return None
+    names = ([name.strip() for name in cells] if spec.header
+             else [str(i) for i in range(len(cells))])
+    index = _column_index(names)
+    wanted = (spec.outcome_column, *spec.model_columns)
+    if not all(name in index for name in wanted):
+        return None
+    return len(names), [index[name] for name in wanted]
+
+
+def _block_cells(block: np.ndarray, fields: int, columns: list[int], delimiter: int,
+                 limit: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]] | None:
+    """The outcome cells of ``block``, whole rows that each end in a newline,
+    as a bool array, and the start and end of each cell of the other
+    ``columns``: None unless every row has ``fields`` fields, no line is
+    longer than ``limit`` and every outcome cell is the single byte 0 or 1."""
     hits = block == delimiter
     hits |= block == _NEWLINE
     sep = np.flatnonzero(hits)
-    if block[-1] != _NEWLINE:
-        sep = np.append(sep, block.size)  # the last row ends at the end of the file
     rows, extra = divmod(sep.size, fields)
-    kinds = block[sep[:-1]]  # the last separator always ends the last row
+    kinds = block[sep]
     if (extra or (kinds[fields - 1::fields] != _NEWLINE).any()
-            or np.count_nonzero(kinds == _NEWLINE) != rows - 1):
+            or np.count_nonzero(kinds == _NEWLINE) != rows):
         return None
     ends = sep[fields - 1::fields]
     starts = np.empty_like(ends)
@@ -298,118 +266,375 @@ def _block_outcomes(block: np.ndarray, fields: int, column: int, delimiter: int,
     starts[1:] = ends[:-1] + 1
     if (ends - starts).max() > limit:
         return None
-    cell_start = starts if column == 0 else sep[column - 1::fields] + 1
-    if (sep[column::fields] - cell_start != 1).any():
+    cells = [(starts if column == 0 else sep[column - 1::fields] + 1, sep[column::fields])
+             for column in columns]
+    (start, end), *risks = cells
+    if (end - start != 1).any():
         return None
-    cells = block[cell_start]
-    outcomes = cells == ord("1")
-    if not (outcomes | (cells == ord("0"))).all():
+    outcomes = block[start]
+    ones = outcomes == ord("1")
+    if not (ones | (outcomes == ord("0"))).all():
         return None
-    return outcomes
+    return ones, risks
 
 
-def _scan_outcomes(data: bytes, start: int, fields: int, column: int,
-                   delimiter: int) -> np.ndarray | None:
-    """The outcome column of the body ``data[start:]``; None unless the body
-    is ASCII with no quote and no CR outside CRLF, and ``_block_outcomes``
-    takes each of its blocks. The body is scanned in blocks of whole rows,
-    so every array but the outcome vector stays small next to the file."""
-    if start >= len(data):
-        return None
-    limit = csv.field_size_limit()
-    outcomes = np.empty(data.count(b"\n", start) + (not data.endswith(b"\n")), dtype=np.int64)
-    filled = 0
-    while start < len(data):
-        stop = data.rfind(b"\n", start, start + _SCAN_BLOCK) + 1
-        if not stop:  # no row ends within a block: take the one row, unless too long
-            stop = data.find(b"\n", start) + 1 or len(data)
-            if stop - start > limit + 2:  # longer than the limit without its CRLF
-                return None
-        block = data[start:stop]
-        start = stop
-        if b"\r" in block:
-            block = block.replace(b"\r\n", b"\n")
-            if b"\r" in block:
-                return None
-        if not block.isascii() or b'"' in block:
-            return None
-        cells = _block_outcomes(np.frombuffer(block, dtype=np.uint8), fields, column,
-                                delimiter, limit)
-        if cells is None:
-            return None
-        outcomes[filled:filled + cells.size] = cells
-        filled += cells.size
-    return outcomes
+# The exact decimal converter. Every integer constant is uint64: numpy turns
+# uint64 mixed with int64 into float64.
+_U64 = np.uint64
+_MAX_FRACTION = 19  # fraction digits read exactly, as up to three 8-byte words
+_POW10 = np.array([float(10 ** k) for k in range(_MAX_FRACTION + 1)])  # exact below 10**23
+_POW10_INT = np.array([10 ** k for k in range(_MAX_FRACTION + 1)], dtype=np.uint64)
+# _KEEP[k, 2 - j]: the bytes of word j of a cell, its last 8j + 8 to 8j + 1
+# bytes, that hold fraction digits when there are k of them.
+_KEEP = np.array([[(1 << 64) - (1 << 8 * (8 - min(8, max(0, k - 8 * j)))) for j in (2, 1, 0)]
+                  for k in range(_MAX_FRACTION + 1)], dtype=np.uint64)
+_PAD = b"0" * 24  # bytes before a chunk's rows, so that a cell's last 24 can be read
+_SPLITTER = float((1 << 27) + 1)
 
 
-def _scan_plain(data: bytes, spec: IngestionSpec) -> tuple[np.ndarray, list[int]] | None:
-    """The outcome vector of a plain file and the positions of its risk
-    columns, from the header and a block-wise scan of the body; None when
-    the file needs the row parser."""
-    wanted = (spec.outcome_column, *spec.model_columns)
-    delimiter = spec.delimiter
-    if (spec.outcome_column in spec.model_columns or not delimiter.isascii()
-            or delimiter in '\r\n"'):
-        return None
-    limit = csv.field_size_limit()
-    start = len(_BOM) if data.startswith(_BOM) else 0
-    first_end = data.find(b"\n", start)
-    if first_end == -1:
-        first_end = len(data)
-    if first_end - start > limit + 1:  # longer than the limit without its CR
-        return None
-    first = data[start:first_end]
-    if first_end < len(data):
-        first = first.removesuffix(b"\r")
-    if b'"' in first or b"\r" in first or not 0 < len(first) <= limit:
-        return None
-    try:
-        cells = first.decode("utf-8").split(delimiter)
-    except UnicodeDecodeError:
-        return None
-    if spec.header:
-        names = [name.strip() for name in cells]
-        start = first_end + 1
-    else:
-        names = [str(i) for i in range(len(cells))]
-    index = _column_index(names)
-    if not all(name in index for name in wanted):
-        return None
-    columns = [index[name] for name in wanted]
-    outcomes = _scan_outcomes(data, start, len(names), columns[0], ord(delimiter))
-    return None if outcomes is None else (outcomes, columns[1:])
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split: a = high + low exactly, each with at most 26 significant bits."""
+    scaled = a * _SPLITTER
+    high = scaled - (scaled - a)
+    return high, a - high
 
 
-def _parse_fast(source: _InputFile,
-                spec: IngestionSpec) -> tuple[np.ndarray, list[np.ndarray]] | None:
-    """numpy's C parser on a plain file; None when the file needs the row parser.
+_POW10_HIGH, _POW10_LOW = _split(_POW10)
 
-    A file is plain when every row provably reads as in ``_parse_rows``: a
-    UTF-8 header and an ASCII body without quotes or lone CRs, the header's
-    field count on every row, no line longer than csv's field size limit,
-    outcome cells that are the single byte 0 or 1, and risks that
-    ``np.loadtxt`` parses and finds in [0, 1]. Anything else, every error
-    included, is left to the row parser.
 
-    ``np.loadtxt`` reads the path, so ``source`` releases its bytes first, and
-    the path must still name the file they came from afterwards.
+def _word_digits(words: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each word, 8 bytes of a cell read little-endian, as the integer that
+    its bytes under ``keep`` spell, the others read as 0, by three
+    multiply-shift steps; and a word whose bit 8i + 7 is set if byte i is
+    under ``keep`` and not an ASCII digit."""
+    words = (words ^ _U64(0x3030303030303030)) & keep  # digits to 0-9, the rest above
+    wrong = (words + _U64(0x7676767676767676)) | words  # a byte above 9 sets its top bit
+    words = (words * _U64(10 << 8 | 1)) >> _U64(8)
+    words = ((words & _U64(0x00FF00FF00FF00FF)) * _U64(100 << 16 | 1)) >> _U64(16)
+    words = ((words & _U64(0x0000FFFF0000FFFF)) * _U64(10000 << 32 | 1)) >> _U64(32)
+    return words, wrong
+
+
+def _residual(c: np.ndarray, high: np.ndarray, low: np.ndarray,
+              scale: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """d - c * 10**k, exactly, for the integer d = high + low, given 10**k
+    and its Dekker split as ``scale`` (see _rounded)."""
+    ten, ten_high, ten_low = scale
+    product = c * ten
+    c_high, c_low = _split(c)
+    error = (((c_high * ten_high - product) + c_high * ten_low + c_low * ten_high)
+             + c_low * ten_low)  # Dekker's two-product: c * 10**k == product + error
+    return ((high - product) + low) - error
+
+
+def _settled(c: np.ndarray, residual: np.ndarray, ten: np.ndarray) -> np.ndarray:
+    """Whether each c is d / 10**k correctly rounded, given the exact
+    residual d - c * 10**k and ``ten`` = 10**k: twice its size is below the
+    gap from c to its neighbour on the residual's side, times 10**k. Every
+    product and comparison here is exact. A tie, d / 10**k halfway between
+    two doubles in (2**-10, 2), would need over 53 fraction digits, so the
+    round-half-even case never arises here."""
+    gap = np.abs(np.nextafter(c, np.copysign(np.inf, residual)) - c) * ten
+    return 2.0 * np.abs(residual) < gap
+
+
+def _rounded(d: np.ndarray, c: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d / 10**k correctly rounded for 2**53 < d < 2**63, from its estimate
+    c = float(d) / 10**k, and whether each value is proved.
+
+    c is moved one step towards d / 10**k where the exact residual
+    r = d - c * 10**k says it is not the rounded value, then proved by
+    _settled. r is exact: d < 2 * 10**k, so k >= 16 and d / 10**k lies in
+    (2**-10, 2), where c is normal and within 3 of its ulps of d / 10**k,
+    before or after the move. c * 10**k, and so r, is a multiple of
+    g = ulp(c) * 2**k < 1, and |r| <= 3 * ulp(c) * 10**k, so |r| / g
+    <= 3 * 5**k < 2**53 for k <= 22: r is a double. Each step computing it
+    is exact. The two-product splits c * 10**k into p + e (Dekker; nothing
+    overflows or underflows). d is high + low, its bits above and below
+    2**11. high - p is exact by Sterbenz's lemma, both lying within 2**-50
+    of d. (high - p) + low is an integer far below 2**53, and its difference
+    with e is r itself, a double. Unproved cells go to the caller's fallback.
     """
-    scanned = _scan_plain(source.data, spec) if source.rereadable else None
+    scale = _POW10[k], _POW10_HIGH[k], _POW10_LOW[k]
+    high = (d & ~_U64(0x7FF)).astype(np.float64)  # 52 bits at most: exact
+    low = (d & _U64(0x7FF)).astype(np.float64)
+    residual = _residual(c, high, low, scale)
+    settled = _settled(c, residual, scale[0])
+    move = np.flatnonzero(~settled)
+    if move.size:
+        c[move] = np.nextafter(c[move], np.copysign(np.inf, residual[move]))
+        scale = tuple(part[move] for part in scale)
+        settled[move] = _settled(c[move], _residual(c[move], high[move], low[move], scale),
+                                 scale[0])
+    return c, settled
+
+
+def _decimals(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray,
+                                                                           np.ndarray]:
+    """The cells data[starts:ends] written as one digit, '.', and 1-19 digits,
+    converted exactly in numpy, and a mask of the cells so converted; the
+    other cells' values are arbitrary. ``data`` holds at least 24 bytes
+    before each cell's end.
+
+    The fraction's digits are read from the cell's last 8, 16 or 24 bytes
+    as little-endian words, as many as the longest fraction needs, giving
+    the integer d = value * 10**k for k fraction digits. Where d <= 2**53,
+    d / 10**k is one IEEE division of two exact doubles, so it is correctly
+    rounded (Clinger). Up to 2**63, _rounded proves the value; larger d
+    are left to the caller.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    length = ends - starts
+    lead = buf[starts] - np.uint8(ord("0"))
+    exact = ((lead <= 1) & (buf[np.minimum(starts + 1, ends)] == ord("."))
+             & (length >= 3) & (length - 2 + lead <= _MAX_FRACTION))  # so d < 2**64
+    fraction = np.where(exact, length - 2, 0)
+    count = max(1, -(-int(fraction.max(initial=0)) // 8))  # words the longest needs
+    tails = np.ndarray((buf.size - 8 * count + 1,), dtype=f"V{8 * count}", buffer=data,
+                       strides=(1,))  # each cell's last 8 * count bytes, by where they start
+    words = tails[ends - 8 * count].view("<u8").reshape(-1, count)
+    parts, wrong = _word_digits(words, np.take(_KEEP, fraction, axis=0)[:, 3 - count:])
+    d, bad = parts[:, -1], wrong[:, -1]
+    for j in range(1, count):  # the words before the last 8 bytes, 8 more digits each
+        d = d + parts[:, -1 - j] * _POW10_INT[8 * j]
+        bad = bad | wrong[:, -1 - j]
+    exact &= (bad & _U64(0x8080808080808080)) == _U64(0)
+    d = d + lead.astype(np.uint64) * _POW10_INT[fraction]
+    exact &= d < _U64(1 << 63)
+    values = d.astype(np.float64) / _POW10[fraction]
+    wide = np.flatnonzero(exact & (d > _U64(1 << 53)))
+    if wide.size:
+        values[wide], exact[wide] = _rounded(d[wide], values[wide], fraction[wide])
+    return values, exact
+
+
+def _cell_values(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The ASCII cells data[starts:ends] as ``_parse_risk`` reads them, by
+    strip and ``float``, range aside; None if one is not a number. Cells
+    that ``_decimals`` does not convert are read one at a time."""
+    values, exact = _decimals(data, starts, ends)
+    redo = np.flatnonzero(~exact)
+    try:
+        values[redo] = [float(data[start:end].decode("ascii").strip())
+                        for start, end in zip(starts[redo].tolist(), ends[redo].tolist())]
+    except ValueError:
+        return None
+    return values
+
+
+def _parse_chunk(data: bytes, stop: int, layout: tuple[int, list[int]],
+                 spec: IngestionSpec) -> list[np.ndarray] | None:
+    """The outcome cells (bool) and the risk columns of the rows
+    data[len(_PAD):stop], or None if they are not plain."""
+    fields, columns = layout
+    block = np.frombuffer(data, dtype=np.uint8, count=stop)[len(_PAD):]
+    scanned = _block_cells(block, fields, columns, ord(spec.delimiter), csv.field_size_limit())
     if scanned is None:
         return None
-    outcomes, usecols = scanned
-    source.release()
-    try:
-        risks = np.loadtxt(spec.path, dtype=np.float64, delimiter=spec.delimiter,
-                           comments=None, quotechar=None, skiprows=int(spec.header),
-                           usecols=usecols, ndmin=2, encoding="utf-8-sig")
-    except (OSError, ValueError):
-        risks = None
-    source.check_unchanged()
-    if (risks is None or risks.shape != (outcomes.size, len(spec.model_columns))
-            or not ((risks >= 0.0) & (risks <= 1.0)).all()):
-        return None
-    return outcomes, list(risks.T)
+    ones, cells = scanned
+    parsed = [ones]
+    for start, end in cells:
+        column = _cell_values(data, start + len(_PAD), end + len(_PAD))
+        if column is None or not ((column >= 0.0) & (column <= 1.0)).all():
+            return None
+        parsed.append(column)
+    return parsed
+
+
+def _grown(columns: list[np.ndarray], parsed: list[np.ndarray], rows: int,
+           capacity: int) -> list[np.ndarray]:
+    """Arrays of ``capacity`` rows, one per column of ``parsed`` and of its
+    dtype, that hold the first ``rows`` rows of ``columns``."""
+    grown = [np.empty(capacity, dtype=column.dtype) for column in parsed]
+    for new, old in zip(grown, columns):
+        new[:rows] = old[:rows]
+    return grown
+
+
+class _InputFile:
+    """An input file, open for one streamed read, and the SHA-256 digest of
+    the bytes read so far. A regular file over MAX_INPUT_BYTES is refused
+    from its size before any byte is read; a pipe, once more bytes arrive.
+    The file's identity (device, inode, size and mtime) when it was opened
+    must still hold after the read, or after the row parser's reread.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        try:
+            self.handle = open(path, "rb", buffering=0)
+        except OSError as exc:
+            raise IngestionError(f"cannot read {path!r}: {exc}") from exc
+        status = os.fstat(self.handle.fileno())
+        if status.st_size > MAX_INPUT_BYTES:  # refused before any byte is read
+            self.handle.close()
+            raise DataError(f"{path!r} is {status.st_size} bytes, over the "
+                            f"{MAX_INPUT_BYTES}-byte input limit")
+        self.identity, self.size = _identity(status), status.st_size
+        # Only a regular file reads the same bytes a second time: a pipe
+        # gives them once.
+        self.regular = stat.S_ISREG(status.st_mode)
+        self.digest = hashlib.sha256()
+        self.checked = 0  # bytes read, digested and found to be UTF-8
+        self.unchecked = b""  # bytes read and digested after those
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def _read(self, size: int) -> bytes:
+        try:
+            data = self.handle.read(size)
+        except OSError as exc:
+            raise IngestionError(f"cannot read {self.path!r}: {exc}") from exc
+        self.digest.update(data)
+        return data
+
+    def _changed(self) -> IngestionError:
+        return IngestionError(f"{self.path!r} changed while being read")
+
+    def parse_plain(self, spec: IngestionSpec) -> tuple[np.ndarray, list[np.ndarray]] | None:
+        """The fast path: a plain regular file parsed in one streamed read,
+        or None when the file needs the row parser.
+
+        A file is plain when every row provably reads as in ``_parse_rows``:
+        a UTF-8 header and an ASCII body without quotes or lone CRs, the
+        header's field count on every row, no line longer than csv's field
+        size limit, outcome cells that are the single byte 0 or 1, and
+        risk cells that ``_parse_risk``'s rule reads into [0, 1]. Anything
+        else, every error included, is left to the row parser.
+
+        The file is read in chunks of whole rows. Each is digested, scanned
+        for its separators by ``_block_cells``, and its risk cells converted
+        by ``_cell_values`` from the separators found. Only the parsed
+        values are kept, in one bool outcome array and one risk array per
+        model, sized for the rows the file holds at the density read so far
+        and grown if that falls short. Kept per chunk instead, they would
+        sit between the chunks' freed arrays and hold that memory in the
+        process's heap after the parse. A declined file keeps the bytes
+        read since the last whole chunk in ``unchecked``.
+        """
+        if not self.regular:
+            return None
+        limit = csv.field_size_limit()
+        layout = None
+        columns, rows = [], 0  # the outcome column and a risk column per model
+        carry = b""  # the bytes read after the last whole row
+        while True:
+            joined = self._read_after(carry)
+            end = len(joined) == len(_PAD) + len(carry)
+            if end:
+                if not carry:
+                    break
+                joined += b"\n"  # the last row, which has no newline
+            stop = joined.rfind(b"\n") + 1
+            if len(joined) - max(stop, len(_PAD)) > limit + 2:  # a line over the limit
+                return self._declined(joined, end)
+            if not stop:  # no row ends yet
+                carry = bytes(joined[len(_PAD):])
+                continue
+            start = len(_PAD)
+            if layout is None:
+                first_end = joined.find(b"\n", start)
+                start += len(_BOM) if joined.startswith(_BOM, start) else 0
+                layout = _header_layout(bytes(joined[start:first_end]).removesuffix(b"\r"),
+                                        spec)
+                if layout is None:
+                    return self._declined(joined, end)
+                if spec.header:
+                    start = first_end + 1
+            # Rows are parsed where they were read, unless they follow the
+            # header or hold a CR: then they are copied behind _PAD, as LF
+            # rows. The quote and ASCII tests also take in the partial row
+            # read after them, which is body too.
+            body, body_stop = joined, stop
+            if start != len(_PAD) or joined.find(b"\r", start, stop) != -1:
+                body = _PAD + joined[start:stop].replace(b"\r\n", b"\n")
+                body_stop = len(body)
+                if b"\r" in body:
+                    return self._declined(joined, end)
+            if b'"' in body or not body.isascii():
+                return self._declined(joined, end)
+            if body_stop > len(_PAD):
+                parsed = _parse_chunk(body, body_stop, layout, spec)
+                if parsed is None:
+                    return self._declined(joined, end)
+                count = len(parsed[0])
+                if not columns or rows + count > len(columns[0]):
+                    # room for the rows the file holds at the density read so far
+                    # (or more, if it grew while being read, which fails below)
+                    read = self.checked + stop - len(_PAD)
+                    expected = (rows + count) * max(self.size, read) // read
+                    columns = _grown(columns, parsed, rows, expected + expected // 64 + 64)
+                for column, part in zip(columns, parsed):
+                    column[rows:rows + count] = part
+                rows += count
+            self.checked += stop - len(_PAD)
+            carry = bytes(joined[stop:])
+            if end:
+                break
+        if not rows:
+            return None
+        if _identity(os.fstat(self.handle.fileno())) != self.identity:
+            raise self._changed()
+        outcomes, *risks = columns
+        return outcomes[:rows].astype(np.int64), [column[:rows] for column in risks]
+
+    def _read_after(self, carry: bytes) -> bytearray:
+        """_PAD, ``carry``, and up to _SCAN_BLOCK bytes read and digested
+        after it, read in place."""
+        start = len(_PAD) + len(carry)
+        joined = bytearray(start + _SCAN_BLOCK)
+        joined[:start] = _PAD + carry
+        with memoryview(joined) as whole, whole[start:] as free:
+            try:
+                count = self.handle.readinto(free)
+            except OSError as exc:
+                raise IngestionError(f"cannot read {self.path!r}: {exc}") from exc
+            self.digest.update(free[:count])
+        del joined[start + count:]
+        return joined
+
+    def _declined(self, joined: bytearray, end: bool) -> None:
+        """Keep the bytes of ``joined`` read from the file as ``unchecked``."""
+        self.unchecked = bytes(joined[len(_PAD):len(joined) - end])
+
+    def parse_rows(self, spec: IngestionSpec) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``_parse_rows`` on the bytes of a pipe, read once up to the size
+        cap. A regular file is read to its end after ``parse_plain``, its
+        rest digested and checked to be UTF-8, and is then parsed as it is
+        read again through a digest; a changed file overrides the parse's
+        result."""
+        if not self.regular:
+            parts, size = [], 0
+            while block := self._read(min(_DIGEST_BLOCK, MAX_INPUT_BYTES + 1 - size)):
+                size += len(block)
+                if size > MAX_INPUT_BYTES:
+                    raise DataError(f"{self.path!r} is over the {MAX_INPUT_BYTES}-byte "
+                                    f"input limit")
+                parts.append(block)
+            return _parse_rows(b"".join(parts), spec)
+        check = _Utf8Check(self.path, self.checked)
+        check.update(self.unchecked)
+        self.unchecked = b""
+        while block := self._read(_DIGEST_BLOCK):
+            check.update(block)
+        check.update(b"", final=True)
+        try:
+            with open(self.path, "rb", buffering=0) as handle:
+                reread = _Digesting(handle)
+                try:
+                    return _parse_rows(io.BufferedReader(reread), spec)
+                finally:
+                    for block in iter(partial(handle.read, _DIGEST_BLOCK), b""):
+                        reread.digest.update(block)
+                    if (_identity(os.fstat(handle.fileno())) != self.identity
+                            or reread.digest.digest() != self.digest.digest()):
+                        raise self._changed()
+        except OSError:
+            raise self._changed() from None
 
 
 class Datasets(list):
@@ -427,18 +652,19 @@ def ingest(spec: IngestionSpec) -> Datasets:
 
     Row order is preserved; rows are numbered from 1 (header excluded)
     in error messages. One leading UTF-8 byte order mark is skipped. A
-    plain file goes through numpy's C parser, any other file through the
-    row parser; both give the same arrays, and every error comes from the
-    row parser. The file is read and digested once; a file that changes
-    while it is read raises IngestionError, and one over MAX_INPUT_BYTES
-    raises DataError before it is read.
+    plain regular file is parsed in one streamed read, opened once, with
+    an exact vectorized decimal converter (``_InputFile.parse_plain``); any
+    other file goes through the row parser. Both give the same arrays bit
+    for bit, and every error comes from the row parser. The file is
+    digested as it is read; a file that changes while it is read raises
+    IngestionError, and one over MAX_INPUT_BYTES raises DataError.
     """
-    source = _InputFile(spec.path)
-    outcomes, risks = _parse_fast(source, spec) or source.parse_rows(spec)
-    datasets = Datasets([], source.digest)
-    for name, column in zip(spec.model_columns, risks):
-        datasets.append(PredictionSet(risks=column, outcomes=outcomes, name=name))
-        outcomes = datasets[0].outcomes  # frozen int64: the other models share it
+    with _InputFile(spec.path) as source:
+        outcomes, risks = source.parse_plain(spec) or source.parse_rows(spec)
+        datasets = Datasets([], source.digest.hexdigest())
+    outcomes.setflags(write=False)  # frozen int64 owning its data: every model shares it
+    for name in spec.model_columns:
+        datasets.append(PredictionSet(risks=risks.pop(0), outcomes=outcomes, name=name))
     return datasets
 
 

@@ -2,8 +2,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dcakit import PredictionSet
+
+# CI selects this profile (--hypothesis-profile=ci). Examples derive from
+# each test's name rather than a random seed, so a counterexample CI finds
+# on any numpy comes back with the same command locally; the converter
+# properties in test_decimals.py also draw more examples under it.
+settings.register_profile("ci", derandomize=True)
 
 D0_RISKS = [0.9, 0.8, 0.7, 0.6, 0.55, 0.4, 0.3, 0.2, 0.1, 0.05]
 D0_OUTCOMES = [1, 1, 0, 1, 0, 1, 0, 0, 0, 0]

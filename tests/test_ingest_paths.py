@@ -1,11 +1,11 @@
 """The two ingest parsers agree.
 
-``_parse_fast`` (numpy's C parser behind a byte scan) takes plain files and
-returns None for anything it cannot prove plain; ``_parse_rows`` (csv plus
-``float``) reads every file and owns every error. Whenever the fast path
-returns arrays, the row parser must return the same bytes, and ``ingest``
-must give what the row parser gives: the same arrays, or the same message,
-row and column.
+``_InputFile.parse_plain`` (a streamed byte scan and an exact decimal
+converter) takes plain files and returns None for anything it cannot prove
+plain; ``_parse_rows`` (csv plus ``float``) reads every file and owns every
+error. Whenever the fast path returns arrays, the row parser must return
+the same bytes, and ``ingest`` must give what the row parser gives: the
+same arrays, or the same message, row and column.
 """
 
 import csv
@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcakit import IngestionError, IngestionSpec, ingest
-from dcakit.report import _InputFile, _parse_fast, _parse_rows
+from dcakit import IngestionError, IngestionSpec, ingest, report
+from dcakit.report import _InputFile, _parse_rows
 
 
 def _arrays(parsed):
@@ -40,13 +40,19 @@ def _ingest(spec):
     return ("ok", sets[0].outcomes.tobytes(), *(s.risks.tobytes() for s in sets))
 
 
+def parse_plain(path, spec):
+    """The fast path on the file at ``path``: its arrays, or None."""
+    with _InputFile(str(path)) as source:
+        return source.parse_plain(spec)
+
+
 def check_paths(path, data, **options):
     """Write ``data`` to ``path``, check that both parsers agree, and return
     which one ``ingest`` used and what it returned."""
     path.write_bytes(data)
     spec = IngestionSpec(path=str(path), **options)
     expected = _row_parser(data, spec)
-    fast = _parse_fast(_InputFile(str(path)), spec)
+    fast = parse_plain(path, spec)
     if fast is not None:
         assert _arrays(fast) == expected
     assert _ingest(spec) == expected
@@ -78,7 +84,7 @@ CORPUS = {
     "risk inf": (b"y,m1\n1,inf\n", ONE_MODEL, "rows", "outside [0, 1]"),
     "risk -0.0": (b"y,m1\n1,-0.0\n0,0.5\n", ONE_MODEL, "fast", None),
     "risk 1e-05": (b"y,m1\n1,1e-05\n0,0.5\n", ONE_MODEL, "fast", None),
-    "risk 0.1_5": (b"y,m1\n1,0.1_5\n0,0.5\n", ONE_MODEL, "rows", None),
+    "risk 0.1_5": (b"y,m1\n1,0.1_5\n0,0.5\n", ONE_MODEL, "fast", None),
     "risk above 1": (b"y,m1\n1,0.5\n0,1.0000001\n", ONE_MODEL, "rows", "row 2"),
     "BOM": (b"\xef\xbb\xbfy,m1\n1,0.5\n0,0.25\n", ONE_MODEL, "fast", None),
     "BOM and CRLF": (b"\xef\xbb\xbfy,m1\r\n1,0.5\r\n", ONE_MODEL, "fast", None),
@@ -124,8 +130,8 @@ def _traced(call):
 
 def test_megabyte_single_line_stays_near_the_file_size(tmp_path):
     """A 1 MB cell is longer than csv's field limit. The fast path declines it
-    after a block-wise scan that holds a fraction of the file; the row parser
-    reports the limit, holding the line once as read and once joined."""
+    after one chunk, a fraction of the file; the row parser reports the
+    limit, holding the line once as read and once joined."""
     data = b"y,m1\n1,0." + b"5" * 1_000_000
     path = tmp_path / "wide.csv"
     path.write_bytes(data)
@@ -135,8 +141,8 @@ def test_megabyte_single_line_stays_near_the_file_size(tmp_path):
         with pytest.raises(IngestionError, match=r"field limit.*row 1"):
             _parse_rows(data, spec)
 
-    source = _InputFile(str(path))
-    fast, peak = _traced(lambda: _parse_fast(source, spec))
+    with _InputFile(str(path)) as source:
+        fast, peak = _traced(lambda: source.parse_plain(spec))
     assert fast is None and peak < len(data)
     assert _traced(row_parser)[1] < 2.5 * len(data)
     assert _ingest(spec)[:3] == ("error", f"malformed CSV: field larger than field limit "
@@ -145,7 +151,7 @@ def test_megabyte_single_line_stays_near_the_file_size(tmp_path):
 
 # -- fuzzed files ------------------------------------------------------------
 
-DELIMITERS = [",", ";", "\t", "|", " ", "#"]  # "#" is np.loadtxt's default comment
+DELIMITERS = [",", ";", "\t", "|", " ", "#"]
 NAMES = ["y", "m1", "m2", " m1", "x", "note"]
 OUTCOMES = ["0", "1", "0", "1", "0", "1", "+1", "01", "-0", "1.0", " 1 ", "", "2", "1\x0b"]
 RISK_TEXT = ["nan", "inf", "-inf", "-0.0", "1e-05", "0.1_5", "", " ", ".5", "5.", "1.",
@@ -209,6 +215,20 @@ def test_paths_agree_on_fuzzed_files(tmp_path_factory, case):
     data, delimiter = case
     path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
     check_paths(path, data, outcome_column="y", model_columns=("m1",), delimiter=delimiter)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=input_files(), chunk=st.sampled_from([1, 2, 3, 5, 8, 13, 32]))
+def test_paths_agree_in_small_chunks(tmp_path_factory, case, chunk):
+    """Read in chunks of a few bytes, so that rows, CRLFs, the BOM and the
+    header straddle chunk ends, the fast path still agrees or declines."""
+    data, delimiter = case
+    path = tmp_path_factory.getbasetemp() / "chunked.csv"
+    default, report._SCAN_BLOCK = report._SCAN_BLOCK, chunk
+    try:
+        check_paths(path, data, outcome_column="y", model_columns=("m1",), delimiter=delimiter)
+    finally:
+        report._SCAN_BLOCK = default
 
 
 @st.composite

@@ -1,11 +1,15 @@
 """Ingest reads its input once.
 
-``ingest`` reads the file's bytes once, digests them, scans them and drops
-them before ``np.loadtxt`` reads the path. The file must still be the one
-that was read afterwards, a file over ``MAX_INPUT_BYTES`` is refused before
-the read, and ingest's memory stays close to the file's size.
+``ingest`` opens a plain file once and reads it in chunks of whole rows:
+each is digested, scanned and parsed, and only the parsed values stay. A
+file the fast path declines is digested to its end and read again by the
+row parser, whose reread must give the same digest. The file must keep its
+identity until the last read ends. A regular file over ``MAX_INPUT_BYTES``
+is refused before its read and a pipe once more bytes arrive, and ingest's
+memory stays below the file's size.
 """
 
+import contextlib
 import hashlib
 import os
 import sys
@@ -36,15 +40,32 @@ def plain(tmp_path):
     return path
 
 
-def _loadtxt_that(monkeypatch, change):
-    """Make np.loadtxt apply ``change`` to its file, then parse it."""
-    real = np.loadtxt
+def _between_chunks(monkeypatch, path, change):
+    """Read in chunks of 8 bytes, and apply ``change`` to the file at
+    ``path`` once the first chunk is parsed."""
+    monkeypatch.setattr(report, "_SCAN_BLOCK", 8)
+    real = report._parse_chunk
+    changed = []
 
-    def loadtxt(path, *args, **kwargs):
+    def parse_chunk(*args):
+        parsed = real(*args)
+        if not changed:
+            changed.append(change(path))
+        return parsed
+
+    monkeypatch.setattr(report, "_parse_chunk", parse_chunk)
+
+
+def _before_reread(monkeypatch, path, change):
+    """Apply ``change`` to the file at ``path`` once the row parser has
+    opened it again, before it parses."""
+    real = report._parse_rows
+
+    def parse_rows(data, spec):
         change(path)
-        return real(path, *args, **kwargs)
+        return real(data, spec)
 
-    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    monkeypatch.setattr(report, "_parse_rows", parse_rows)
 
 
 def _append_row(path):
@@ -52,61 +73,87 @@ def _append_row(path):
         handle.write(b"1,0.5,0.5\n")
 
 
+def _append_rows(path):
+    with open(path, "ab") as handle:
+        handle.write(b"1,0.5,0.5\n" * 1000)
+
+
 class TestChangedFile:
     def test_ingest_raises(self, plain, monkeypatch):
-        _loadtxt_that(monkeypatch, _append_row)
+        _between_chunks(monkeypatch, plain, _append_row)
+        with pytest.raises(IngestionError, match="changed while being read"):
+            ingest(_spec(plain))
+
+    def test_more_rows_than_the_size_at_the_open_raises(self, plain, monkeypatch):
+        """The appended rows are read too, several a chunk, more of them than
+        the file's size when it was opened left room for."""
+        _between_chunks(monkeypatch, plain, _append_rows)
+        monkeypatch.setattr(report, "_SCAN_BLOCK", 64)
         with pytest.raises(IngestionError, match="changed while being read"):
             ingest(_spec(plain))
 
     def test_cli_exits_2(self, plain, tmp_path, monkeypatch, capsys):
-        _loadtxt_that(monkeypatch, _append_row)
+        _between_chunks(monkeypatch, plain, _append_row)
         assert _curves(plain, tmp_path / "report.json") == 2
         assert "changed while being read" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     def test_rewrite_that_still_parses_raises(self, plain, monkeypatch):
-        """np.loadtxt's arrays fit the scan, so only the identity check can
-        tell that they come from other bytes than the digest's."""
+        """The rest of the rewritten file parses, so only the file's identity
+        at the end of the read can tell that the chunks come from two
+        versions of it."""
         rewritten = PLAIN.replace(b"0.25", b"0.5")
-        _loadtxt_that(monkeypatch, lambda path: plain.write_bytes(rewritten))
+        _between_chunks(monkeypatch, plain, lambda path: path.write_bytes(rewritten))
         with pytest.raises(IngestionError, match="changed while being read"):
             ingest(_spec(plain))
 
     def test_same_size_rewrite_caught_on_the_reread(self, plain, monkeypatch):
-        """A rewrite that keeps the size and puts the mtime back passes the
-        identity check. The out-of-range risk sends the file to the row
-        parser, whose second read must give the digested bytes."""
+        """The out-of-range risk sends the file to the row parser. A rewrite
+        before its reread that keeps the size and puts the mtime back passes
+        the identity check, so the reread's digest must show it."""
+        plain.write_bytes(PLAIN.replace(b"0.25", b"1.25"))
+
         def rewrite(path):
             status = os.stat(path)
             with open(path, "r+b") as handle:
-                handle.write(PLAIN.replace(b"0.25", b"1.25"))
+                handle.write(PLAIN)
             os.utime(path, ns=(status.st_atime_ns, status.st_mtime_ns))
 
-        _loadtxt_that(monkeypatch, rewrite)
+        _before_reread(monkeypatch, plain, rewrite)
         with pytest.raises(IngestionError, match="changed while being read"):
             ingest(_spec(plain))
 
     def test_unchanged_file_passes(self, plain, monkeypatch):
-        _loadtxt_that(monkeypatch, lambda path: None)
+        _between_chunks(monkeypatch, plain, lambda path: None)
         sets = ingest(_spec(plain))
         assert [s.risks.tolist() for s in sets] == [[0.5, 0.1], [0.25, 1.0]]
         assert sets.digest == hashlib.sha256(PLAIN).hexdigest()
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-def test_pipe_is_parsed_from_its_one_read():
-    """A pipe gives its bytes once, so they stay for the row parser, and the
-    digest names them."""
+@contextlib.contextmanager
+def _pipe(data):
+    """A /dev/fd path to the read end of a pipe that holds ``data``."""
     read_end, write_end = os.pipe()
     try:
-        os.write(write_end, PLAIN)
+        os.write(write_end, data)
         os.close(write_end)
         write_end = None
-        sets = ingest(_spec(f"/dev/fd/{read_end}"))
+        yield f"/dev/fd/{read_end}"
     finally:
         os.close(read_end)
         if write_end is not None:
             os.close(write_end)
+
+
+needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+
+
+@needs_dev_fd
+def test_pipe_is_parsed_from_its_one_read():
+    """A pipe gives its bytes once, so they stay for the row parser, and the
+    digest names them."""
+    with _pipe(PLAIN) as path:
+        sets = ingest(_spec(path))
     assert [s.risks.tolist() for s in sets] == [[0.5, 0.1], [0.25, 1.0]]
     assert sets.digest == hashlib.sha256(PLAIN).hexdigest()
 
@@ -126,6 +173,22 @@ class TestSizeCap:
         monkeypatch.setattr(report, "MAX_INPUT_BYTES", 10)
         assert _curves(plain, tmp_path / "report.json") == 2
         assert f"is {len(PLAIN)} bytes, over the 10-byte input limit" in capsys.readouterr().err
+
+    @needs_dev_fd
+    def test_pipe_at_the_cap_is_read(self, monkeypatch):
+        monkeypatch.setattr(report, "MAX_INPUT_BYTES", len(PLAIN))
+        with _pipe(PLAIN) as path:
+            assert len(ingest(_spec(path))) == 2
+
+    @needs_dev_fd
+    def test_larger_pipe_is_refused(self, tmp_path, monkeypatch, capsys):
+        """A pipe has no size to check before the read: ingest reads one
+        byte more than the cap and stops there."""
+        monkeypatch.setattr(report, "MAX_INPUT_BYTES", 10)
+        with _pipe(PLAIN) as path:
+            assert _curves(path, tmp_path / "report.json") == 2
+        assert "is over the 10-byte input limit" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
 
 def _traced_peak(call):
@@ -161,9 +224,9 @@ def test_digest_names_the_raw_bytes(tmp_path):
 
 
 def test_ingest_peak_stays_near_the_file_size(tmp_path):
-    """Full-precision risks of two models on 200,000 rows: the bytes, the
-    outcome vector and the block scan's arrays are live at once, never the
-    bytes and numpy's parse."""
+    """Full-precision risks of two models on 200,000 rows: the streamed read
+    holds the parsed arrays, their per-chunk pieces and one chunk, never the
+    file."""
     rng = np.random.default_rng(1)
     risks = rng.random((200_000, 2))
     outcomes = rng.random(200_000) < risks[:, 0]
@@ -173,25 +236,36 @@ def test_ingest_peak_stays_near_the_file_size(tmp_path):
     ingest(_spec(path))  # numpy's lazy imports and caches
     sets, peak = _traced_peak(lambda: ingest(_spec(path)))
     assert sets[0].n == 200_000
-    assert peak <= 1.6 * os.path.getsize(path)
+    assert peak <= 1.0 * os.path.getsize(path)
 
 
-def test_curves_opens_the_input_twice(plain, tmp_path):
-    """Once for ingest's read and once for np.loadtxt; the digest comes from
-    the first read."""
+def _opens(path, call):
+    """How many times ``call()`` opens ``path``, and its result."""
     opened = []
     counting = True
 
     def hook(event, args):
-        if counting and event == "open" and args[0] == str(plain):
+        if counting and event == "open" and args[0] == str(path):
             opened.append(args[1])
 
     sys.addaudithook(hook)  # a hook cannot be removed; it stops counting below
     try:
-        assert _curves(plain, tmp_path / "report.json") == 0
+        result = call()
     finally:
         counting = False
-    assert len(opened) == 2
+    return len(opened), result
+
+
+def test_curves_opens_a_plain_input_once(plain, tmp_path):
+    """The streamed read parses and digests the same bytes."""
+    assert _opens(plain, lambda: _curves(plain, tmp_path / "report.json")) == (1, 0)
+
+
+def test_curves_opens_a_declined_input_twice(plain, tmp_path):
+    """Once for the streamed read, which digests the file to its end, and
+    once for the row parser's reread, which must give that digest."""
+    plain.write_bytes(PLAIN.replace(b"\n1,", b"\n 1 ,"))  # a padded outcome: the row parser
+    assert _opens(plain, lambda: _curves(plain, tmp_path / "report.json")) == (2, 0)
 
 
 def test_quote_in_a_body_block_takes_the_row_parser(tmp_path):
@@ -206,8 +280,8 @@ def test_quote_in_a_body_block_takes_the_row_parser(tmp_path):
 @pytest.mark.parametrize("eol", [b"\n", b"\r\n"])
 @pytest.mark.parametrize("final_eol", [True, False])
 def test_blocks_end_where_rows_end(tmp_path, monkeypatch, eol, final_eol):
-    """Scanned in blocks far smaller than the file, one row longer than a
-    block among them, a plain file gives the row parser's arrays."""
+    """Read in chunks far smaller than the file, one row longer than a chunk
+    among them, a plain file gives the row parser's arrays."""
     monkeypatch.setattr(report, "_SCAN_BLOCK", 64)
     rng = np.random.default_rng(5)
     lines = [b"y,m1,note"] + [b"%d,%r,%s" % (rng.integers(2), rng.random(), b"x" * rng.integers(40))
@@ -217,11 +291,60 @@ def test_blocks_end_where_rows_end(tmp_path, monkeypatch, eol, final_eol):
     path = tmp_path / "input.csv"
     path.write_bytes(data)
     spec = IngestionSpec(path=str(path), outcome_column="y", model_columns=("m1",))
-    fast = report._parse_fast(report._InputFile(str(path)), spec)
+    with report._InputFile(str(path)) as source:
+        fast = source.parse_plain(spec)
     outcomes, (risks,) = report._parse_rows(data, spec)
     assert fast is not None
     assert fast[0].tobytes() == outcomes.tobytes()
     assert np.ascontiguousarray(fast[1][0]).tobytes() == risks.tobytes()
+
+
+def test_arrays_grow_when_rows_get_shorter(tmp_path, monkeypatch):
+    """The kept arrays are sized from the rows per byte read so far; a file
+    whose rows get shorter outgrows them, and they grow, keeping every row."""
+    monkeypatch.setattr(report, "_SCAN_BLOCK", 256)
+    sizes = []
+    real = report._grown
+
+    def grown(columns, parsed, rows, capacity):
+        sizes.append(capacity)
+        return real(columns, parsed, rows, capacity)
+
+    monkeypatch.setattr(report, "_grown", grown)
+    rng = np.random.default_rng(8)
+    lines = [b"y,m1,note"] + [b"%d,%r,%s" % (rng.integers(2), rng.random(), b"x" * (200 - i))
+                              for i in range(200)]
+    data = b"\n".join(lines) + b"\n"
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    spec = IngestionSpec(path=str(path), outcome_column="y", model_columns=("m1",))
+    with report._InputFile(str(path)) as source:
+        fast = source.parse_plain(spec)
+    outcomes, (risks,) = report._parse_rows(data, spec)
+    assert len(sizes) > 1 and sizes == sorted(sizes)
+    assert fast[0].tobytes() == outcomes.tobytes()
+    assert np.ascontiguousarray(fast[1][0]).tobytes() == risks.tobytes()
+
+
+@pytest.mark.parametrize("last", [b"0,0.5,\xc3\xbc\n", b"0,0.5,\xc3\n", b"0,0.5,\xc3"])
+def test_utf8_check_spans_reads(tmp_path, monkeypatch, last):
+    """A declined file is checked to be UTF-8 as the rest of it is read, 3
+    bytes at a time: a character split between reads passes, and a bad byte
+    is named at its offset in the file, as one decode of the file names it."""
+    monkeypatch.setattr(report, "_SCAN_BLOCK", 16)
+    monkeypatch.setattr(report, "_DIGEST_BLOCK", 3)
+    data = "y,m1,note\n1,0.5,x\n0,0.25,vérifié\n1,0.5,ü\n".encode() + last
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    spec = IngestionSpec(path=str(path), outcome_column="y", model_columns=("m1",))
+    try:
+        expected = [report._parse_rows(data, spec)[1][0].tolist()]
+    except IngestionError as exc:
+        expected = str(exc)
+    try:
+        assert [ingest(spec)[0].risks.tolist()] == expected
+    except IngestionError as exc:
+        assert str(exc) == expected and "is not UTF-8 text: byte 0xc3 at offset" in expected
 
 
 class TestRowParserStreams:
