@@ -205,9 +205,13 @@ def ppv_bounds_given_nb(nb: float, prevalence: float, t: float) -> PpvInterval:
     if not 0.0 <= prevalence <= 1.0:
         raise DataError(f"prevalence must lie in [0, 1], got {prevalence!r}")
     nb_max = prevalence
-    nb_min = -(1.0 - prevalence) * (t / (1.0 - t))
+    odds = t / (1.0 - t)
+    nb_min = -(1.0 - prevalence) * odds
+    # A net benefit from counts carries the rounding of its odds-weighted
+    # term, so the slack below the floor grows with the odds (t near 1).
+    floor_slack = _FEASIBILITY_SLACK * max(1.0, odds)
     # Fails closed: a NaN nb is outside every range.
-    if not nb_min - _FEASIBILITY_SLACK <= nb <= nb_max + _FEASIBILITY_SLACK:
+    if not nb_min - floor_slack <= nb <= nb_max + _FEASIBILITY_SLACK:
         raise InfeasibleNetBenefitError(
             f"net benefit {nb!r} unattainable at prevalence {prevalence!r}, t={t!r} "
             f"(feasible range [{nb_min!r}, {nb_max!r}])"

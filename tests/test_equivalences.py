@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcakit import (
@@ -239,8 +239,21 @@ class TestPpvBounds:
         with pytest.raises(InfeasibleNetBenefitError):
             ppv_bounds_given_nb(-0.7, 0.4, 0.5)
 
+    def test_floor_slack_scales_with_odds(self):
+        # Past the floor by 1e-9 is rounding at odds ~1e5 but not at 1.
+        t = 0.99999
+        nb_min = -0.2 * (t / (1.0 - t))
+        interval = ppv_bounds_given_nb(nb_min - 1e-9, 0.8, t)
+        # tp = 0 is forced; the cap arithmetic rounds like nb, by ~1e-15/(1-t).
+        assert interval.upper == pytest.approx(0.0, abs=1e-15 / (1.0 - t))
+        with pytest.raises(InfeasibleNetBenefitError):
+            ppv_bounds_given_nb(-0.6 - 1e-9, 0.4, 0.5)
+
     @given(recs=records, t=thresholds)
     @settings(max_examples=200)
+    # At t near 1 the odds weight fp/n by ~1e5, and nb from counts rounds
+    # a few ulps of 2e4 below the floor computed from prevalence.
+    @example(recs=[(0.0, 1)] * 4 + [(1.0, 0)], t=0.99999)
     def test_containment(self, recs, t):
         data = make_set(recs)
         c = classify_at_threshold(data, t)
