@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import tempfile
+from functools import cache
 from itertools import groupby
 from operator import itemgetter
 
@@ -107,7 +108,11 @@ def _add_input_options(parser: argparse.ArgumentParser, n_models: int | None = N
                         help="file has no header row; address columns by 0-based index")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process. Its subcommands
+    look up what they call at call time, so a name rebound in this module
+    takes effect on a parser already built."""
     parser = _Parser(prog="dcakit",
                      description="Decision-curve, PPV-curve and threshold-calibration "
                                  "analytics for binary risk prediction models.")

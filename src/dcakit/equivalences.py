@@ -152,8 +152,7 @@ def defaults_columns(c: ThresholdConfusion) -> DefaultsVerdict:
     t, tp, fp, fn = (np.atleast_1d(v) for v in (c.t, c.tp, c.fp, c.fn))
     n = c.n
     n1 = tp + fn
-    nobody = np.zeros_like(tp)
-    beats_none = net_benefit_order(t, (tp, fp), (nobody, nobody)) > 0
+    beats_none = net_benefit_order(t, (tp, fp), (0, 0)) > 0
     beats_all = net_benefit_order(t, (tp, fp), (n1, n - n1)) > 0
     positives = tp + fp
     s_t = positives / n

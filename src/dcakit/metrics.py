@@ -75,14 +75,26 @@ def _is_binary(outcomes: np.ndarray) -> np.ndarray:
     return (outcomes == 0) | (outcomes == 1)
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``: itself if it already is
+    one that owns its data, so nothing else can write to it, else a copy."""
+    if not (isinstance(values, np.ndarray) and values.dtype == dtype
+            and values.flags.owndata and not values.flags.writeable):
+        values = np.array(values, dtype=dtype)
+        values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class PredictionSet:
     """A named, ordered set of paired (risk, outcome) records.
 
-    Arrays are copied and frozen on construction, except an outcome array
-    that is already a frozen int64 array owning its data: sets that score
-    one cohort share it. ``n1``, the number of events, is counted once, at
-    construction; ``n0`` and ``prevalence`` are derived from it.
+    Arrays are copied and frozen on construction, except a float64 risk
+    array or an int64 outcome array that is already frozen and owns its
+    data: it is kept as is, so sets that score one cohort share its
+    outcomes and ingest's arrays are not copied. ``n1``, the number of
+    events, is counted once, at construction; ``n0`` and ``prevalence``
+    are derived from it.
     """
 
     risks: np.ndarray
@@ -90,7 +102,7 @@ class PredictionSet:
     name: str = "model"
 
     def __post_init__(self):
-        risks = np.asarray(self.risks, dtype=np.float64).copy()
+        risks = _frozen(self.risks, np.float64)
         outcomes = np.asarray(self.outcomes)
         if risks.ndim != 1 or outcomes.ndim != 1:
             raise DataError("risks and outcomes must be one-dimensional")
@@ -108,13 +120,8 @@ class PredictionSet:
         if not binary.all():
             i = int(np.argmin(binary))
             raise DataError(f"outcome must be 0 or 1 at position {i}: {outcomes[i]!r}")
-        if not (outcomes.dtype == np.int64 and outcomes.flags.owndata
-                and not outcomes.flags.writeable):
-            outcomes = outcomes.astype(np.int64)
-            outcomes.setflags(write=False)
-        risks.setflags(write=False)
         object.__setattr__(self, "risks", risks)
-        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "outcomes", _frozen(outcomes, np.int64))
         # Not a field: fields, repr and equality stay the records and the name.
         object.__setattr__(self, "_n1", int(np.count_nonzero(outcomes)))
 
@@ -187,20 +194,38 @@ def reproducer(t: float, tp: int, fp: int, tn: int, fn: int) -> str:
     return f"reproduce with t={num}/{den}, tp={tp} fp={fp} n1={tp + fn} n0={fp + tn}"
 
 
+MAX_COUNT = 1 << 30  # counts net_benefit_order decides exactly in int64
+
+
 def net_benefit_order(t: np.ndarray, side1: tuple, side2: tuple) -> np.ndarray:
     """The sign of nb1 - nb2 at every threshold of ``t``, in exact integers,
-    from each side's (tp, fp) columns. Both sides count the same n records;
-    treat-none is the side (0, 0) and treat-all the side (n1, n0).
+    from each side's (tp, fp) counts, columns or scalars. Both sides count
+    the same n records; treat-none is the side (0, 0) and treat-all the
+    side (n1, n0).
 
-    A float threshold is a dyadic rational num/den, so n*den*(nb1 - nb2)
-    is an integer, exact in Python ints (den up to 2**60 overflows int64).
+    A threshold in (0, 1) is M / 2**K with M < 2**53 and K >= 53, so the
+    sign is that of dtp*2**K - dsel*M, with dsel = dtp + dfp: the sign of
+    dtp - Q, where Q = floor(dsel*M / 2**K), and negative where they are
+    equal and the remainder is not zero. Q is computed exactly in int64
+    with M split at bit 26, which holds while |dsel| < 2**32: every count
+    must be below MAX_COUNT, or DataError.
     """
-    order = []
-    for tj, tp1, fp1, tp2, fp2 in zip(t.tolist(), *(v.tolist() for v in (*side1, *side2))):
-        num, den = tj.as_integer_ratio()
-        diff = (tp1 - tp2) * (den - num) - (fp1 - fp2) * num
-        order.append((diff > 0) - (diff < 0))
-    return np.array(order, dtype=np.int64)
+    counts = [np.asarray(v, dtype=np.int64) for v in (*side1, *side2)]
+    if any((np.abs(v) >= MAX_COUNT).any() for v in counts):
+        raise DataError(f"a count is beyond the exact verdict's limit of {MAX_COUNT}")
+    tp1, fp1, tp2, fp2 = counts
+    tp = tp1 - tp2
+    sel = tp + (fp1 - fp2)
+    mantissa, exponent = np.frexp(t)
+    m = (mantissa * float(1 << 53)).astype(np.int64)
+    shift = np.minimum(27 - exponent.astype(np.int64), 62)  # K - 26, capped: |C| < 2**60
+    low = sel * (m & ((1 << 26) - 1))
+    c = sel * (m >> 26) + (low >> 26)  # floor(dsel*M / 2**26)
+    q = c >> shift
+    exact = ((low & ((1 << 26) - 1)) == 0) & ((c & ((1 << shift) - 1)) == 0)
+    order = np.sign(tp - q)
+    order[(order == 0) & ~exact] = -1
+    return order
 
 
 @dataclass(frozen=True, eq=False)

@@ -282,7 +282,7 @@ def _block_cells(block: np.ndarray, fields: int, columns: list[int], delimiter: 
 # uint64 mixed with int64 into float64.
 _U64 = np.uint64
 _MAX_FRACTION = 19  # fraction digits read exactly, as up to three 8-byte words
-_POW10 = np.array([float(10 ** k) for k in range(_MAX_FRACTION + 1)])  # exact below 10**23
+_POW10 = np.array([float(10 ** k) for k in range(23)])  # exact below 10**23
 _POW10_INT = np.array([10 ** k for k in range(_MAX_FRACTION + 1)], dtype=np.uint64)
 # _KEEP[k, 2 - j]: the bytes of word j of a cell, its last 8j + 8 to 8j + 1
 # bytes, that hold fraction digits when there are k of them.
@@ -315,15 +315,19 @@ def _word_digits(words: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.nd
     return words, wrong
 
 
-def _residual(c: np.ndarray, high: np.ndarray, low: np.ndarray,
-              scale: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """d - c * 10**k, exactly, for the integer d = high + low, given 10**k
-    and its Dekker split as ``scale`` (see _rounded)."""
-    ten, ten_high, ten_low = scale
-    product = c * ten
+def _two_product(c: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c * 10**k as product + error, both doubles, exactly (Dekker's
+    two-product), for k <= 22 and c * 10**k far from overflow and underflow."""
+    ten_high, ten_low = _POW10_HIGH[k], _POW10_LOW[k]
+    product = c * _POW10[k]
     c_high, c_low = _split(c)
-    error = (((c_high * ten_high - product) + c_high * ten_low + c_low * ten_high)
-             + c_low * ten_low)  # Dekker's two-product: c * 10**k == product + error
+    return product, (((c_high * ten_high - product) + c_high * ten_low + c_low * ten_high)
+                     + c_low * ten_low)
+
+
+def _residual(c: np.ndarray, high: np.ndarray, low: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """d - c * 10**k, exactly, for the integer d = high + low (see _rounded)."""
+    product, error = _two_product(c, k)
     return ((high - product) + low) - error
 
 
@@ -355,17 +359,16 @@ def _rounded(d: np.ndarray, c: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, n
     of d. (high - p) + low is an integer far below 2**53, and its difference
     with e is r itself, a double. Unproved cells go to the caller's fallback.
     """
-    scale = _POW10[k], _POW10_HIGH[k], _POW10_LOW[k]
     high = (d & ~_U64(0x7FF)).astype(np.float64)  # 52 bits at most: exact
     low = (d & _U64(0x7FF)).astype(np.float64)
-    residual = _residual(c, high, low, scale)
-    settled = _settled(c, residual, scale[0])
+    residual = _residual(c, high, low, k)
+    settled = _settled(c, residual, _POW10[k])
     move = np.flatnonzero(~settled)
     if move.size:
         c[move] = np.nextafter(c[move], np.copysign(np.inf, residual[move]))
-        scale = tuple(part[move] for part in scale)
-        settled[move] = _settled(c[move], _residual(c[move], high[move], low[move], scale),
-                                 scale[0])
+        k = k[move]
+        settled[move] = _settled(c[move], _residual(c[move], high[move], low[move], k),
+                                 _POW10[k])
     return c, settled
 
 
@@ -580,7 +583,9 @@ class _InputFile:
         if _identity(os.fstat(self.handle.fileno())) != self.identity:
             raise self._changed()
         outcomes, *risks = columns
-        return outcomes[:rows].astype(np.int64), [column[:rows] for column in risks]
+        for column in risks:  # trimmed in place: no copy, and it still owns its data
+            column.resize(rows, refcheck=False)
+        return outcomes[:rows].astype(np.int64), risks
 
     def _read_after(self, carry: bytes) -> bytearray:
         """_PAD, ``carry``, and up to _SCAN_BLOCK bytes read and digested
@@ -662,7 +667,8 @@ def ingest(spec: IngestionSpec) -> Datasets:
     with _InputFile(spec.path) as source:
         outcomes, risks = source.parse_plain(spec) or source.parse_rows(spec)
         datasets = Datasets([], source.digest.hexdigest())
-    outcomes.setflags(write=False)  # frozen int64 owning its data: every model shares it
+    for column in (outcomes, *risks):  # frozen, owning their data: kept, not copied
+        column.setflags(write=False)
     for name in spec.model_columns:
         datasets.append(PredictionSet(risks=risks.pop(0), outcomes=outcomes, name=name))
     return datasets
@@ -766,72 +772,192 @@ def _document_to_dict(doc: ReportDocument) -> dict:
     return payload
 
 
-def csv_cells(values) -> list[str]:
-    """One CSV cell per value: 17 significant digits for floats, so a parsed
-    value is bit-identical to the JSON one; empty for an absent value;
-    true/false for a bool. A whole column is formatted in one pass."""
-    return ["" if v is None else format(v, ".17g") if isinstance(v, float)
-            else ("true" if v else "false") if isinstance(v, bool) else str(v)
+_CELL = 24  # bytes of the longest cell format(v, ".17g") writes, "-1.2345678901234567e-300"
+
+
+def _exponent_guess(magnitude: np.ndarray) -> np.ndarray:
+    """floor(log10(magnitude)), which may be one off: libm's log10 can err
+    in its last bits, and a power of ten is where the floor turns."""
+    return np.floor(np.log10(magnitude)).astype(np.int64)
+
+
+def _scaled(magnitude: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                             np.ndarray]:
+    """magnitude * 10**(16 - x) as the exact sum p + e (_two_product), and
+    where that sum lies against [10**16, 10**17): -1 below, 0 in, 1 above."""
+    p, e = _two_product(magnitude, 16 - x)
+    side = ((p > 1e17) | ((p == 1e17) & (e >= 0))).astype(np.int64)
+    side -= (p < 1e16) | ((p == 1e16) & (e < 0))
+    return p, e, side
+
+
+def _digit_rows(d: np.ndarray) -> np.ndarray:
+    """The 17 decimal digits of each d in [10**16, 10**17), one row each,
+    in ASCII, except that trailing zeros are NUL. The first is d // 10**16;
+    the other 16 are two words of 8 digits, split by multiply-shift steps
+    into 4, 2 and 1 digits per lane, the inverse of _word_digits."""
+    lead = d // _U64(10 ** 16)
+    rest = d - lead * _U64(10 ** 16)
+    words = np.stack([rest // _U64(10 ** 8), rest % _U64(10 ** 8)], axis=1)
+    high = words // _U64(10_000)
+    words = high | (words - high * _U64(10_000)) << _U64(32)
+    high = (words * _U64(10486)) >> _U64(20) & _U64(0x0000007F0000007F)  # lane // 100
+    words = high | (words - high * _U64(100)) << _U64(16)
+    high = (words * _U64(103)) >> _U64(10) & _U64(0x000F000F000F000F)  # lane // 10
+    words = high | (words - high * _U64(10)) << _U64(8)
+    # Each byte is a digit, 0-9. OR-ing every byte into those below it (and
+    # the second word into the first) leaves nonzero, below 16, the digits
+    # that are not trailing zeros; adding 0x7F sets their top bits, and
+    # they become ASCII.
+    above = words | words >> _U64(8)
+    above |= above >> _U64(16)
+    above |= above >> _U64(32)
+    above[:, 0] |= (above[:, 1] & _U64(0xF)) * _U64(0x0101010101010101)
+    kept = (above + _U64(0x7F7F7F7F7F7F7F7F)) >> _U64(7) & _U64(0x0101010101010101)
+    words |= kept * _U64(ord("0"))
+    digits = np.empty((len(d), 17), dtype=np.uint8)
+    digits[:, 0] = lead + _U64(ord("0"))
+    digits[:, 1:] = words.astype("<u8", copy=False).view(np.uint8)
+    return digits
+
+
+def _lay_out(cells: np.ndarray, digits: np.ndarray, x: int, negative: bool) -> None:
+    """Write into the rows of ``cells`` the fixed-notation cells of decimal
+    exponent x and one sign, from their _digit_rows: a fraction's trailing
+    zeros are NUL, and so is '.' when no fraction digit is left."""
+    if negative:
+        cells[:, 0] = ord("-")
+        cells = cells[:, 1:]
+    if x < 0:
+        cells[:, :1 - x] = ord("0")  # "0." and -x - 1 zeros
+        cells[:, 1] = ord(".")
+        cells[:, 1 - x:18 - x] = digits
+    else:
+        cells[:, :x + 1] = digits[:, :x + 1] | np.uint8(ord("0"))  # its zeros stay
+        if x < 16:
+            cells[:, x + 1] = np.where(digits[:, x + 1] != 0, np.uint8(ord(".")), np.uint8(0))
+            cells[:, x + 2:18] = digits[:, x + 1:]
+
+
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """format(v, ".17g").encode() for every v of the float64 array ``values``,
+    as an array of bytes strings, computed exactly in numpy where the
+    notation is fixed.
+
+    For decimal exponent X, the integer D = |v| * 10**(16 - X) rounded half
+    to even spells the 17 digits. The two-product gives |v| * 10**(16 - X)
+    as p + e exactly (10**(16 - X) is a double for X >= -6), and p >= 2**53
+    is an even integer, so D = p + rint(e). X is guessed from log10, moved
+    once by one where p + e lies outside [10**16, 10**17), and proved by
+    the same test. D < 10**17: a double of exponent -5 to 16 is more than
+    half a unit of its 17th digit from the next power of ten. Cells of
+    exponent -4 to 16 are laid out from D's digits an (X, sign) group at a
+    time, and zero is 0 or -0. Only the other cells, scientific and
+    non-finite, go through ``format``.
+    """
+    cells = np.zeros((len(values), _CELL), dtype=np.uint8)
+    magnitude = np.abs(values)
+    at = np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e17))
+    magnitude = magnitude[at]
+    x = np.clip(_exponent_guess(magnitude), -5, 16)
+    p, e, side = _scaled(magnitude, x)
+    moved = np.flatnonzero(side)
+    if moved.size:
+        x[moved] = np.clip(x[moved] + side[moved], -5, 16)
+        p[moved], e[moved], side[moved] = _scaled(magnitude[moved], x[moved])
+    fixed = np.flatnonzero((side == 0) & (x >= -4))  # proved, and not scientific
+    at, x = at[fixed], x[fixed]
+    d = p[fixed].astype(np.int64) + np.rint(e[fixed]).astype(np.int64)
+    key = (x + 4) * 2 + np.signbit(values[at])
+    order = np.argsort(key, kind="stable")
+    at, key, digits = at[order], key[order], _digit_rows(d[order].astype(np.uint64))
+    laid = np.zeros((len(at), _CELL), dtype=np.uint8)
+    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
+    for start, stop in zip(starts, [*starts[1:], len(key)]):
+        exponent, negative = divmod(int(key[start]), 2)
+        _lay_out(laid[start:stop], digits[start:stop], exponent - 4, bool(negative))
+    cells[at] = laid
+    cells = cells.view(f"S{_CELL}").ravel()  # a bytes string ends at its trailing NULs
+    zero = values == 0
+    cells[zero] = np.where(np.signbit(values[zero]), b"-0", b"0")
+    others = np.flatnonzero(cells == b"")  # the cells left
+    cells[others] = [format(v, ".17g").encode() for v in values[others].tolist()]
+    return cells
+
+
+def csv_cells(values) -> list[bytes]:
+    """One CSV cell per value: a float as format(v, ".17g") writes it, 17
+    significant digits, so a parsed value is bit-identical to the JSON one;
+    empty for an absent value; true/false for a bool."""
+    values = list(values)
+    floats = iter(_float_cells(np.array([v for v in values if isinstance(v, float)],
+                                        dtype=np.float64)).tolist())
+    return [next(floats) if isinstance(v, float) else b"" if v is None
+            else (b"true" if v else b"false") if isinstance(v, bool) else str(v).encode("utf-8")
             for v in values]
 
 
 def csv_value(value) -> str:
     """One CSV cell, by the rule of csv_cells."""
-    return csv_cells((value,))[0]
+    return csv_cells((value,))[0].decode("utf-8")
 
 
-def _quoted(texts) -> list[str]:
-    """Text cells as csv.writer writes them inside a row, each distinct text
-    quoted once."""
+def _quoted(texts) -> list[bytes]:
+    """Text cells as csv.writer writes them inside a row, encoded, each
+    distinct text quoted once."""
     quoted = {}
     for text in set(texts):
         out = io.StringIO()
         # A second, empty field: a row of one empty field would be written "".
         csv.writer(out, lineterminator="\n").writerow((text, ""))
-        quoted[text] = out.getvalue()[:-2]
+        quoted[text] = out.getvalue()[:-2].encode("utf-8")
     return [quoted[text] for text in texts]
 
 
-def _column(columns: Columns, name: str) -> list[str]:
-    """The CSV cells of field ``name`` of ``columns``: a float column goes
-    through ``format`` in one pass, a cell without a value is empty, and
-    only text goes through csv quoting, each distinct text once."""
-    column, present = columns.column(name)
-    values = column.tolist()
-    kind = column.dtype.kind
-    cells = list(map(format, values, repeat(".17g"))) if kind == "f" else csv_cells(values)
-    return _quoted(blank(cells, present, "")) if kind == "U" else blank(cells, present, "")
+def _section_cells(columns: Columns, names) -> list[list[bytes]]:
+    """The CSV cells of fields ``names`` of ``columns``, one list per field.
+    The present cells of every float field are formatted by one
+    _float_cells call; a cell without a value is empty, and only text goes
+    through csv quoting, each distinct text once."""
+    found = [columns.column(name) for name in names]
+    floats = [(column, np.ones(len(column), dtype=bool) if present is None else present)
+              for column, present in found if column.dtype.kind == "f"]
+    values, present = (np.array(part) for part in zip(*floats))  # a row per float field
+    formatted = np.zeros(values.shape, dtype=f"S{_CELL}")  # empty where absent
+    formatted[present] = _float_cells(values[present])
+    formatted = iter(formatted.tolist())
+    return [next(formatted) if column.dtype.kind == "f"
+            else _quoted(blank(column.tolist(), present, "")) if column.dtype.kind == "U"
+            else blank(csv_cells(column.tolist()), present, b"") for column, present in found]
 
 
-def _emit_csv(doc: ReportDocument) -> str:
-    """The flat export, built from the columns: each column's cells are
-    formatted in one pass, then every row is joined with commas."""
+def _emit_csv(doc: ReportDocument) -> bytes:
+    """The flat export, built from the columns: each section's cells are
+    formatted a column at a time, then every row is joined with commas."""
     columns = []
     if doc.models:
         band_cells = _BAND_CELLS if doc.bands else ()
         header = ("model",) + _POINT_COLUMNS + _CALIBRATION_COLUMNS + band_cells
         for model in doc.models:
             band = doc.bands.get(model.name)
-            (name_cell,) = _quoted(csv_cells([model.name]))
             columns.append([
-                repeat(name_cell),
-                *(_column(model.columns, name) for name in _POINT_COLUMNS),
-                *(_column(model.columns, f"calibration.{name}") for name in _CALIBRATION_COLUMNS),
-                *(repeat("") if band is None else csv_cells(getattr(band, name))
+                repeat(*_quoted([model.name])),
+                *_section_cells(model.columns, _POINT_COLUMNS
+                                + tuple(f"calibration.{name}" for name in _CALIBRATION_COLUMNS)),
+                *(repeat(b"") if band is None else csv_cells(getattr(band, name))
                   for name in band_cells),
             ])
     elif doc.comparisons:
         header = _PAIR_COLUMNS + _VERDICT_COLUMNS
         for section in doc.comparisons:
-            pair = _quoted(csv_cells(getattr(section, name) for name in _PAIR_COLUMNS))
-            columns.append([*map(repeat, pair),
-                            *(_column(section.columns, name) for name in _VERDICT_COLUMNS)])
+            pair = _quoted([getattr(section, name) for name in _PAIR_COLUMNS])
+            columns.append([*map(repeat, pair), *_section_cells(section.columns, _VERDICT_COLUMNS)])
     else:
-        return ""
-    lines = [",".join(_quoted(list(header)))]
+        return b""
+    lines = [b",".join(_quoted(header))]
     for section in columns:
-        lines.extend(map(",".join, zip(*section)))
-    return "\n".join(lines) + "\n"
+        lines.extend(map(b",".join, zip(*section)))
+    return b"\n".join(lines) + b"\n"
 
 
 def emit_report(doc: ReportDocument, format: str = "json") -> bytes:
@@ -840,7 +966,7 @@ def emit_report(doc: ReportDocument, format: str = "json") -> bytes:
         text = json.dumps(_document_to_dict(doc), indent=2, default=_fields)
         return (text + "\n").encode("utf-8")
     if format == "csv":
-        return _emit_csv(doc).encode("utf-8")
+        return _emit_csv(doc)
     raise UsageError(f"unknown report format {format!r}; expected one of {FORMATS}")
 
 

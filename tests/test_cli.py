@@ -6,7 +6,7 @@ import stat
 import pytest
 
 from dcakit import curves, parse_report
-from dcakit.cli import cli_main
+from dcakit.cli import build_parser, cli_main
 
 
 @pytest.fixture
@@ -293,3 +293,26 @@ class TestExitCodes:
                          "--models", "m1"])
         assert code == 3
         assert "internal invariant violation" in capsys.readouterr().err
+
+
+class TestParserBuiltOnce:
+    def test_runs_in_one_process_write_identical_bytes(self, two_model_csv, tmp_path, capsys):
+        outputs = []
+        for run in range(2):
+            for command, fmt in (("curves", "csv"), ("compare", "json")):
+                out = tmp_path / f"{command}-{run}.{fmt}"
+                assert cli_main([command, "--input", str(two_model_csv), "--outcome", "y",
+                                 "--models", "m1", "m2", "--format", fmt,
+                                 "--out", str(out)]) == 0
+                outputs.append(out.read_bytes())
+        assert outputs[:2] == outputs[2:]
+        assert build_parser() is build_parser()
+
+    def test_help_and_version_exit_zero_after_a_run(self, two_model_csv, capsys):
+        assert cli_main(["curves", "--input", str(two_model_csv), "--outcome", "y",
+                         "--models", "m1"]) == 0
+        for _ in range(2):
+            assert cli_main(["--help"]) == 0
+            assert "curves" in capsys.readouterr().out
+            assert cli_main(["--version"]) == 0
+            assert cli_main(["curves", "--outcome", "y"]) == 1  # nothing kept from the last run

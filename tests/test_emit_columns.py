@@ -175,3 +175,24 @@ def test_csv_reports_build_no_row(command, sections, rows_refused, tmp_path, cap
     assert out.read_bytes().count(b"\n") == 1 + 19 * sections
     with pytest.raises(AssertionError, match="built for one threshold"):
         decision_curve(PredictionSet(np.array([0.3]), np.array([1])), GRIDS[0])
+
+
+def test_fine_grid_csv_matches_the_row_writer():
+    """Curves and a comparison on the 999-point grid over a seeded
+    5,000-row cohort: one model's risks tie the grid's points, the other's
+    are full precision, so every cell kind the formatter meets is here."""
+    rng = np.random.default_rng(15)
+    truth = rng.beta(2.0, 5.0, 5000)
+    outcomes = (rng.random(5000) < truth).astype(np.int64)
+    rounded = PredictionSet(np.round(truth, 3), outcomes, name="rounded")
+    shifted = PredictionSet(np.clip(truth * 1.3 + rng.normal(0, 0.05, 5000), 0.0, 1.0),
+                            outcomes, name="shifted")
+    grid = ThresholdGrid(0.001, 0.999, 0.001)
+    doc = ReportDocument(metadata=METADATA, models=tuple(
+        ModelCurve(d.name, curve_columns(d, grid)) for d in (rounded, shifted)))
+    named = [(d.name, decision_curve(d, grid)) for d in (rounded, shifted)]
+    assert emit_report(doc, "csv") == rows_csv(named)
+    doc = ReportDocument(metadata=METADATA, comparisons=(
+        ComparisonSection(rounded.name, shifted.name, compare_columns(rounded, shifted, grid)),))
+    named = [(rounded.name, shifted.name, compare_curve(rounded, shifted, grid))]
+    assert emit_report(doc, "csv") == rows_csv(comparisons=named)

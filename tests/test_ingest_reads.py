@@ -206,6 +206,29 @@ def test_models_share_one_outcome_vector(plain):
     assert not m1.outcomes.flags.writeable and m1.outcomes.tolist() == [1, 0]
 
 
+@pytest.mark.parametrize("declined", [False, True])
+def test_models_keep_the_parsed_arrays(plain, declined, monkeypatch):
+    """Each model holds the array its risks were parsed into, trimmed and
+    frozen in place, not a copy, from the fast path and the row parser."""
+    if declined:
+        plain.write_bytes(PLAIN.replace(b"\n1,", b"\n 1 ,"))
+    parsed = []
+    for name in ("parse_plain", "parse_rows"):
+        def keep(self, spec, parse=getattr(report._InputFile, name)):
+            result = parse(self, spec)
+            parsed.append(result and (result[0], list(result[1])))  # ingest pops the list
+            return result
+
+        monkeypatch.setattr(report._InputFile, name, keep)
+    m1, m2 = ingest(_spec(plain))
+    outcomes, risks = parsed[-1]
+    assert (parsed[0] is None) == declined
+    assert m1.risks is risks[0] and m2.risks is risks[1] and m1.outcomes is outcomes
+    for data in (m1, m2):
+        assert data.risks.flags.owndata and not data.risks.flags.writeable
+        assert data.n == 2
+
+
 def test_file_digest_streams(tmp_path):
     data = np.random.default_rng(3).bytes(report._DIGEST_BLOCK * 3 + 12345)
     path = tmp_path / "blob"

@@ -18,7 +18,8 @@ from dcakit import (
     net_benefit_treat_none,
     ppv,
 )
-from dcakit.metrics import net_benefit_order
+from dcakit.metrics import MAX_COUNT, net_benefit_order
+from int_order import int_order
 
 TOL = 1e-12
 
@@ -128,6 +129,32 @@ class TestPredictionSet:
         buffer[0] = 1
         assert data.outcomes is not view and data.outcomes.tolist() == [0, 1, 1]
         assert not data.outcomes.flags.writeable
+
+    def test_frozen_float64_risks_are_kept(self):
+        risks = np.array([0.25, 0.5, 1.0])
+        risks.setflags(write=False)
+        data = PredictionSet(risks=risks, outcomes=np.array([0, 1, 1]))
+        assert data.risks is risks
+
+    def test_frozen_view_of_writable_risk_buffer_is_copied(self):
+        buffer = np.array([0.25, 0.5, 1.0])
+        view = buffer[:]
+        view.setflags(write=False)
+        data = PredictionSet(risks=view, outcomes=np.array([0, 1, 1]))
+        buffer[0] = 0.75
+        assert data.risks is not view and data.risks.tolist() == [0.25, 0.5, 1.0]
+        assert not data.risks.flags.writeable
+
+    @pytest.mark.parametrize("risks", [
+        np.array([0.25, 0.5, 1.0]),  # writable
+        np.array([0.25, 0.5, 1.0], dtype=np.float32),  # another dtype
+        [0.25, 0.5, 1.0],
+    ])
+    def test_other_risks_are_copied_into_frozen_float64(self, risks):
+        data = PredictionSet(risks=risks, outcomes=np.array([0, 1, 1]))
+        assert data.risks is not risks and data.risks.dtype == np.float64
+        assert data.risks.flags.owndata and not data.risks.flags.writeable
+        assert data.risks.tolist() == [0.25, 0.5, 1.0]
 
     @pytest.mark.parametrize("outcomes", [
         np.array([0, 1, 1, 0]),
@@ -317,3 +344,53 @@ class TestNetBenefitOrder:
         side2 = np.array([b[:2] for _, _, b in pairs]).T
         order = net_benefit_order(np.full(len(pairs), t), side1, side2)
         assert order.tolist() == expected
+
+    def test_exhaustive_small_counts_on_dyadic_thresholds(self):
+        # Every (tp1, fp1, tp2, fp2) in 0..4 at every k/64: exact ties abound.
+        cells = np.array(list(itertools.product(range(5), repeat=4))).T
+        t = np.repeat(np.arange(1, 64) / 64, cells.shape[1])
+        side1, side2 = np.tile(cells, 63)[:2], np.tile(cells, 63)[2:]
+        assert net_benefit_order(t, side1, side2).tolist() == int_order(t, side1, side2).tolist()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_counts_up_to_2_to_the_29(self, seed):
+        rng = np.random.default_rng(seed)
+        size = 20_000
+        t = rng.random(size)
+        t[t == 0.0] = 0.5
+        side1 = rng.integers(0, 1 << 29, (2, size))
+        # Half the second sides sit within a few counts of a tie with the first.
+        dfp = rng.integers(-50, 50, size)
+        near = (side1[0] + np.round(dfp * t / (1 - t)).astype(np.int64), side1[1] + dfp)
+        side2 = np.where(rng.random(size) < 0.5, near, rng.integers(0, 1 << 29, (2, size)))
+        side2 = np.clip(side2, 0, (1 << 29) - 1)
+        assert net_benefit_order(t, side1, side2).tolist() == int_order(t, side1, side2).tolist()
+
+    @pytest.mark.parametrize("t", [5e-324, 2.0 ** -1022, 1 - 2.0 ** -53, 0.5])
+    def test_extreme_thresholds(self, t):
+        rng = np.random.default_rng(4)
+        side1, side2 = rng.integers(0, 1 << 29, (2, 2, 2000))
+        side2[:, :500] = side1[:, :500]  # exact ties
+        side2[0, 500:1000] = side1[0, 500:1000]  # equal tp: fp decides
+        side2[1, 1000:1500] = side1[1, 1000:1500]  # equal fp: tp decides
+        ts = np.full(2000, t)
+        assert net_benefit_order(ts, side1, side2).tolist() == int_order(ts, side1,
+                                                                          side2).tolist()
+
+    def test_scalar_default_sides(self):
+        rng = np.random.default_rng(5)
+        n1, n0 = 3_000, 7_000
+        t = rng.integers(1, 1000, 999) / 1000
+        model = (rng.integers(0, n1 + 1, 999), rng.integers(0, n0 + 1, 999))
+        for default in ((n1, n0), (0, 0)):
+            assert net_benefit_order(t, model, default).tolist() == int_order(
+                t, model, default).tolist()
+            assert net_benefit_order(t, default, model).tolist() == int_order(
+                t, default, model).tolist()
+
+    @pytest.mark.parametrize("count", [MAX_COUNT, -MAX_COUNT, 1 << 40])
+    def test_counts_beyond_the_exact_range_raise(self, count):
+        t = np.array([0.25, 0.5])
+        with pytest.raises(DataError, match="beyond the exact verdict"):
+            net_benefit_order(t, (np.array([1, count]), np.array([0, 0])), (0, 0))
+        assert net_benefit_order(t, ([1, MAX_COUNT - 1], [0, 0]), (0, 0)).tolist() == [1, 1]
