@@ -34,14 +34,14 @@ def loses_to(data, risk, grid):
     return [v.winner == "model2" for v in compare_curve(data, default, grid)]
 
 
-def region(points, loses):
+def region(points, loses, places):
     """One [lo, hi] range per run of consecutive grid points where ``loses``
-    holds, then how many points lose."""
+    holds, t printed with ``places`` decimals, then how many points lose."""
     runs = [[p.t for p, _ in run] for lost, run in groupby(zip(points, loses), key=itemgetter(1))
             if lost]
     if not runs:
         return "-"
-    ranges = ", ".join(f"[{run[0]:.2f}, {run[-1]:.2f}]" for run in runs)
+    ranges = ", ".join(f"[{run[0]:.{places}f}, {run[-1]:.{places}f}]" for run in runs)
     return f"{ranges} ({sum(map(len, runs))}/{len(points)} pts)"
 
 
@@ -60,6 +60,7 @@ def main() -> None:
     args = parser.parse_args()
 
     grid = ThresholdGrid.from_string(args.grid)
+    places = max(2, grid.decimals)
     print(f"{'shift':>6}  {'prevalence':>10}  {'worse than treat-none':>24}  "
           f"{'worse than treat-all':>24}")
     for shift in args.shifts:
@@ -73,15 +74,16 @@ def main() -> None:
         below_none = [p for p, loses in zip(points, loses_none) if loses]
         below_all = [p for p, loses in zip(points, loses_all) if loses]
         print(f"{shift:>+6.1f}  {reported.prevalence:>10.4f}  "
-              f"{region(points, loses_none):>24}  {region(points, loses_all):>24}")
+              f"{region(points, loses_none, places):>24}  "
+              f"{region(points, loses_all, places):>24}")
         if below_none:
             worst = min(below_none, key=lambda p: p.nb_model)
             print(f"        selected-group event rate {worst.calibration.y_above:.3f} "
-                  f"< t={worst.t:.2f}: acting there harms more than treating nobody")
+                  f"< t={worst.t:.{places}f}: acting there harms more than treating nobody")
         if below_all:
             worst = min(below_all, key=lambda p: p.nb_model - p.nb_all)
             print(f"        spared-group event rate {worst.calibration.y_below:.3f} "
-                  f"> t={worst.t:.2f}: withholding there is unjustified")
+                  f"> t={worst.t:.{places}f}: withholding there is unjustified")
         if args.svg_dir:
             doc = ReportDocument(
                 metadata={"shift": shift},

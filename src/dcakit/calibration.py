@@ -41,9 +41,9 @@ class CalibrationSummary:
     two addends whose sum is net benefit.
 
     From ``calibration_columns`` every field is a column instead, one
-    entry per threshold, NaN where its group is empty; the identity
-    functions below work on such columns restricted to the rows where
-    their groups are non-empty.
+    entry per threshold, and NaN, never None, is what marks a group
+    empty; the identity functions below work on such columns restricted
+    to the rows where their groups are non-empty.
     """
 
     t: float
@@ -88,10 +88,8 @@ def calibration_columns(c: ThresholdConfusion, risk_sum_above,
 def threshold_calibration(data: PredictionSet, t: float) -> CalibrationSummary:
     """Observed event rates and mean predictions above and below ``t``."""
     sweep = sweep_counts(data, [t])
-    c = sweep.confusion()
-    above, below = group_masks(c)
-    columns = calibration_columns(c, sweep.risk_sum_above, sweep.risk_sum_below)
-    return column_rows(CalibrationSummary, columns, above=above, below=below)[0]
+    columns = calibration_columns(sweep.confusion(), sweep.risk_sum_above, sweep.risk_sum_below)
+    return column_rows(CalibrationSummary, columns)[0]
 
 
 def nb_via_calibration(s: CalibrationSummary) -> float:

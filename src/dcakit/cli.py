@@ -232,9 +232,7 @@ def _cmd_bootstrap(args) -> int:
     grid = ThresholdGrid.from_string(args.grid)
     spec = BandSpec(replicates=args.replicates, seed=args.seed, level=args.level)
     datasets = _ingest_from_args(args)
-    # A bootstrap report's time is its replicates; its curves are built as
-    # rows, so bench/workloads.py still counts them through decision_curve.
-    models = tuple(ModelCurve(name=d.name, points=decision_curve(d, grid)) for d in datasets)
+    models = tuple(ModelCurve(name=d.name, points=curve_columns(d, grid)) for d in datasets)
     bands = {d.name: bootstrap_bands(d, grid, spec) for d in datasets}
     doc = ReportDocument(
         metadata=_metadata(args, grid, datasets.digest, outcome=args.outcome,
@@ -254,12 +252,13 @@ def _loses_to(data: PredictionSet, risk: float, grid: ThresholdGrid) -> list[boo
     return [v.winner == WINNER_MODEL2 for v in compare_curve(data, default, grid)]
 
 
-def _region(points: list, loses: list[bool]) -> str:
+def _region(points: list, loses: list[bool], places: int) -> str:
     """One threshold range per run of consecutive grid points where ``loses``
-    holds, since the runs need not be adjacent."""
+    holds, since the runs need not be adjacent; t printed with ``places``
+    decimals."""
     runs = [[p.t for p, _ in run] for lost, run in groupby(zip(points, loses), key=itemgetter(1))
             if lost]
-    return ", ".join(f"{run[0]:.2f} <= t <= {run[-1]:.2f}" for run in runs)
+    return ", ".join(f"{run[0]:.{places}f} <= t <= {run[-1]:.{places}f}" for run in runs)
 
 
 def _cmd_demo(args) -> int:
@@ -276,6 +275,7 @@ def _cmd_demo(args) -> int:
     _, reported = generate_synthetic(spec)
     points = decision_curve(reported, grid)
     prevalence = reported.prevalence
+    places = max(2, grid.decimals)
 
     dist = (f"beta({args.beta_a:g},{args.beta_b:g})"
             if args.distribution == "beta" else "uniform")
@@ -291,9 +291,9 @@ def _cmd_demo(args) -> int:
     print("thresholds worse than treat-none (nb < 0):")
     if below_none:
         for p in below_none:
-            print(f"  t={p.t:.2f}  nb={p.nb_model:+.5f}  "
+            print(f"  t={p.t:.{places}f}  nb={p.nb_model:+.5f}  "
                   f"event rate above t={p.calibration.y_above:.4f} < t")
-        print(f"  region: {_region(points, loses_none)} "
+        print(f"  region: {_region(points, loses_none, places)} "
               f"(selected group not event-rich enough to justify action)")
     else:
         print("  none on this grid")
@@ -301,9 +301,9 @@ def _cmd_demo(args) -> int:
     print("thresholds worse than treat-all (nb < nb_all):")
     if below_all:
         for p in below_all:
-            print(f"  t={p.t:.2f}  nb={p.nb_model:+.5f}  nb_all={p.nb_all:+.5f}  "
+            print(f"  t={p.t:.{places}f}  nb={p.nb_model:+.5f}  nb_all={p.nb_all:+.5f}  "
                   f"event rate below t={p.calibration.y_below:.4f} > t")
-        print(f"  region: {_region(points, loses_all)} "
+        print(f"  region: {_region(points, loses_all, places)} "
               f"(spared group is not actually low risk)")
     else:
         print("  none on this grid")

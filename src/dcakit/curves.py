@@ -30,7 +30,7 @@ from .equivalences import (  # noqa: F401
     verdict_vs_defaults,
 )
 from .errors import DataError, RouteDisagreementError, UsageError
-from .metrics import (ABOVE, Columns, PredictionSet, ThresholdConfusion, group_masks,
+from .metrics import (ABOVE, PredictionSet, ThresholdConfusion, column_rows, group_masks,
                       net_benefit_treat_none, reproducer, sweep_counts)
 
 __all__ = [
@@ -88,6 +88,12 @@ class ThresholdGrid:
             )
         points = _grid_points(lo, step, int((hi - lo) // step))
         object.__setattr__(self, "points", tuple(points))
+
+    @property
+    def decimals(self) -> int:
+        """Decimal places lo and step are written with: printed with as many,
+        the grid's points are told apart."""
+        return max(-Decimal(repr(v)).as_tuple().exponent for v in (self.lo, self.step))
 
     @classmethod
     def from_string(cls, text: str) -> "ThresholdGrid":
@@ -176,8 +182,9 @@ def _assert_identities(c: ThresholdConfusion, verdict: DefaultsVerdict,
         )
 
 
-def curve_columns(data: PredictionSet, grid: ThresholdGrid) -> Columns:
-    """Every grid threshold's CurvePoint, identities verified, as columns.
+def curve_columns(data: PredictionSet, grid: ThresholdGrid) -> CurvePoint:
+    """Every grid threshold's CurvePoint, identities verified, as a
+    CurvePoint of columns, NaN in a field whose group is empty.
 
     sweep_counts counts and checks every threshold; both default verdicts
     and every identity then run a column at a time, with the formulas
@@ -187,7 +194,7 @@ def curve_columns(data: PredictionSet, grid: ThresholdGrid) -> Columns:
     verdict = defaults_columns(c)
     cal = calibration_columns(c, sweep.risk_sum_above, sweep.risk_sum_below)
     _assert_identities(c, verdict, cal)
-    columns = CurvePoint(
+    return CurvePoint(
         t=verdict.t,
         nb_model=verdict.nb,
         nb_all=verdict.nb_all,
@@ -198,13 +205,12 @@ def curve_columns(data: PredictionSet, grid: ThresholdGrid) -> Columns:
         ppv_all_ref=verdict.ppv_all_ref,
         calibration=cal,
     )
-    return Columns(columns, dict(zip(("above", "below"), group_masks(c))))
 
 
 def decision_curve(data: PredictionSet, grid: ThresholdGrid) -> list[CurvePoint]:
     """One CurvePoint per grid threshold, in grid order: curve_columns' rows,
     with the fields of an empty group None."""
-    return curve_columns(data, grid).rows()
+    return column_rows(CurvePoint, curve_columns(data, grid))
 
 
 @dataclass(frozen=True)

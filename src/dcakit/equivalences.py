@@ -56,10 +56,10 @@ class DefaultsVerdict:
     """Strict comparison of one model against treat-none and treat-all at t.
 
     ``beats_none`` and ``beats_all`` are count-exact; boundary equality
-    maps to "does not beat". ``ppv_all_ref`` is None when nobody is
-    classified positive (the reference is undefined there). From
-    ``defaults_columns`` every field is a column, one entry per threshold,
-    and ``ppv_all_ref`` is NaN where nobody is classified positive.
+    maps to "does not beat". ``ppv_all_ref``, tied to the above group, is
+    None when nobody is classified positive (the reference is undefined
+    there). From ``defaults_columns`` every field is a column, one entry
+    per threshold, and ``ppv_all_ref`` is NaN there instead.
     """
 
     t: float
@@ -176,7 +176,7 @@ def defaults_columns(c: ThresholdConfusion) -> DefaultsVerdict:
 def decide_defaults(c: ThresholdConfusion) -> DefaultsVerdict:
     """Decide both default comparisons from the counts, by the exact sign of
     net_benefit_order: defaults_columns at one threshold."""
-    return column_rows(DefaultsVerdict, defaults_columns(c), above=group_masks(c)[0])[0]
+    return column_rows(DefaultsVerdict, defaults_columns(c))[0]
 
 
 def verdict_vs_defaults(data: PredictionSet, t: float) -> DefaultsVerdict:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,15 +21,15 @@ from .errors import DataError, RouteDisagreementError, ThresholdError
 __all__ = [
     "ABOVE",
     "BELOW",
-    "Columns",
     "PredictionSet",
     "SweepCounts",
     "ThresholdConfusion",
-    "blank",
     "check_threshold",
     "classify_at_threshold",
+    "column_cells",
     "column_rows",
     "divide_where",
+    "field_column",
     "first_failure",
     "group_masks",
     "reproducer",
@@ -384,70 +383,48 @@ def divide_where(num, den, where: np.ndarray, empty: float = np.nan) -> np.ndarr
     return np.divide(num, den, out=np.full(where.shape, empty), where=where)
 
 
-# Metadata of a group-tied field, one that is None where its group is empty:
-# the records classified positive (above) or negative (below) at a threshold.
+# Metadata of a group-tied field, one that is NaN in columns and None in rows
+# where its group is empty: the records classified positive (above) or
+# negative (below) at a threshold.
 ABOVE = {"group": "above"}
 BELOW = {"group": "below"}
 
 
-def _present(f, present: dict) -> np.ndarray | None:
-    """Where field ``f`` has a value: None (every row) unless it is
-    group-tied, else ``present``'s mask for the field's name or its group's."""
-    if "group" not in f.metadata:
-        return None
-    return present[f.name] if f.name in present else present[f.metadata["group"]]
+def field_column(columns, name: str) -> tuple[np.ndarray, bool]:
+    """Field ``name`` of ``columns``, a dataclass of columns, ``outer.inner``
+    for a nested one: its column, and whether the field is group-tied, so
+    that NaN in it marks its group empty."""
+    for part in name.split("."):
+        f = next(f for f in fields(columns) if f.name == part)
+        columns = getattr(columns, part)
+    return columns, "group" in f.metadata
 
 
-def blank(cells: list, present: np.ndarray | None, empty=None) -> list:
-    """``cells`` with ``empty`` on the rows where ``present`` is False."""
-    if present is not None:
-        for i in np.flatnonzero(~present).tolist():
-            cells[i] = empty
+def column_cells(column: np.ndarray, tied: bool) -> list:
+    """``column`` as a list; a group-tied one (``tied``) has None where it
+    is NaN, since its group is empty there."""
+    cells = column.tolist()
+    if tied:
+        for i in np.flatnonzero(np.isnan(column)).tolist():
+            cells[i] = None
     return cells
 
 
-def _cells(f, column, present: dict):
+def _cells(f, column):
     if is_dataclass(column):
-        return column_rows(type(column), column, **present)
+        return column_rows(type(column), column)
     if not isinstance(column, np.ndarray):
         return repeat(column)
-    return blank(column.tolist(), _present(f, present))
+    return column_cells(column, "group" in f.metadata)
 
 
-def column_rows(cls, columns, **present: np.ndarray) -> list:
+def column_rows(cls, columns) -> list:
     """One ``cls`` instance per row of ``columns``, an instance of the
     dataclass ``cls`` whose fields are arrays with one entry per threshold,
     scalars every row shares, or nested dataclasses of such columns. A
-    group-tied field, one whose metadata names a group, is None on the rows
-    where its mask in ``present``, by field name or else by group name, is
-    False: the group is empty there."""
-    return list(map(cls, *(_cells(f, getattr(columns, f.name), present)
-                           for f in fields(cls))))
-
-
-class Columns(NamedTuple):
-    """Rows of a dataclass held as columns: ``values`` is an instance whose
-    fields are columns as column_rows reads them, with ``present``."""
-
-    values: object
-    present: dict
-
-    def rows(self) -> list:
-        return column_rows(type(self.values), self.values, **self.present)
-
-    def column(self, name: str) -> tuple[np.ndarray, np.ndarray | None]:
-        """Field ``name``, ``outer.inner`` for a nested one: its column, and
-        where it has a value (None: every row)."""
-        column = self.values
-        for part in name.split("."):
-            f = next(f for f in fields(column) if f.name == part)
-            column = getattr(column, part)
-        return column, _present(f, self.present)
-
-    def cells(self, name: str) -> list:
-        """Field ``name`` row by row, None where it has no value."""
-        column, present = self.column(name)
-        return blank(column.tolist(), present)
+    group-tied field, one whose metadata names a group, is NaN in
+    ``columns`` where its group is empty, and None in those rows."""
+    return list(map(cls, *(_cells(f, getattr(columns, f.name)) for f in fields(cls))))
 
 
 def net_benefit_counts(tp, fp, n, t):

@@ -28,7 +28,7 @@ from .calibration import CalibrationSummary
 from .comparison import ComparisonVerdict
 from .curves import CurvePoint
 from .errors import DataError, IngestionError, UsageError
-from .metrics import Columns, PredictionSet, blank
+from .metrics import PredictionSet, column_rows, field_column
 from .resampling import CurveBand
 
 __all__ = [
@@ -674,17 +674,20 @@ def ingest(spec: IngestionSpec) -> Datasets:
     return datasets
 
 
-def _columns_of(cls, rows: list, present: dict):
+def _columns_of(cls, rows: list):
     """An instance of ``cls`` holding the fields of ``rows``, instances of
     ``cls``, as columns. A group-tied field (a float or None) has NaN where
-    it is None, and its mask in ``present``, by field name, is False there."""
+    it is None; a NaN given there is refused, since it would read as None."""
     hints, columns = _field_hints(cls), {}
     for f in fields(cls):
         cells = [getattr(row, f.name) for row in rows]
         if is_dataclass(hints[f.name]):
-            columns[f.name] = _columns_of(hints[f.name], cells, present)
+            columns[f.name] = _columns_of(hints[f.name], cells)
         elif "group" in f.metadata:
-            present[f.name] = np.array([cell is not None for cell in cells], dtype=bool)
+            bad = next((i for i, c in enumerate(cells) if c is not None and c != c), None)
+            if bad is not None:
+                raise DataError(f"{cls.__name__}.{f.name} is NaN in row {bad}; "
+                                f"an empty group's value is None")
             columns[f.name] = np.array([np.nan if c is None else c for c in cells], dtype=float)
         else:
             columns[f.name] = np.array(cells)
@@ -692,9 +695,10 @@ def _columns_of(cls, rows: list, present: dict):
 
 
 class _Rows:
-    """A dataclass field of rows of ``cls``, given as rows or as Columns: the
-    owner keeps Columns, as its ``columns``, and the field reads as a tuple
-    of rows, built from them on first read unless rows were given."""
+    """A dataclass field of rows of ``cls``, given as rows or as one ``cls``
+    of columns (whose t is an array), NaN where a group is empty: the owner
+    keeps the columns, as its ``columns``, and the field reads as a tuple of
+    rows, built from them on first read unless rows were given."""
 
     def __init__(self, cls):
         self.cls = cls
@@ -703,14 +707,13 @@ class _Rows:
         if instance is None:
             raise AttributeError("no default")  # so the dataclass field has none
         if "rows" not in instance.__dict__:
-            instance.__dict__["rows"] = tuple(instance.columns.rows())
+            instance.__dict__["rows"] = tuple(column_rows(self.cls, instance.columns))
         return instance.__dict__["rows"]
 
     def __set__(self, instance, value):
-        if not isinstance(value, Columns):  # the rows given are the rows read
+        if not isinstance(getattr(value, "t", None), np.ndarray):  # rows: the rows read
             rows = instance.__dict__["rows"] = tuple(value)
-            present = {}
-            value = Columns(_columns_of(self.cls, rows, present), present)
+            value = _columns_of(self.cls, rows)
         instance.__dict__["columns"] = value
 
 
@@ -914,21 +917,21 @@ def _quoted(texts) -> list[bytes]:
     return [quoted[text] for text in texts]
 
 
-def _section_cells(columns: Columns, names) -> list[list[bytes]]:
+def _section_cells(columns, names) -> list[list[bytes]]:
     """The CSV cells of fields ``names`` of ``columns``, one list per field.
-    The present cells of every float field are formatted by one
-    _float_cells call; a cell without a value is empty, and only text goes
-    through csv quoting, each distinct text once."""
-    found = [columns.column(name) for name in names]
-    floats = [(column, np.ones(len(column), dtype=bool) if present is None else present)
-              for column, present in found if column.dtype.kind == "f"]
-    values, present = (np.array(part) for part in zip(*floats))  # a row per float field
+    Every float cell with a value is formatted by one _float_cells call; a
+    group-tied field's NaN is empty, and only text goes through csv
+    quoting, each distinct text once."""
+    found = [field_column(columns, name) for name in names]
+    floats = [(column, tied) for column, tied in found if column.dtype.kind == "f"]
+    values = np.array([column for column, _ in floats])  # a row per float field
+    present = ~(np.isnan(values) & np.array([[tied] for _, tied in floats]))
     formatted = np.zeros(values.shape, dtype=f"S{_CELL}")  # empty where absent
     formatted[present] = _float_cells(values[present])
     formatted = iter(formatted.tolist())
     return [next(formatted) if column.dtype.kind == "f"
-            else _quoted(blank(column.tolist(), present, "")) if column.dtype.kind == "U"
-            else blank(csv_cells(column.tolist()), present, b"") for column, present in found]
+            else _quoted(column.tolist()) if column.dtype.kind == "U"
+            else csv_cells(column.tolist()) for column, _ in found]
 
 
 def _emit_csv(doc: ReportDocument) -> bytes:

@@ -11,6 +11,7 @@ Undefined values (selection rate 0 or 1) break the affected polyline.
 from __future__ import annotations
 
 from .errors import UsageError
+from .metrics import column_cells, field_column
 from .report import ReportDocument
 
 __all__ = ["render_svg", "STYLE", "PANELS"]
@@ -180,8 +181,13 @@ def _color(i: int) -> str:
     return colors[i % len(colors)]
 
 
+def _cells(columns, name: str) -> list:
+    """Field ``name`` of a model's columns, None where its group is empty."""
+    return column_cells(*field_column(columns, name))
+
+
 def _x_range(doc: ReportDocument):
-    ts = [t for model in doc.models for t in model.columns.cells("t")]
+    ts = [t for model in doc.models for t in _cells(model.columns, "t")]
     return (min(ts), max(ts)) if ts else (0.0, 1.0)
 
 
@@ -214,7 +220,7 @@ def _y_range(doc: ReportDocument, which: str) -> tuple[float, float]:
         return 0.0, 1.0
     values = [0.0]
     for model in doc.models:
-        values += model.columns.cells("nb_model") + model.columns.cells("nb_all")
+        values += _cells(model.columns, "nb_model") + _cells(model.columns, "nb_all")
     y_lo = max(STYLE["nb_floor"], min(values))
     y_hi = max(values)
     return y_lo, y_hi + 0.05 * (y_hi - y_lo or 1.0)
@@ -235,13 +241,13 @@ def render_svg(doc: ReportDocument, which: str) -> str:
     panel.add_axes(_TITLES[which], _Y_LABELS[which])
     first = doc.models[0].columns
     for name, css_class, color, dash, width in references:
-        panel.add_series(first.cells("t"), first.cells(name), STYLE[color], css_class,
+        panel.add_series(_cells(first, "t"), _cells(first, name), STYLE[color], css_class,
                          dasharray=_dash(dash), width=STYLE[width])
     legend = []
     for i, model in enumerate(doc.models):
-        ts = model.columns.cells("t")
+        ts = _cells(model.columns, "t")
         for name, css_class, dash, width in series:
-            panel.add_series(ts, model.columns.cells(name), _color(i), css_class,
+            panel.add_series(ts, _cells(model.columns, name), _color(i), css_class,
                              dasharray=_dash(dash), width=STYLE[width])
         legend += [(label.format(model.name), _color(i), _dash(dash)) for label, dash in labels]
     legend += [(label, STYLE[color], _dash(dash)) for label, color, dash in closing]

@@ -218,6 +218,16 @@ class TestDemoCommand:
         assert "t=0.24" in listed
         assert "t=0.25" not in listed and "t=0.50" not in listed
 
+    def test_thresholds_print_with_the_grid_decimals(self, capsys):
+        # On a 0.005 grid two decimals would print t = 0.01 twice and merge
+        # region ends; t prints with the three decimals lo and step have.
+        code = cli_main(["demo-miscalibration", "--shift", "-1.5", "--n", "2000",
+                         "--grid", "0.005:0.2:0.005"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert self.listed(out, "treat-all") == [f"t={k / 1000:.3f}" for k in range(10, 205, 5)]
+        assert "  region: 0.010 <= t <= 0.200 (spared group is not actually low risk)\n" in out
+
     def test_cohort_over_the_cap_is_data_error(self, monkeypatch, capsys):
         monkeypatch.setattr(curves, "MAX_SYNTHETIC_RECORDS", 10)
         assert cli_main(["demo-miscalibration", "--n", "10", "--seed", "0"]) == 0

@@ -77,6 +77,14 @@ class TestThresholdGrid:
         grid = ThresholdGrid.from_string("0.05:0.25:0.05")
         assert grid.points == pytest.approx((0.05, 0.1, 0.15, 0.2, 0.25), abs=1e-12)
 
+    @pytest.mark.parametrize("text, decimals", [("0.01:0.50:0.01", 2), ("0.1:0.9:0.1", 1),
+                                                ("0.005:0.2:0.005", 3), ("0.1:0.5:0.025", 3),
+                                                ("1e-05:0.5:0.01", 5)])
+    def test_decimals_are_those_lo_and_step_are_written_with(self, text, decimals):
+        grid = ThresholdGrid.from_string(text)
+        assert grid.decimals == decimals
+        assert len({f"{t:.{decimals}f}" for t in grid.points}) == len(grid.points)
+
     @pytest.mark.parametrize("text", ["0.1:0.5", "a:b:c", "0.1-0.5-0.1", ""])
     def test_from_string_rejects_malformed(self, text):
         with pytest.raises(UsageError):

@@ -7,7 +7,8 @@ of the row-by-row writer in tests/rows_report.py, and a parsed report
 must give its own bytes back.
 """
 
-from dataclasses import fields, replace
+import json
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,13 @@ from dcakit import (
     emit_report,
     parse_report,
 )
+from dcakit.calibration import calibration_columns
 from dcakit.cli import cli_main
 from dcakit.comparison import compare_columns
 from dcakit.curves import curve_columns
+from dcakit.equivalences import defaults_columns
+from dcakit.errors import DataError
+from dcakit.metrics import group_masks, sweep_counts
 from rows_report import rows_csv, rows_json
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -148,9 +153,72 @@ def test_rows_are_built_on_first_read(d0):
 
 def test_a_curve_given_rows_keeps_columns(d0):
     model = ModelCurve("d0", decision_curve(d0, GRIDS[1]))
-    column, present = model.columns.column("calibration.y_below")
+    column = model.columns.calibration.y_below
     assert isinstance(column, np.ndarray) and column.dtype == np.float64
-    assert present.tolist() == [p.calibration.y_below is not None for p in model.points]
+    assert np.isnan(column).tolist() == [p.calibration.y_below is None for p in model.points]
+
+
+def _float_columns(columns):
+    """(field, column) for every float column of ``columns``, nested ones too."""
+    for f in fields(columns):
+        column = getattr(columns, f.name)
+        if is_dataclass(column):
+            yield from _float_columns(column)
+        elif column.dtype.kind == "f":
+            yield f, column
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cohorts(2))
+def test_nan_marks_exactly_the_empty_groups(case):
+    """NaN is the only mark of an empty group: a group-tied column is NaN
+    exactly where group_masks finds its group empty, and every other float
+    column is finite."""
+    grid, (d1, d2) = case
+    sweep = sweep_counts(d1, grid.points)
+    c1, c2 = sweep.confusion(), sweep_counts(d2, grid.points).confusion()
+    (above1, below1), (above2, below2) = group_masks(c1), group_masks(c2)
+    own = {"above": above1, "below": below1}
+    kernels = [
+        (curve_columns(d1, grid), own),
+        (defaults_columns(c1), own),
+        (calibration_columns(c1, sweep.risk_sum_above, sweep.risk_sum_below), own),
+        (compare_columns(d1, d2, grid),
+         {"above1": above1, "below1": below1, "above2": above2, "below2": below2}),
+    ]
+    for columns, present in kernels:
+        for f, column in _float_columns(columns):
+            if "group" in f.metadata:
+                assert np.isnan(column).tolist() == (~present[f.metadata["group"]]).tolist(), \
+                    f.name
+            else:
+                assert np.isfinite(column).all(), f.name
+
+
+def test_a_nan_in_a_group_tied_field_is_refused(d0, d0_degraded):
+    """NaN in a group-tied column means the group is empty, so a row that
+    gives NaN there is refused rather than read back as None."""
+    nan = float("nan")
+    points = decision_curve(d0, GRIDS[1])
+    with pytest.raises(DataError, match=r"CurvePoint\.ppv_all_ref is NaN in row 3"):
+        ModelCurve("d0", [*points[:3], replace(points[3], ppv_all_ref=nan), *points[4:]])
+    edited = replace(points[0], calibration=replace(points[0].calibration, y_below=nan))
+    with pytest.raises(DataError, match=r"CalibrationSummary\.y_below is NaN in row 0"):
+        ModelCurve("d0", [edited, *points[1:]])
+    verdicts = compare_curve(d0, d0_degraded, GRIDS[1])
+    with pytest.raises(DataError, match=r"ComparisonVerdict\.margin_below_2 is NaN"):
+        ComparisonSection("d0", "d0-degraded",
+                          [replace(verdicts[0], margin_below_2=nan), *verdicts[1:]])
+
+    payload = json.loads(emit_report(ReportDocument(METADATA, (ModelCurve("d0", points),))))
+    for key, edit in [("ppv_all_ref", lambda p: p.__setitem__("ppv_all_ref", nan)),
+                      ("y_below", lambda p: p["calibration"].__setitem__("y_below", nan))]:
+        copy = json.loads(json.dumps(payload))
+        edit(copy["models"][0]["points"][2])
+        text = json.dumps(copy).encode()
+        assert b"NaN" in text
+        with pytest.raises(DataError, match=f"{key} is NaN in row 2"):
+            parse_report(text)
 
 
 @pytest.fixture
@@ -175,6 +243,15 @@ def test_csv_reports_build_no_row(command, sections, rows_refused, tmp_path, cap
     assert out.read_bytes().count(b"\n") == 1 + 19 * sections
     with pytest.raises(AssertionError, match="built for one threshold"):
         decision_curve(PredictionSet(np.array([0.3]), np.array([1])), GRIDS[0])
+
+
+def test_bootstrap_csv_builds_no_row(rows_refused, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert cli_main(["bootstrap", "--input", str(DATA_DIR / "d0_pair.csv"), "--outcome", "y",
+                     "--models", "d0", "d0_degraded", "--grid", "0.05:0.95:0.05",
+                     "--replicates", "20", "--format", "csv", "--out", str(out)]) == 0, \
+        capsys.readouterr().err
+    assert out.read_bytes().count(b"\n") == 1 + 19 * 2
 
 
 def test_fine_grid_csv_matches_the_row_writer():
