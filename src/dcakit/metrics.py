@@ -232,8 +232,8 @@ class SweepCounts:
     """Counts at every threshold of a non-decreasing sequence.
 
     ``tp`` and ``fp`` come from one pass of the sweep's keys; ``fn`` and
-    ``tn``, the events and non-events below each threshold, from a sort of
-    each class, and sweep_counts checks that they add up to ``n1`` and
+    ``tn``, the events and non-events below each threshold, from one sort
+    of the records, and sweep_counts checks that they add up to ``n1`` and
     ``n - n1``. All four are int64 arrays. ``risk_sum_above[j]`` sums the
     risks classified positive at ``thresholds[j]`` and ``risk_sum_below[j]``
     the rest.
@@ -320,16 +320,19 @@ def tally_keys(keys: np.ndarray, n_thresholds: int) -> tuple[np.ndarray, np.ndar
     return at_or_above[1:, 1], at_or_above[1:, 0]
 
 
-def _count_below(data: PredictionSet, thresholds: np.ndarray) -> list[np.ndarray]:
-    """fn and tn at every threshold, the events and the non-events with
-    risk < t, from each class's risks sorted: the tie rule stated from the
-    other side, by code that shares nothing with the sweep's keys."""
-    counts = []
-    for outcome in (1, 0):
-        risks = data.risks.compress(data.outcomes == outcome)
-        risks.sort()
-        counts.append(np.searchsorted(risks, thresholds, side="left"))
-    return counts
+def _count_below(data: PredictionSet, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fn and tn at every threshold, the events and the non-events with risk
+    < t: the tie rule stated from the other side, by code that shares nothing
+    with the sweep's keys. One sort orders the keys ``outcome << 62 |
+    bits(risk)``: the bits of a risk in [0, 1], its sign bit cleared so that
+    -0.0 reads as 0.0, order as it does and lie below 2**62."""
+    keys = data.outcomes << 62
+    keys |= data.risks.view(np.int64)
+    keys &= (1 << 63) - 1
+    keys.sort()
+    bits = thresholds.view(np.int64)
+    events = keys.searchsorted(1 << 62)  # where the events' run starts
+    return keys.searchsorted(bits | (1 << 62)) - events, keys.searchsorted(bits)
 
 
 def sweep_counts(data: PredictionSet, thresholds) -> SweepCounts:

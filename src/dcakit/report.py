@@ -18,6 +18,7 @@ import json
 import os
 import stat
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from decimal import Decimal
 from functools import cache, partial
 from itertools import chain, repeat
 from typing import get_args, get_origin, get_type_hints
@@ -51,7 +52,7 @@ MAX_INPUT_BYTES = 2 << 30
 
 _BOM = b"\xef\xbb\xbf"
 _NEWLINE = ord("\n")
-_SCAN_BLOCK = 1 << 18  # bytes per read of the fast path's streamed pass
+_SCAN_BLOCK = 1 << 19  # bytes per read of the fast path's streamed pass
 _DIGEST_BLOCK = 1 << 20  # bytes per read of file_digest
 
 
@@ -284,6 +285,8 @@ _U64 = np.uint64
 _MAX_FRACTION = 19  # fraction digits read exactly, as up to three 8-byte words
 _POW10 = np.array([float(10 ** k) for k in range(23)])  # exact below 10**23
 _POW10_INT = np.array([10 ** k for k in range(_MAX_FRACTION + 1)], dtype=np.uint64)
+_POW5 = np.array([5 ** k for k in range(_MAX_FRACTION + 1)], dtype=np.uint64)
+_MANTISSA = _U64((1 << 52) - 1)  # the stored significand bits of a double
 # _KEEP[k, 2 - j]: the bytes of word j of a cell, its last 8j + 8 to 8j + 1
 # bytes, that hold fraction digits when there are k of them.
 _KEEP = np.array([[(1 << 64) - (1 << 8 * (8 - min(8, max(0, k - 8 * j)))) for j in (2, 1, 0)]
@@ -302,17 +305,24 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _POW10_HIGH, _POW10_LOW = _split(_POW10)
 
 
-def _word_digits(words: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each word, 8 bytes of a cell read little-endian, as the integer that
-    its bytes under ``keep`` spell, the others read as 0, by three
-    multiply-shift steps; and a word whose bit 8i + 7 is set if byte i is
-    under ``keep`` and not an ASCII digit."""
-    words = (words ^ _U64(0x3030303030303030)) & keep  # digits to 0-9, the rest above
-    wrong = (words + _U64(0x7676767676767676)) | words  # a byte above 9 sets its top bit
-    words = (words * _U64(10 << 8 | 1)) >> _U64(8)
-    words = ((words & _U64(0x00FF00FF00FF00FF)) * _U64(100 << 16 | 1)) >> _U64(16)
-    words = ((words & _U64(0x0000FFFF0000FFFF)) * _U64(10000 << 32 | 1)) >> _U64(32)
-    return words, wrong
+def _word_digits(words: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Turn each word, 8 bytes of a cell read little-endian, in place into the
+    integer its bytes under ``keep`` spell, the others read as 0, by three
+    multiply-shift steps; ``keep`` becomes a word whose bit 8i + 7 is set if
+    byte i is under it and not an ASCII digit, and is returned."""
+    words ^= _U64(0x3030303030303030)
+    words &= keep  # digits to 0-9, the rest above
+    wrong = np.add(words, _U64(0x7676767676767676), out=keep)
+    wrong |= words  # a byte above 9 sets its top bit
+    words *= _U64(10 << 8 | 1)
+    words >>= _U64(8)
+    words &= _U64(0x00FF00FF00FF00FF)
+    words *= _U64(100 << 16 | 1)
+    words >>= _U64(16)
+    words &= _U64(0x0000FFFF0000FFFF)
+    words *= _U64(10000 << 32 | 1)
+    words >>= _U64(32)
+    return wrong
 
 
 def _two_product(c: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -325,50 +335,46 @@ def _two_product(c: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                      + c_low * ten_low)
 
 
-def _residual(c: np.ndarray, high: np.ndarray, low: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """d - c * 10**k, exactly, for the integer d = high + low (see _rounded)."""
-    product, error = _two_product(c, k)
-    return ((high - product) + low) - error
+def _residual(d: np.ndarray, c: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """R = (d - c * 10**k) / (ulp(c) * 2**k) = (d << s) - M * 5**k as int64 (see _rounded)."""
+    bits = c.view(np.uint64)
+    shift = (_U64(1075) - (bits >> _U64(52))) - k.astype(np.uint64)
+    residual = d << shift
+    residual -= ((bits & _MANTISSA) | _U64(1 << 52)) * _POW5[k]
+    return residual.view(np.int64)
 
 
-def _settled(c: np.ndarray, residual: np.ndarray, ten: np.ndarray) -> np.ndarray:
-    """Whether each c is d / 10**k correctly rounded, given the exact
-    residual d - c * 10**k and ``ten`` = 10**k: twice its size is below the
-    gap from c to its neighbour on the residual's side, times 10**k. Every
-    product and comparison here is exact. A tie, d / 10**k halfway between
-    two doubles in (2**-10, 2), would need over 53 fraction digits, so the
-    round-half-even case never arises here."""
-    gap = np.abs(np.nextafter(c, np.copysign(np.inf, residual)) - c) * ten
-    return 2.0 * np.abs(residual) < gap
+def _settled(c: np.ndarray, residual: np.ndarray, five: np.ndarray) -> np.ndarray:
+    """Whether each c is d / 10**k correctly rounded, from its residual R and
+    ``five`` = 5**k: 2|R| < 5**k, or 4|R| < 5**k below a power of two c."""
+    size = np.abs(residual).view(np.uint64) << _U64(1)
+    size[((c.view(np.uint64) & _MANTISSA) == 0) & (residual < 0)] <<= _U64(1)
+    return size < five
 
 
 def _rounded(d: np.ndarray, c: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """d / 10**k correctly rounded for 2**53 < d < 2**63, from its estimate
     c = float(d) / 10**k, and whether each value is proved.
 
-    c is moved one step towards d / 10**k where the exact residual
-    r = d - c * 10**k says it is not the rounded value, then proved by
-    _settled. r is exact: d < 2 * 10**k, so k >= 16 and d / 10**k lies in
-    (2**-10, 2), where c is normal and within 3 of its ulps of d / 10**k,
-    before or after the move. c * 10**k, and so r, is a multiple of
-    g = ulp(c) * 2**k < 1, and |r| <= 3 * ulp(c) * 10**k, so |r| / g
-    <= 3 * 5**k < 2**53 for k <= 22: r is a double. Each step computing it
-    is exact. The two-product splits c * 10**k into p + e (Dekker; nothing
-    overflows or underflows). d is high + low, its bits above and below
-    2**11. high - p is exact by Sterbenz's lemma, both lying within 2**-50
-    of d. (high - p) + low is an integer far below 2**53, and its difference
-    with e is r itself, a double. Unproved cells go to the caller's fallback.
+    d < 2 * 10**k, so 16 <= k <= 19 and d / 10**k is in (2**-11, 2), where c
+    is normal: c = M * 2**(E - 1075), 2**52 <= M < 2**53, for its biased
+    exponent E, and ulp(c) = 2**(E - 1075). c is within 2 ulps of d / 10**k,
+    and 3 once moved one step towards it (of the smaller ulps if the step
+    crosses a power of two). So R = (d - c * 10**k) / (ulp(c) * 2**k) =
+    d * 2**s - M * 5**k, s = 1075 - E - k in [33, 44], is an integer with
+    |R| <= 3 * 5**k < 2**46: in wrapping uint64 arithmetic, read as int64,
+    it is exact. As d / 10**k - c = R * ulp(c) / 5**k, c is the rounded value
+    if 2|R| < 5**k, or 4|R| < 5**k for R < 0 and M = 2**52, where the gap
+    below c is half an ulp; 5**k is odd, so no tie arises. An unsettled c is
+    moved one step towards d / 10**k and proved again; cells still unproved
+    go to the caller's fallback.
     """
-    high = (d & ~_U64(0x7FF)).astype(np.float64)  # 52 bits at most: exact
-    low = (d & _U64(0x7FF)).astype(np.float64)
-    residual = _residual(c, high, low, k)
-    settled = _settled(c, residual, _POW10[k])
+    residual = _residual(d, c, k)
+    settled = _settled(c, residual, _POW5[k])
     move = np.flatnonzero(~settled)
-    if move.size:
-        c[move] = np.nextafter(c[move], np.copysign(np.inf, residual[move]))
-        k = k[move]
-        settled[move] = _settled(c[move], _residual(c[move], high[move], low[move], k),
-                                 _POW10[k])
+    c[move] = np.nextafter(c[move], np.copysign(np.inf, residual[move]))
+    d, k = d[move], k[move]
+    settled[move] = _settled(c[move], _residual(d, c[move], k), _POW5[k])
     return c, settled
 
 
@@ -396,13 +402,14 @@ def _decimals(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.nda
     tails = np.ndarray((buf.size - 8 * count + 1,), dtype=f"V{8 * count}", buffer=data,
                        strides=(1,))  # each cell's last 8 * count bytes, by where they start
     words = tails[ends - 8 * count].view("<u8").reshape(-1, count)
-    parts, wrong = _word_digits(words, np.take(_KEEP, fraction, axis=0)[:, 3 - count:])
-    d, bad = parts[:, -1], wrong[:, -1]
-    for j in range(1, count):  # the words before the last 8 bytes, 8 more digits each
-        d = d + parts[:, -1 - j] * _POW10_INT[8 * j]
-        bad = bad | wrong[:, -1 - j]
-    exact &= (bad & _U64(0x8080808080808080)) == _U64(0)
-    d = d + lead.astype(np.uint64) * _POW10_INT[fraction]
+    # The masks of the count words, taken from the table's columns for them: contiguous.
+    wrong = _word_digits(words, np.take(_KEEP[:, 3 - count:], fraction, axis=0))
+    d, bad = words[:, 0], wrong[:, 0]
+    for i in range(1, count):  # each later word holds the next 8 digits
+        d = d * _POW10_INT[8] + words[:, i]
+        bad |= wrong[:, i]
+    exact &= (bad & _U64(0x8080808080808080)) == 0
+    d += lead.astype(np.uint64) * _POW10_INT[fraction]
     exact &= d < _U64(1 << 63)
     values = d.astype(np.float64) / _POW10[fraction]
     wide = np.flatnonzero(exact & (d > _U64(1 << 53)))
@@ -603,8 +610,9 @@ class _InputFile:
         return joined
 
     def _declined(self, joined: bytearray, end: bool) -> None:
-        """Keep the bytes of ``joined`` read from the file as ``unchecked``."""
-        self.unchecked = bytes(joined[len(_PAD):len(joined) - end])
+        """Keep the bytes of ``joined`` read from the file as ``unchecked``, in place."""
+        del joined[len(joined) - end:], joined[:len(_PAD)]
+        self.unchecked = joined
 
     def parse_rows(self, spec: IngestionSpec) -> tuple[np.ndarray, list[np.ndarray]]:
         """``_parse_rows`` on the bytes of a pipe, read once up to the size
@@ -1019,6 +1027,10 @@ def _build(hint, value, what: str):
                 f"unexpected {sorted(extra)}"
             )
         hints = _field_hints(hint)
+        for f in fields(hint):  # a group-tied NaN is refused by _columns_of, naming its row
+            token = data.get(f.name)
+            if "group" in f.metadata and isinstance(token, Decimal) and token.is_nan():
+                data[f.name] = float("nan")
         return hint(**{name: _build(hints[name], item, f"{hint.__name__}.{name}")
                        for name, item in data.items()})
     if get_origin(hint) is tuple:
@@ -1026,7 +1038,8 @@ def _build(hint, value, what: str):
                      for i, item in enumerate(_expect(value, list, what)))
     if hint is dict or get_origin(hint) is dict:
         data = _expect(value, dict, what)
-        if hint is dict:
+        if hint is dict:  # any JSON: json.dumps refuses a Decimal anywhere in it
+            json.dumps(data, default=partial(_refuse, what))
             return data
         return {key: _build(get_args(hint)[1], item, f"{what}[{key!r}]")
                 for key, item in data.items()}
@@ -1036,14 +1049,18 @@ def _build(hint, value, what: str):
     return value
 
 
+def _refuse(what: str, value):
+    raise DataError(f"{what} must hold only JSON values, got {value!r}")
+
+
 def parse_report(data: bytes) -> ReportDocument:
     """Rebuild a ReportDocument from its JSON serialization.
 
-    A missing or unexpected key, or a value that does not fit its field's
-    type, raises DataError.
+    A missing or unexpected key, a value that does not fit its field's
+    type, or a NaN, Infinity or -Infinity token raises DataError.
     """
-    try:
-        payload = json.loads(data.decode("utf-8"))
+    try:  # NaN, Infinity and -Infinity, not JSON, read as Decimals, which fit no field
+        payload = json.loads(data.decode("utf-8"), parse_constant=Decimal)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"not a valid JSON report: {exc}") from exc
     return _build(ReportDocument, payload, "ReportDocument")

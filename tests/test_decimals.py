@@ -93,6 +93,32 @@ def test_decimals_near_midpoints_of_doubles():
     assert np.count_nonzero(exact) > 150_000
 
 
+def test_decimals_just_below_powers_of_two():
+    """Decimals near the midpoint of a power of two and the double below it,
+    where the gap below is half an ulp of the power: a proof that took the
+    gap above for it would keep the power of two."""
+    texts = []
+    for e in range(-10, 1):
+        below = float(np.nextafter(2.0 ** e, 0.0))
+        texts += _near_midpoints(below, 19 if e < 0 else 18, spread=300)
+    wrong, exact = _differences(texts)
+    assert wrong == []
+    assert exact.all()
+
+
+@pytest.mark.parametrize("k", [16, 17, 18, 19])
+def test_integer_residual_at_the_ends_of_its_range(k):
+    """d = value * 10**k just above 2**53, where the wide cells start, and
+    just below 2**63 (or 2 * 10**k, the largest that starts with 0 or 1),
+    with every fraction length the integer proof takes."""
+    top = min(2 ** 63, 2 * 10 ** k)
+    ds = [*range(2 ** 53 + 1, 2 ** 53 + 400), *range(top - 400, top)]
+    texts = [f"{d // 10 ** k}.{d % 10 ** k:0{k}d}" for d in ds]
+    wrong, exact = _differences(texts)
+    assert wrong == []
+    assert exact.all()
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6])
 def test_repr_of_random_doubles(scale):
     """repr, the shortest text that reads back the same double, of 100,000

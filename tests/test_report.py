@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -388,6 +390,36 @@ class TestParseMalformed:
         parent[path[-1]] = wrong
         with pytest.raises(DataError, match=message):
             self.parse(payload)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("models", 0, "points", 0, "nb_model"), float("nan"),
+         r"CurvePoint.nb_model must be float, got Decimal\('NaN'\)"),
+        (("models", 0, "points", 1, "t"), float("inf"),
+         r"CurvePoint.t must be float, got Decimal\('Infinity'\)"),
+        (("models", 0, "points", 0, "calibration", "y_above"), -float("inf"),
+         r"CalibrationSummary.y_above must be float \| None, got Decimal\('-Infinity'\)"),
+        (("bands", "d0", "nb_upper"), [float("nan")], r"CurveBand.nb_upper\[0\] must be float"),
+        (("comparisons", 0, "verdicts", 0, "nb1"), float("inf"),
+         "ComparisonVerdict.nb1 must be float"),
+        (("metadata", "grid", "lo"), float("nan"),
+         r"ReportDocument.metadata must hold only JSON values, got Decimal\('NaN'\)"),
+    ])
+    def test_non_finite_tokens_are_refused(self, payload, path, value, message):
+        # json.dumps writes NaN, Infinity and -Infinity, which JSON does not have.
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(DataError, match=message):
+            self.parse(payload)
+
+    def test_golden_report_with_non_finite_tokens_is_refused(self):
+        text = (Path(__file__).parent / "data" / "golden" / "curves.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        for field, token in (("nb_model", "NaN"), ("t", "Infinity")):
+            edited = re.sub(rf'"{field}": [^,\n]+', f'"{field}": {token}', text, count=1)
+            with pytest.raises(DataError, match=f"CurvePoint.{field} must be float"):
+                parse_report(edited.encode())
 
     def test_int_fits_float_and_null_fits_optional(self, payload):
         point = payload["models"][0]["points"][0]

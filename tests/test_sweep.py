@@ -176,6 +176,29 @@ class TestSweepCounts:
         assert sweep.fn.tolist() == [c.fn for c in masked]
         assert sweep.tn.tolist() == [c.tn for c in masked]
 
+    @given(data=st.data(), grid=st.sampled_from(GRIDS))
+    @settings(max_examples=100, deadline=None)
+    def test_one_sort_count_matches_masked(self, data, grid):
+        # Signed zeros, 1.0, subnormals, grid points and any risk in [0, 1].
+        special = st.sampled_from([-0.0, 0.0, 1.0, 5e-324, 2.2250738585072e-308])
+        risk = special | st.sampled_from(grid.points) | st.floats(0.0, 1.0)
+        risks = np.array(data.draw(st.lists(risk, min_size=1, max_size=30)))
+        outcomes = np.array(data.draw(st.lists(st.integers(0, 1), min_size=risks.size,
+                                               max_size=risks.size)))
+        thresholds = np.asarray(grid.points)
+        fn, tn = metrics._count_below(PredictionSet(risks=risks, outcomes=outcomes), thresholds)
+        for counted, outcome in ((fn, 1), (tn, 0)):
+            assert counted.tolist() == [np.count_nonzero(risks[outcomes == outcome] < t)
+                                        for t in thresholds.tolist()]
+
+    def test_negative_zero_counts_below_every_threshold(self):
+        # Read with its sign bit, an event's -0.0 would sort before every non-event.
+        data = PredictionSet(risks=np.array([-0.0, 0.3, 0.6, -0.0, 0.2]),
+                             outcomes=np.array([1, 0, 1, 0, 1]))
+        sweep = sweep_counts(data, [0.1, 0.5])
+        assert (sweep.fn.tolist(), sweep.tn.tolist()) == ([1, 2], [1, 2])
+        assert (sweep.tp.tolist(), sweep.fp.tolist()) == ([2, 1], [1, 0])
+
     def test_validates_thresholds_once(self, d0, monkeypatch):
         calls = []
         real = metrics._check_thresholds
