@@ -58,16 +58,8 @@ from .metrics import (
     ppv,
     sweep_counts,
 )
-from .report import (
-    ComparisonSection,
-    IngestionSpec,
-    ModelCurve,
-    ReportDocument,
-    emit_report,
-    file_digest,
-    ingest,
-    parse_report,
-)
+from .reader import IngestionSpec, file_digest, ingest
+from .report import ComparisonSection, ModelCurve, ReportDocument, emit_report, parse_report
 from .resampling import BandSpec, CurveBand, bootstrap_bands
 from .svg import render_svg
 

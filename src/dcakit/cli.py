@@ -26,17 +26,9 @@ from .curves import (SyntheticSpec, ThresholdGrid, curve_columns, decision_curve
 from .equivalences import ppv_bounds_given_nb
 from .errors import DataError, RouteDisagreementError, UsageError
 from .metrics import PredictionSet
-from .report import (
-    ComparisonSection,
-    IngestionSpec,
-    ModelCurve,
-    ReportDocument,
-    csv_value,
-    emit_report,
-    ingest,
-)
 # file_digest stays importable here: bench/workloads.py traces it by name.
-from .report import file_digest  # noqa: F401
+from .reader import IngestionSpec, file_digest, ingest  # noqa: F401
+from .report import ComparisonSection, ModelCurve, ReportDocument, csv_value, emit_report
 from .resampling import BandSpec, bootstrap_bands
 from .svg import PANELS, render_svg
 

@@ -22,7 +22,7 @@ from .metrics import (
     PredictionSet,
     ThresholdConfusion,
     check_threshold,
-    classify_at_threshold,
+    classify_at_threshold,  # noqa: F401  bench/workloads.py traces it by name
     column_rows,
     divide_where,
     first_failure,
@@ -144,7 +144,7 @@ def compare_models(d1: PredictionSet, d2: PredictionSet, t: float) -> Comparison
     """
     t = check_threshold(t)
     _check_same_cohort(d1, d2)
-    c1, c2 = classify_at_threshold(d1, t), classify_at_threshold(d2, t)
+    c1, c2 = sweep_counts(d1, [t]).confusion(), sweep_counts(d2, [t]).confusion()
     return column_rows(ComparisonVerdict, superiority_columns(c1, c2))[0]
 
 

@@ -22,7 +22,7 @@ from .metrics import (
     PredictionSet,
     ThresholdConfusion,
     check_threshold,
-    classify_at_threshold,
+    classify_at_threshold,  # noqa: F401  bench/workloads.py traces it by name
     column_rows,
     first_failure,
     group_masks,
@@ -30,6 +30,7 @@ from .metrics import (
     net_benefit_order,
     net_benefit_treat_all,
     ppv_counts,
+    sweep_counts,
 )
 
 __all__ = [
@@ -180,9 +181,9 @@ def decide_defaults(c: ThresholdConfusion) -> DefaultsVerdict:
 
 
 def verdict_vs_defaults(data: PredictionSet, t: float) -> DefaultsVerdict:
-    """Classify at ``t``, with the counts checked as sweep_counts checks
-    them, then decide both default comparisons by their exact sign."""
-    return decide_defaults(classify_at_threshold(data, t))
+    """Count at ``t`` by a one-point sweep_counts, which checks its counts,
+    then decide both default comparisons by their exact sign."""
+    return decide_defaults(sweep_counts(data, [t]).confusion())
 
 
 def ppv_bounds_given_nb(nb: float, prevalence: float, t: float) -> PpvInterval:

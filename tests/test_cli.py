@@ -2,11 +2,17 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dcakit
 from dcakit import curves, parse_report
 from dcakit.cli import build_parser, cli_main
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -326,3 +332,48 @@ class TestParserBuiltOnce:
             assert "curves" in capsys.readouterr().out
             assert cli_main(["--version"]) == 0
             assert cli_main(["curves", "--outcome", "y"]) == 1  # nothing kept from the last run
+
+
+def _python(*args):
+    """A fresh interpreter run from tests/data with ``args``, importing this
+    checkout's dcakit."""
+    env = dict(os.environ)
+    package_root = str(Path(dcakit.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=DATA_DIR, env=env, capture_output=True,
+                          timeout=120)
+
+
+class TestFreshInterpreter:
+    CURVES = ["-m", "dcakit.cli", "curves", "--input", "d0.csv", "--outcome", "y",
+              "--grid", "0.125:0.5:0.125", "--format", "csv"]
+
+    def test_module_entry_point_writes_golden_bytes(self):
+        result = _python(*self.CURVES, "--models", "m1")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (DATA_DIR / "golden" / "curves.csv").read_bytes()
+
+    def test_module_entry_point_exit_codes(self):
+        assert _python(*self.CURVES).returncode == 1  # --models is required
+        assert _python(*self.CURVES, "--models", "m1", "--input", "missing.csv").returncode == 2
+
+    def test_cli_import_leaves_bootstrap_modules_unloaded(self):
+        """resampling.py imports fractions and concurrent.futures only when
+        bands are computed."""
+        result = _python("-c", "import sys, dcakit.cli; print(sorted({'fractions', "
+                               "'concurrent.futures'} & set(sys.modules)))")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == b"[]"
+
+    def test_no_submodule_shadows_a_public_name(self):
+        """With every submodule imported, each name dcakit exports is still
+        what it bound, not a module of the same name: dcakit.ingest stays
+        the function."""
+        result = _python("-c", "import importlib, inspect, pkgutil, dcakit\n"
+                               "for m in pkgutil.iter_modules(dcakit.__path__):\n"
+                               "    importlib.import_module('dcakit.' + m.name)\n"
+                               "assert inspect.isfunction(dcakit.ingest)\n"
+                               "print([n for n in dcakit.__all__ "
+                               "if inspect.ismodule(getattr(dcakit, n))])")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == b"[]"

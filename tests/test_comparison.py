@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,9 @@ from dcakit import (
     net_benefit_treat_all,
     ppv,
     ppv_superiority_reference,
+    verdict_vs_defaults,
 )
+from dcakit import metrics
 
 TOL = 1e-12
 
@@ -175,3 +178,28 @@ class TestPpvSuperiorityReference:
         nb_all = net_benefit_treat_all(data.prevalence, t)
         reference = ppv_superiority_reference(nb_all, data.n, data.n, t)
         assert reference == pytest.approx(ppv(c), abs=1e-9)
+
+
+def test_one_point_calls_count_once(d0, d0_degraded, monkeypatch):
+    """A one-point call validates one ThresholdConfusion per model, the
+    column one its sweep gives, and builds its row by one column_rows."""
+    counts = {"confusions": 0, "column_rows": 0}
+    validate, rows = metrics.ThresholdConfusion.__post_init__, metrics.column_rows
+
+    def counted_validate(self):
+        counts["confusions"] += 1
+        validate(self)
+
+    def counted_rows(*args):
+        counts["column_rows"] += 1
+        return rows(*args)
+
+    monkeypatch.setattr(metrics.ThresholdConfusion, "__post_init__", counted_validate)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dcakit") and getattr(module, "column_rows", None) is rows:
+            monkeypatch.setattr(module, "column_rows", counted_rows)
+    for call, expected in ((lambda: verdict_vs_defaults(d0, 0.5), 1),
+                           (lambda: compare_models(d0, d0_degraded, 0.5), 2)):
+        counts.update(confusions=0, column_rows=0)
+        call()
+        assert counts == {"confusions": expected, "column_rows": 1}

@@ -1,6 +1,6 @@
 """The fast path reads every risk cell as ``float`` does, bit for bit.
 
-``report._cell_values`` converts cells written as one digit, '.', and 1-19
+``reader._cell_values`` converts cells written as one digit, '.', and 1-19
 digits exactly in numpy (``_decimals``) and sends every other cell through
 ``float`` one at a time. Each oracle here compares its bits with
 ``float(cell.strip())``, ``_parse_risk``'s rule, on decimals chosen to be
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_ingest_paths import RISK_TEXT
 
-from dcakit import report
+from dcakit import digits, reader
 
 # The ci profile (tests/conftest.py) draws ten times as many examples here.
 CONVERTER = settings(deadline=None, max_examples=(
@@ -24,11 +24,11 @@ CONVERTER = settings(deadline=None, max_examples=(
 
 
 def _cells(texts):
-    """The texts as comma-separated cells of one buffer behind report._PAD,
+    """The texts as comma-separated cells of one buffer behind digits._PAD,
     with each cell's start and end."""
-    data = report._PAD + ",".join(texts).encode("ascii") + b"\n"
+    data = digits._PAD + ",".join(texts).encode("ascii") + b"\n"
     lengths = np.array([len(text) for text in texts], dtype=np.intp)
-    ends = len(report._PAD) + np.cumsum(lengths + 1) - 1
+    ends = len(digits._PAD) + np.cumsum(lengths + 1) - 1
     return data, ends - lengths, ends
 
 
@@ -41,8 +41,8 @@ def _numpy_form(text):
 def _differences(texts):
     """Cells whose converted bits differ from float()'s, and the mask of the
     cells the numpy route converted."""
-    values, exact = report._decimals(*_cells(texts))
-    converted = report._cell_values(*_cells(texts))
+    values, exact = digits._decimals(*_cells(texts))
+    converted = reader._cell_values(*_cells(texts))
     expected = np.array([float(text.strip()) for text in texts])
     assert converted.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
     wrong = exact & (values.view(np.uint64) != expected.view(np.uint64))
@@ -137,9 +137,9 @@ def test_risk_text_corpus():
         try:
             expected = float(text.strip())
         except ValueError:
-            assert report._cell_values(*_cells(["0.5", text])) is None, text
+            assert reader._cell_values(*_cells(["0.5", text])) is None, text
             continue
-        values = report._cell_values(*_cells(["0.5", text]))
+        values = reader._cell_values(*_cells(["0.5", text]))
         assert values[1:].view(np.uint64).tolist() == [np.float64(expected).view(np.uint64)], text
 
 
@@ -148,12 +148,12 @@ def test_fallback_when_the_proof_rejects_every_cell(monkeypatch):
     through float(), and the values do not change."""
     texts = [repr(x) for x in np.random.default_rng(13).random(20_000).tolist()]
     data, starts, ends = _cells(texts)
-    before = report._cell_values(data, starts, ends)
-    monkeypatch.setattr(report, "_settled", lambda c, residual, ten: np.zeros(c.shape, bool))
-    values, exact = report._decimals(data, starts, ends)
+    before = reader._cell_values(data, starts, ends)
+    monkeypatch.setattr(digits, "_settled", lambda c, residual, ten: np.zeros(c.shape, bool))
+    values, exact = digits._decimals(data, starts, ends)
     wide = np.array([_numpy_form(t) and int(t.replace(".", "")) > 2 ** 53 for t in texts])
     assert not (exact & wide).any() and np.count_nonzero(wide) > 5_000
-    after = report._cell_values(data, starts, ends)
+    after = reader._cell_values(data, starts, ends)
     assert after.view(np.uint64).tolist() == before.view(np.uint64).tolist()
     assert after.tolist() == [float(t) for t in texts]
 

@@ -1,6 +1,6 @@
 """The CSV writer formats floats as ``format(v, ".17g")`` does, byte for byte.
 
-``report._float_cells`` computes every fixed-notation cell in numpy, from
+``digits._float_cells`` computes every fixed-notation cell in numpy, from
 the exact 17-digit integer of each value, and sends only scientific and
 non-finite cells through ``format``. Each oracle here compares its bytes
 with ``format(v, ".17g").encode()``, on values chosen to be hard to round
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dcakit import report
+from dcakit import digits, report
 
 FORMATTER = settings(deadline=None, max_examples=(
     1000 if settings.get_current_profile_name() == "ci" else 200))
@@ -40,8 +40,8 @@ def _formatted(values, monkeypatch=None):
             calls.append(value)
             return builtins.format(value, spec)
 
-        monkeypatch.setattr(report, "format", counting, raising=False)
-    cells = report._float_cells(np.asarray(values, dtype=np.float64)).tolist()
+        monkeypatch.setattr(digits, "format", counting, raising=False)
+    cells = digits._float_cells(np.asarray(values, dtype=np.float64)).tolist()
     if monkeypatch is not None:
         monkeypatch.undo()
     return cells, len(calls)
@@ -125,8 +125,8 @@ def test_exponent_guess_off_by_one_gives_the_same_bytes(miss, monkeypatch):
     rng = np.random.default_rng(3)
     values = np.concatenate([rng.standard_normal(5000) * 10.0 ** rng.integers(-5, 17, 5000),
                              _neighbours(1e-4), _neighbours(1e16), _neighbours(1.0)])
-    guess = report._exponent_guess
-    monkeypatch.setattr(report, "_exponent_guess", lambda magnitude: guess(magnitude) + miss)
+    guess = digits._exponent_guess
+    monkeypatch.setattr(digits, "_exponent_guess", lambda magnitude: guess(magnitude) + miss)
     cells, _ = _formatted(values)
     assert cells == _expected(values)
 

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcakit import IngestionError, IngestionSpec, ingest, report
-from dcakit.report import _InputFile, _parse_rows
+from dcakit import IngestionError, IngestionSpec, ingest, reader
+from dcakit.reader import _InputFile, _parse_rows
 
 
 def _arrays(parsed):
@@ -224,11 +224,11 @@ def test_paths_agree_in_small_chunks(tmp_path_factory, case, chunk):
     header straddle chunk ends, the fast path still agrees or declines."""
     data, delimiter = case
     path = tmp_path_factory.getbasetemp() / "chunked.csv"
-    default, report._SCAN_BLOCK = report._SCAN_BLOCK, chunk
+    default, reader._SCAN_BLOCK = reader._SCAN_BLOCK, chunk
     try:
         check_paths(path, data, outcome_column="y", model_columns=("m1",), delimiter=delimiter)
     finally:
-        report._SCAN_BLOCK = default
+        reader._SCAN_BLOCK = default
 
 
 @st.composite

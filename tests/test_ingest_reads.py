@@ -18,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dcakit import DataError, IngestionError, IngestionSpec, file_digest, ingest, report
+from dcakit import DataError, IngestionError, IngestionSpec, file_digest, ingest, reader
 from dcakit.cli import cli_main
 
 PLAIN = b"y,m1,m2\n1,0.5,0.25\n0,0.1,1\n"
@@ -43,8 +43,8 @@ def plain(tmp_path):
 def _between_chunks(monkeypatch, path, change):
     """Read in chunks of 8 bytes, and apply ``change`` to the file at
     ``path`` once the first chunk is parsed."""
-    monkeypatch.setattr(report, "_SCAN_BLOCK", 8)
-    real = report._parse_chunk
+    monkeypatch.setattr(reader, "_SCAN_BLOCK", 8)
+    real = reader._parse_chunk
     changed = []
 
     def parse_chunk(*args):
@@ -53,19 +53,19 @@ def _between_chunks(monkeypatch, path, change):
             changed.append(change(path))
         return parsed
 
-    monkeypatch.setattr(report, "_parse_chunk", parse_chunk)
+    monkeypatch.setattr(reader, "_parse_chunk", parse_chunk)
 
 
 def _before_reread(monkeypatch, path, change):
     """Apply ``change`` to the file at ``path`` once the row parser has
     opened it again, before it parses."""
-    real = report._parse_rows
+    real = reader._parse_rows
 
     def parse_rows(data, spec):
         change(path)
         return real(data, spec)
 
-    monkeypatch.setattr(report, "_parse_rows", parse_rows)
+    monkeypatch.setattr(reader, "_parse_rows", parse_rows)
 
 
 def _append_row(path):
@@ -88,7 +88,7 @@ class TestChangedFile:
         """The appended rows are read too, several a chunk, more of them than
         the file's size when it was opened left room for."""
         _between_chunks(monkeypatch, plain, _append_rows)
-        monkeypatch.setattr(report, "_SCAN_BLOCK", 64)
+        monkeypatch.setattr(reader, "_SCAN_BLOCK", 64)
         with pytest.raises(IngestionError, match="changed while being read"):
             ingest(_spec(plain))
 
@@ -160,23 +160,23 @@ def test_pipe_is_parsed_from_its_one_read():
 
 class TestSizeCap:
     def test_file_at_the_cap_is_read(self, plain, monkeypatch):
-        monkeypatch.setattr(report, "MAX_INPUT_BYTES", len(PLAIN))
+        monkeypatch.setattr(reader, "MAX_INPUT_BYTES", len(PLAIN))
         assert len(ingest(_spec(plain))) == 2
 
     def test_larger_file_is_refused(self, plain, monkeypatch):
-        monkeypatch.setattr(report, "MAX_INPUT_BYTES", len(PLAIN) - 1)
+        monkeypatch.setattr(reader, "MAX_INPUT_BYTES", len(PLAIN) - 1)
         with pytest.raises(DataError, match=f"is {len(PLAIN)} bytes, over the "
                                             f"{len(PLAIN) - 1}-byte input limit"):
             ingest(_spec(plain))
 
     def test_cli_exits_2(self, plain, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(report, "MAX_INPUT_BYTES", 10)
+        monkeypatch.setattr(reader, "MAX_INPUT_BYTES", 10)
         assert _curves(plain, tmp_path / "report.json") == 2
         assert f"is {len(PLAIN)} bytes, over the 10-byte input limit" in capsys.readouterr().err
 
     @needs_dev_fd
     def test_pipe_at_the_cap_is_read(self, monkeypatch):
-        monkeypatch.setattr(report, "MAX_INPUT_BYTES", len(PLAIN))
+        monkeypatch.setattr(reader, "MAX_INPUT_BYTES", len(PLAIN))
         with _pipe(PLAIN) as path:
             assert len(ingest(_spec(path))) == 2
 
@@ -184,7 +184,7 @@ class TestSizeCap:
     def test_larger_pipe_is_refused(self, tmp_path, monkeypatch, capsys):
         """A pipe has no size to check before the read: ingest reads one
         byte more than the cap and stops there."""
-        monkeypatch.setattr(report, "MAX_INPUT_BYTES", 10)
+        monkeypatch.setattr(reader, "MAX_INPUT_BYTES", 10)
         with _pipe(PLAIN) as path:
             assert _curves(path, tmp_path / "report.json") == 2
         assert "is over the 10-byte input limit" in capsys.readouterr().err
@@ -214,12 +214,12 @@ def test_models_keep_the_parsed_arrays(plain, declined, monkeypatch):
         plain.write_bytes(PLAIN.replace(b"\n1,", b"\n 1 ,"))
     parsed = []
     for name in ("parse_plain", "parse_rows"):
-        def keep(self, spec, parse=getattr(report._InputFile, name)):
+        def keep(self, spec, parse=getattr(reader._InputFile, name)):
             result = parse(self, spec)
             parsed.append(result and (result[0], list(result[1])))  # ingest pops the list
             return result
 
-        monkeypatch.setattr(report._InputFile, name, keep)
+        monkeypatch.setattr(reader._InputFile, name, keep)
     m1, m2 = ingest(_spec(plain))
     outcomes, risks = parsed[-1]
     assert (parsed[0] is None) == declined
@@ -230,7 +230,7 @@ def test_models_keep_the_parsed_arrays(plain, declined, monkeypatch):
 
 
 def test_file_digest_streams(tmp_path):
-    data = np.random.default_rng(3).bytes(report._DIGEST_BLOCK * 3 + 12345)
+    data = np.random.default_rng(3).bytes(reader._DIGEST_BLOCK * 3 + 12345)
     path = tmp_path / "blob"
     path.write_bytes(data)
     digest, peak = _traced_peak(lambda: file_digest(str(path)))
@@ -305,7 +305,7 @@ def test_quote_in_a_body_block_takes_the_row_parser(tmp_path):
 def test_blocks_end_where_rows_end(tmp_path, monkeypatch, eol, final_eol):
     """Read in chunks far smaller than the file, one row longer than a chunk
     among them, a plain file gives the row parser's arrays."""
-    monkeypatch.setattr(report, "_SCAN_BLOCK", 64)
+    monkeypatch.setattr(reader, "_SCAN_BLOCK", 64)
     rng = np.random.default_rng(5)
     lines = [b"y,m1,note"] + [b"%d,%r,%s" % (rng.integers(2), rng.random(), b"x" * rng.integers(40))
                               for _ in range(200)]
@@ -314,9 +314,9 @@ def test_blocks_end_where_rows_end(tmp_path, monkeypatch, eol, final_eol):
     path = tmp_path / "input.csv"
     path.write_bytes(data)
     spec = IngestionSpec(path=str(path), outcome_column="y", model_columns=("m1",))
-    with report._InputFile(str(path)) as source:
+    with reader._InputFile(str(path)) as source:
         fast = source.parse_plain(spec)
-    outcomes, (risks,) = report._parse_rows(data, spec)
+    outcomes, (risks,) = reader._parse_rows(data, spec)
     assert fast is not None
     assert fast[0].tobytes() == outcomes.tobytes()
     assert np.ascontiguousarray(fast[1][0]).tobytes() == risks.tobytes()
@@ -325,15 +325,15 @@ def test_blocks_end_where_rows_end(tmp_path, monkeypatch, eol, final_eol):
 def test_arrays_grow_when_rows_get_shorter(tmp_path, monkeypatch):
     """The kept arrays are sized from the rows per byte read so far; a file
     whose rows get shorter outgrows them, and they grow, keeping every row."""
-    monkeypatch.setattr(report, "_SCAN_BLOCK", 256)
+    monkeypatch.setattr(reader, "_SCAN_BLOCK", 256)
     sizes = []
-    real = report._grown
+    real = reader._grown
 
     def grown(columns, parsed, rows, capacity):
         sizes.append(capacity)
         return real(columns, parsed, rows, capacity)
 
-    monkeypatch.setattr(report, "_grown", grown)
+    monkeypatch.setattr(reader, "_grown", grown)
     rng = np.random.default_rng(8)
     lines = [b"y,m1,note"] + [b"%d,%r,%s" % (rng.integers(2), rng.random(), b"x" * (200 - i))
                               for i in range(200)]
@@ -341,9 +341,9 @@ def test_arrays_grow_when_rows_get_shorter(tmp_path, monkeypatch):
     path = tmp_path / "input.csv"
     path.write_bytes(data)
     spec = IngestionSpec(path=str(path), outcome_column="y", model_columns=("m1",))
-    with report._InputFile(str(path)) as source:
+    with reader._InputFile(str(path)) as source:
         fast = source.parse_plain(spec)
-    outcomes, (risks,) = report._parse_rows(data, spec)
+    outcomes, (risks,) = reader._parse_rows(data, spec)
     assert len(sizes) > 1 and sizes == sorted(sizes)
     assert fast[0].tobytes() == outcomes.tobytes()
     assert np.ascontiguousarray(fast[1][0]).tobytes() == risks.tobytes()
@@ -354,14 +354,14 @@ def test_utf8_check_spans_reads(tmp_path, monkeypatch, last):
     """A declined file is checked to be UTF-8 as the rest of it is read, 3
     bytes at a time: a character split between reads passes, and a bad byte
     is named at its offset in the file, as one decode of the file names it."""
-    monkeypatch.setattr(report, "_SCAN_BLOCK", 16)
-    monkeypatch.setattr(report, "_DIGEST_BLOCK", 3)
+    monkeypatch.setattr(reader, "_SCAN_BLOCK", 16)
+    monkeypatch.setattr(reader, "_DIGEST_BLOCK", 3)
     data = "y,m1,note\n1,0.5,x\n0,0.25,vérifié\n1,0.5,ü\n".encode() + last
     path = tmp_path / "input.csv"
     path.write_bytes(data)
     spec = IngestionSpec(path=str(path), outcome_column="y", model_columns=("m1",))
     try:
-        expected = [report._parse_rows(data, spec)[1][0].tolist()]
+        expected = [reader._parse_rows(data, spec)[1][0].tolist()]
     except IngestionError as exc:
         expected = str(exc)
     try:
@@ -396,7 +396,7 @@ class TestRowParserStreams:
         """Rewritten to other bytes of the same size, with the mtime put back,
         while the row parser reads it: only the digest of the reread shows it."""
         path = self.declined(tmp_path, rows=2000)
-        original = report._parse_outcome
+        original = reader._parse_outcome
         status = os.stat(path)
 
         def rewrite_once(text, row, column):
@@ -406,6 +406,6 @@ class TestRowParserStreams:
                 os.utime(path, ns=(status.st_atime_ns, status.st_mtime_ns))
             return original(text, row, column)
 
-        monkeypatch.setattr(report, "_parse_outcome", rewrite_once)
+        monkeypatch.setattr(reader, "_parse_outcome", rewrite_once)
         with pytest.raises(IngestionError, match="changed while being read"):
             ingest(_spec(path))

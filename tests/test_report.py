@@ -423,13 +423,75 @@ class TestParseMalformed:
 
     def test_int_fits_float_and_null_fits_optional(self, payload):
         point = payload["models"][0]["points"][0]
-        point["t"], point["ppv_all_ref"] = 1, None
+        point["nb_none"], point["ppv_all_ref"] = 0, None
         payload["bands"]["d0"]["ppv_lower"][0] = None
         doc = self.parse(payload)
-        assert doc.models[0].points[0].t == 1 and doc.models[0].points[0].ppv_all_ref is None
+        assert doc.models[0].points[0].nb_none == 0 and doc.models[0].points[0].ppv_all_ref is None
         assert doc.bands["d0"].ppv_lower[0] is None
 
     def test_well_formed_payload_parses(self, payload):
         doc = self.parse(payload)
         assert len(doc.models[0].points) == len(GRID.points)
         assert doc.bands["d0"].spec == BandSpec(replicates=50, seed=1)
+
+
+def _golden(stem):
+    return json.loads((Path(__file__).parent / "data" / "golden" / f"{stem}.json").read_text())
+
+
+def _shorten(band, names):
+    for name in names:
+        band[name] = band[name][:-1]
+
+
+class TestOneValuePerCell:
+    """The CSV prints a value once where the JSON repeats it, so a report
+    whose repeats disagree, or whose thresholds leave (0, 1), is refused
+    when it is built: each golden report below is edited in memory."""
+
+    @pytest.mark.parametrize("key, value", [("t", 0.3), ("s_t", 0.9)])
+    def test_calibration_repeats_its_point(self, key, value):
+        payload = _golden("curves")
+        payload["models"][0]["points"][2]["calibration"][key] = value
+        with pytest.raises(DataError, match="'m1' point 2: calibration t and s_t"):
+            parse_report(json.dumps(payload).encode())
+
+    @pytest.mark.parametrize("edit", [
+        lambda band: _shorten(band, [name for name, value in band.items() if name != "spec"]),
+        lambda band: _shorten(band, ["nb_lower"]),
+        lambda band: _shorten(band, ["ppv_replicates"]),
+        lambda band: band["thresholds"].__setitem__(1, 0.3),
+    ])
+    def test_band_holds_its_curve_thresholds(self, edit):
+        payload = _golden("bootstrap")
+        edit(payload["bands"]["m1"])
+        with pytest.raises(DataError, match="band 'm1' must name a model"):
+            parse_report(json.dumps(payload).encode())
+
+    def test_band_names_a_model(self):
+        payload = _golden("bootstrap")
+        payload["bands"]["m2"] = payload["bands"].pop("m1")
+        with pytest.raises(DataError, match="band 'm2' must name a model"):
+            parse_report(json.dumps(payload).encode())
+
+    @pytest.mark.parametrize("stem, path", [
+        ("curves", ("models", 0, "points", 1)),
+        ("compare", ("comparisons", 0, "verdicts", 3)),
+    ])
+    @pytest.mark.parametrize("t", [2.5, 0, 1, -0.25])
+    def test_thresholds_lie_in_the_open_interval(self, stem, path, t):
+        payload = _golden(stem)
+        parent = payload
+        for key in path:
+            parent = parent[key]
+        parent["t"] = t
+        with pytest.raises(DataError, match="threshold must lie strictly inside"):
+            parse_report(json.dumps(payload).encode())
+
+    def test_library_reports_are_checked_too(self, d0):
+        doc = build_doc(d0, with_bands=True)
+        (band,) = doc.bands.values()
+        with pytest.raises(DataError, match="band 'other' must name a model"):
+            ReportDocument(metadata=doc.metadata, models=doc.models, bands={"other": band})
+        with pytest.raises(DataError, match="threshold must lie strictly inside"):
+            ModelCurve(name="m", points=(replace(doc.models[0].points[0], t=1.5),))
