@@ -12,26 +12,17 @@ from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 
-import numpy as np
-
 from dcakit import (
     ModelCurve,
-    PredictionSet,
     ReportDocument,
     SyntheticSpec,
     ThresholdGrid,
-    compare_curve,
-    decision_curve,
     generate_synthetic,
     render_svg,
+    sweep_counts,
 )
-
-
-def loses_to(data, risk, grid):
-    """Whether ``data`` loses to the default that gives everyone ``risk`` (1.0 is
-    treat-all, 0.0 treat-none) at each grid threshold, by the exact sign."""
-    default = PredictionSet(risks=np.full(data.n, risk), outcomes=data.outcomes)
-    return [v.winner == "model2" for v in compare_curve(data, default, grid)]
+from dcakit.comparison import default_losses
+from dcakit.curves import curve_columns
 
 
 def region(points, loses, places):
@@ -68,9 +59,9 @@ def main() -> None:
                              beta_a=args.beta_a, beta_b=args.beta_b, logit_shift=shift,
                              label=f"shift{shift:+g}")
         truth, reported = generate_synthetic(spec)
-        points = decision_curve(reported, grid)
-        loses_none = loses_to(reported, 0.0, grid)
-        loses_all = loses_to(reported, 1.0, grid)
+        curve = ModelCurve(name=reported.name, points=curve_columns(reported, grid))
+        points = curve.points
+        loses_none, loses_all = default_losses(sweep_counts(reported, grid.points).confusion())
         below_none = [p for p, loses in zip(points, loses_none) if loses]
         below_all = [p for p, loses in zip(points, loses_all) if loses]
         print(f"{shift:>+6.1f}  {reported.prevalence:>10.4f}  "
@@ -87,11 +78,7 @@ def main() -> None:
         if args.svg_dir:
             doc = ReportDocument(
                 metadata={"shift": shift},
-                models=(
-                    ModelCurve(name=reported.name, points=tuple(points)),
-                    ModelCurve(name=truth.name,
-                               points=tuple(decision_curve(truth, grid))),
-                ),
+                models=(curve, ModelCurve(name=truth.name, points=curve_columns(truth, grid))),
             )
             out = Path(args.svg_dir)
             out.mkdir(parents=True, exist_ok=True)

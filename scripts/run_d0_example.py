@@ -18,7 +18,6 @@ from dcakit import (
     bootstrap_bands,
     decision_curve,
     emit_report,
-    file_digest,
     ingest,
     render_svg,
     verdict_vs_defaults,
@@ -36,8 +35,9 @@ def main() -> None:
     args = parser.parse_args()
 
     grid = ThresholdGrid.from_string(args.grid)
-    (data,) = ingest(IngestionSpec(path=str(FIXTURE), outcome_column="y",
-                                   model_columns=("m1",)))
+    datasets = ingest(IngestionSpec(path=str(FIXTURE), outcome_column="y",
+                                    model_columns=("m1",)))
+    (data,) = datasets
     points = decision_curve(data, grid)
     band = bootstrap_bands(data, grid,
                            BandSpec(replicates=args.replicates, seed=args.seed))
@@ -45,7 +45,7 @@ def main() -> None:
         metadata={
             "tool": "dcakit",
             "input": str(FIXTURE),
-            "input_digest": file_digest(str(FIXTURE)),
+            "input_digest": datasets.digest,
             "grid": {"lo": grid.lo, "hi": grid.hi, "step": grid.step},
             "options": {"replicates": args.replicates, "seed": args.seed},
         },

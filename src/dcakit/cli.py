@@ -16,16 +16,14 @@ from functools import cache
 from itertools import groupby
 from operator import itemgetter
 
-import numpy as np
-
 from . import __version__
 # compare_models stays importable here: bench/workloads.py traces it by name.
-from .comparison import WINNER_MODEL2, compare_columns, compare_curve, compare_models  # noqa: F401
+from .comparison import compare_columns, compare_models, default_losses  # noqa: F401
 from .curves import (SyntheticSpec, ThresholdGrid, curve_columns, decision_curve,
                      generate_synthetic)
 from .equivalences import ppv_bounds_given_nb
 from .errors import DataError, RouteDisagreementError, UsageError
-from .metrics import PredictionSet
+from .metrics import sweep_counts
 # file_digest stays importable here: bench/workloads.py traces it by name.
 from .reader import IngestionSpec, file_digest, ingest  # noqa: F401
 from .report import ComparisonSection, ModelCurve, ReportDocument, csv_value, emit_report
@@ -236,15 +234,7 @@ def _cmd_bootstrap(args) -> int:
     return EXIT_OK
 
 
-def _loses_to(data: PredictionSet, risk: float, grid: ThresholdGrid) -> list[bool]:
-    """Whether ``data`` loses to the default that gives everyone ``risk`` (1.0 is
-    treat-all, 0.0 treat-none) at each grid threshold, by compare_curve's
-    exact sign."""
-    default = PredictionSet(risks=np.full(data.n, risk), outcomes=data.outcomes)
-    return [v.winner == WINNER_MODEL2 for v in compare_curve(data, default, grid)]
-
-
-def _region(points: list, loses: list[bool], places: int) -> str:
+def _region(points: list, loses, places: int) -> str:
     """One threshold range per run of consecutive grid points where ``loses``
     holds, since the runs need not be adjacent; t printed with ``places``
     decimals."""
@@ -275,8 +265,7 @@ def _cmd_demo(args) -> int:
           f"logit shift={args.shift:+g}")
     print(f"observed prevalence: {prevalence:.4f}")
 
-    loses_none = _loses_to(reported, 0.0, grid)
-    loses_all = _loses_to(reported, 1.0, grid)
+    loses_none, loses_all = default_losses(sweep_counts(reported, grid.points).confusion())
     below_none = [p for p, loses in zip(points, loses_none) if loses]
     below_all = [p for p, loses in zip(points, loses_all) if loses]
     print()

@@ -38,6 +38,7 @@ __all__ = [
     "compare_columns",
     "compare_curve",
     "compare_models",
+    "default_losses",
     "ppv_superiority_reference",
     "superiority_columns",
 ]
@@ -133,6 +134,18 @@ def superiority_columns(c1: ThresholdConfusion, c2: ThresholdConfusion) -> Compa
         margin_below_1=(1.0 - s_t1) * (t - divide_where(fn1, tn1 + fn1, below1)),
         margin_below_2=(1.0 - s_t2) * (t - divide_where(fn2, tn2 + fn2, below2)),
     )
+
+
+def default_losses(c: ThresholdConfusion) -> tuple[np.ndarray, np.ndarray]:
+    """Per threshold of ``c``, whether the model loses to treat-none and
+    whether it loses to treat-all: superiority_columns against each
+    default's counts, so a tie is decided as compare decides it. Treat-none
+    has (tp, fp, tn, fn) = (0, 0, n0, n1), and treat-all (n1, n0, 0, 0)."""
+    t, n1 = np.atleast_1d(c.t), np.atleast_1d(c.tp + c.fn)
+    n0, zero = c.n - n1, np.zeros_like(n1)
+    treat_none = ThresholdConfusion(t, zero, zero, n0, n1, c.n)
+    treat_all = ThresholdConfusion(t, n1, n0, zero, zero, c.n)
+    return tuple(superiority_columns(c, d).winner == WINNER_MODEL2 for d in (treat_none, treat_all))
 
 
 def compare_models(d1: PredictionSet, d2: PredictionSet, t: float) -> ComparisonVerdict:

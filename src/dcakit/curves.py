@@ -49,9 +49,9 @@ IDENTITY_TOL = 1e-12
 # point is built.
 MAX_GRID_POINTS = 10_000
 
-# Largest cohort a SyntheticSpec may draw. demo-miscalibration peaks at about
-# 100 traced bytes per record (tracemalloc at n = 1e5), so this keeps it
-# under 1 GiB.
+# Largest cohort a SyntheticSpec may draw. demo-miscalibration peaks at 82
+# traced bytes per record at n = 1e5 and 73 at n = 1e6 (tracemalloc), so
+# this keeps it under 1 GiB.
 MAX_SYNTHETIC_RECORDS = 10_000_000
 
 # Generator endpoints: true risks are clamped away from {0, 1} before the

@@ -111,7 +111,8 @@ class ComparisonSection:
 class ReportDocument:
     """Self-describing analysis report: metadata, curves, bands, comparisons.
     With curves, each band names a model and holds one entry per threshold
-    of its curve, or DataError is raised; bands alone print no CSV rows."""
+    of its curve, or DataError is raised. Only JSON holds curves and
+    comparisons together, or bands without curves."""
 
     metadata: dict
     models: tuple[ModelCurve, ...] = ()
@@ -206,7 +207,12 @@ def _section_cells(columns, names) -> list[list[bytes]]:
 
 def _emit_csv(doc: ReportDocument) -> bytes:
     """The flat export, built from the columns: each section's cells are
-    formatted a column at a time, then every row is joined with commas."""
+    formatted a column at a time, then every row is joined with commas.
+    It holds one table, curves with their bands or comparisons, so a
+    report that has both, or bands without curves, raises UsageError."""
+    if doc.models and doc.comparisons or doc.bands and not doc.models:
+        raise UsageError("a CSV report holds curves (with their bands) or comparisons, "
+                         "not both and not bands alone; emit this report as JSON")
     columns = []
     if doc.models:
         band_cells = _BAND_CELLS if doc.bands else ()

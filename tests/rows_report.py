@@ -12,7 +12,7 @@ from dataclasses import fields
 from operator import attrgetter
 from typing import get_type_hints
 
-from dcakit import CalibrationSummary, ComparisonVerdict, CurveBand, CurvePoint
+from dcakit import CalibrationSummary, ComparisonVerdict, CurveBand, CurvePoint, UsageError
 
 
 def _fields(obj):
@@ -52,8 +52,12 @@ def rows_json(metadata, models=(), bands=None, comparisons=()):
 
 
 def rows_csv(models=(), bands=None, comparisons=()):
-    """The CSV report of the same rows, one cell at a time."""
+    """The CSV report of the same rows, one cell at a time. It holds one
+    table, so curves and comparisons together, or bands without curves,
+    raise UsageError."""
     bands = bands or {}
+    if models and comparisons or bands and not models:
+        raise UsageError("a CSV report holds curves or comparisons, not both")
     lines = []
     if models:
         point_names = _names(CurvePoint, "calibration")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import dcakit
-from dcakit import curves, parse_report
+from dcakit import curves, metrics, parse_report
 from dcakit.cli import build_parser, cli_main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -233,6 +233,27 @@ class TestDemoCommand:
         out = capsys.readouterr().out
         assert self.listed(out, "treat-all") == [f"t={k / 1000:.3f}" for k in range(10, 205, 5)]
         assert "  region: 0.010 <= t <= 0.200 (spared group is not actually low risk)\n" in out
+
+    def test_demo_builds_no_default_models_and_sweeps_twice(self, monkeypatch, capsys):
+        # The defaults are counts, not constant-risk models: only the truth
+        # and the reported model are built, and only the reported model is
+        # swept, once for its curve and once for its losses.
+        built, swept = [], []
+        validate, count_below = metrics.PredictionSet.__post_init__, metrics._count_below
+
+        def counted_validate(self):
+            built.append(self.name)
+            validate(self)
+
+        def counted_count_below(data, thresholds):
+            swept.append(data.name)
+            return count_below(data, thresholds)
+
+        monkeypatch.setattr(metrics.PredictionSet, "__post_init__", counted_validate)
+        monkeypatch.setattr(metrics, "_count_below", counted_count_below)
+        assert cli_main(["demo-miscalibration", "--n", "200"]) == 0
+        assert built == ["miscalibration-demo-truth", "miscalibration-demo"]
+        assert swept == ["miscalibration-demo", "miscalibration-demo"]
 
     def test_cohort_over_the_cap_is_data_error(self, monkeypatch, capsys):
         monkeypatch.setattr(curves, "MAX_SYNTHETIC_RECORDS", 10)

@@ -3,21 +3,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcakit import (
     PredictionSet,
+    ThresholdGrid,
     UndefinedAtThresholdError,
     UsageError,
     classify_at_threshold,
+    compare_curve,
     compare_models,
     net_benefit_treat_all,
     ppv,
     ppv_superiority_reference,
+    sweep_counts,
     verdict_vs_defaults,
 )
 from dcakit import metrics
+from dcakit.comparison import default_losses
 
 TOL = 1e-12
 
@@ -203,3 +207,52 @@ def test_one_point_calls_count_once(d0, d0_degraded, monkeypatch):
         counts.update(confusions=0, column_rows=0)
         call()
         assert counts == {"confusions": expected, "column_rows": 1}
+
+
+# Decimal grids, where ppv == t ties in floats but not exactly, and a dyadic
+# one, where it ties exactly.
+DECIMAL_GRIDS = [ThresholdGrid(0.1, 0.5, 0.1), ThresholdGrid(0.05, 0.95, 0.05),
+                 ThresholdGrid(0.125, 0.875, 0.125)]
+
+
+@st.composite
+def graded_cohorts(draw):
+    grid = draw(st.sampled_from(DECIMAL_GRIDS))
+    n = draw(st.integers(1, 20))
+    risk = st.sampled_from(grid.points) | st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
+    risks = draw(st.lists(risk, min_size=n, max_size=n))
+    outcomes = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return grid, PredictionSet(risks=np.array(risks), outcomes=np.array(outcomes))
+
+
+def loses_to_constant_risk(data, risk, grid):
+    """The demo's former route: compare_curve against a model that gives
+    everyone ``risk``, 0.0 for treat-none and 1.0 for treat-all."""
+    default = PredictionSet(risks=np.full(data.n, risk), outcomes=data.outcomes)
+    return [v.winner == "model2" for v in compare_curve(data, default, grid)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=graded_cohorts())
+# ppv == t = 0.2 with tp = 1 and fp = 4: a float tie, exact sign -1.
+@example(case=(DECIMAL_GRIDS[0], PredictionSet(np.full(5, 0.2), np.array([1, 0, 0, 0, 0]))))
+# ppv == t = 0.25 exactly: exact sign 0.
+@example(case=(DECIMAL_GRIDS[2], PredictionSet(np.full(4, 0.25), np.array([1, 0, 0, 0]))))
+# Everyone selected (empty below group), then nobody (empty above group).
+@example(case=(DECIMAL_GRIDS[1], PredictionSet(np.ones(3), np.array([1, 0, 0]))))
+@example(case=(DECIMAL_GRIDS[1], PredictionSet(np.zeros(3), np.array([0, 1, 1]))))
+def test_default_losses_match_constant_risk_models(case):
+    grid, data = case
+    loses_none, loses_all = default_losses(sweep_counts(data, grid.points).confusion())
+    assert loses_none.tolist() == loses_to_constant_risk(data, 0.0, grid)
+    assert loses_all.tolist() == loses_to_constant_risk(data, 1.0, grid)
+
+
+def test_a_float_tie_with_treat_none_is_not_a_loss():
+    # At t = 0.2 the float net benefit of tp = 1, fp = 4 is 0.0, while the
+    # exact one is just below 0, since the double 0.2 exceeds 1/5: compare's
+    # tie rule calls it a tie, and the exact sign alone would call it a loss.
+    c = sweep_counts(PredictionSet(np.full(5, 0.2), np.array([1, 0, 0, 0, 0])), [0.2]).confusion()
+    assert metrics.net_benefit_order(c.t, (c.tp, c.fp), (0, 0)).tolist() == [-1]
+    assert metrics.net_benefit_counts(c.tp, c.fp, c.n, c.t).tolist() == [0.0]
+    assert [losses.tolist() for losses in default_losses(c)] == [[False], [False]]

@@ -37,7 +37,7 @@ from dcakit.cli import cli_main
 from dcakit.comparison import compare_columns
 from dcakit.curves import curve_columns
 from dcakit.equivalences import defaults_columns
-from dcakit.errors import DataError
+from dcakit.errors import DataError, UsageError
 from dcakit.metrics import group_masks, sweep_counts
 from rows_report import rows_csv, rows_json
 
@@ -137,10 +137,34 @@ def test_parsed_report_emits_its_bytes(case, banded, edited, data):
     parsed = parse_report(text)
     assert parsed == doc
     assert emit_report(parsed, "json") == text
-    assert emit_report(parsed, "csv") == emit_report(doc, "csv")
+    # CSV holds one table: curves and comparisons together are refused.
+    with pytest.raises(UsageError, match="CSV report holds"):
+        emit_report(parsed, "csv")
+    curves_only = replace(parsed, comparisons=())
+    assert emit_report(curves_only, "csv") == emit_report(replace(doc, comparisons=()), "csv")
     sections_only = replace(parsed, models=(), bands={})
     assert emit_report(sections_only, "csv") == emit_report(replace(doc, models=(), bands={}),
                                                             "csv")
+
+
+def test_csv_refuses_a_report_it_cannot_hold_whole(d0, d0_degraded):
+    """A CSV report is one table, so a report it would cut short raises
+    instead of dropping its comparisons or printing nothing for its bands."""
+    grid = GRIDS[0]
+    curves = (ModelCurve("d0", curve_columns(d0, grid)),)
+    bands = {"d0": bootstrap_bands(d0, grid, BandSpec(replicates=5))}
+    sections = (ComparisonSection("d0", "d0-degraded", compare_columns(d0, d0_degraded, grid)),)
+    for doc in (ReportDocument(METADATA, curves, comparisons=sections),
+                ReportDocument(METADATA, curves, bands, sections),
+                ReportDocument(METADATA, bands=bands),
+                ReportDocument(METADATA, bands=bands, comparisons=sections)):
+        with pytest.raises(UsageError, match="CSV report holds"):
+            emit_report(doc, "csv")
+        assert parse_report(emit_report(doc, "json")) == doc
+    for doc in (ReportDocument(METADATA, curves, bands), ReportDocument(METADATA, curves),
+                ReportDocument(METADATA, comparisons=sections)):
+        assert emit_report(doc, "csv").count(b"\n") == 1 + len(grid.points)
+    assert emit_report(ReportDocument(METADATA), "csv") == b""
 
 
 def test_rows_are_built_on_first_read(d0):

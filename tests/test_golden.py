@@ -9,6 +9,9 @@ below group) and nobody is positive at t = 0.95 (empty above group), so they
 pin the rendering of the fields that are undefined on an empty group.
 Inputs are passed by their bare file name from tests/data, so the
 recorded ``input`` metadata does not depend on where the checkout lives.
+The ``demo-miscalibration*.txt`` fixtures are the demo's stdout; at
+``--n 20 --seed 6`` the float net benefits tie treat-all's at t = 0.30,
+where the exact sign alone would list a loss.
 """
 
 from pathlib import Path
@@ -59,3 +62,18 @@ def test_parsed_report_emits_golden_bytes(stem):
     doc = parse_report((GOLDEN_DIR / f"{stem}.json").read_bytes())
     for fmt in ("json", "csv"):
         assert emit_report(doc, fmt) == (GOLDEN_DIR / f"{stem}.{fmt}").read_bytes()
+
+
+DEMO_CASES = {
+    "demo-miscalibration.txt": [],
+    "demo-miscalibration-n12-uniform-shift-1.txt": [
+        "--n", "12", "--seed", "0", "--distribution", "uniform", "--shift", "-1"],
+    "demo-miscalibration-n20-seed6-uniform-shift-1.txt": [
+        "--n", "20", "--seed", "6", "--distribution", "uniform", "--shift", "-1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_CASES))
+def test_demo_transcript_matches_golden(name, capsys):
+    assert cli_main(["demo-miscalibration", *DEMO_CASES[name]]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN_DIR / name).read_bytes()

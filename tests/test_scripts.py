@@ -9,6 +9,7 @@ import dcakit
 from dcakit import parse_report
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
 
 def run_script(name, *args):
@@ -53,3 +54,9 @@ def test_miscalibration_demo_regions_come_from_exact_verdicts():
     # t = 0.25-0.30 is not a loss: two ranges, not one that spans the gap.
     assert "[0.12, 0.24], [0.31, 0.42] (25/50 pts)" in result.stdout
     assert "spared-group event rate 0.500 > t=0.37" in result.stdout
+
+
+def test_miscalibration_demo_transcript_matches_golden():
+    result = run_script("miscalibration_demo.py")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.encode("utf-8") == (GOLDEN_DIR / "miscalibration_demo.txt").read_bytes()
