@@ -27,7 +27,7 @@ from .metrics import sweep_counts
 # file_digest stays importable here: bench/workloads.py traces it by name.
 from .reader import IngestionSpec, file_digest, ingest  # noqa: F401
 from .report import ComparisonSection, ModelCurve, ReportDocument, csv_value, emit_report
-from .resampling import BandSpec, bootstrap_bands
+from .resampling import BandSpec, bootstrap_bands, check_band_caps
 from .svg import PANELS, render_svg
 
 EXIT_OK = 0
@@ -221,6 +221,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_bootstrap(args) -> int:
     grid = ThresholdGrid.from_string(args.grid)
     spec = BandSpec(replicates=args.replicates, seed=args.seed, level=args.level)
+    check_band_caps(spec, grid)
     datasets = _ingest_from_args(args)
     models = tuple(ModelCurve(name=d.name, points=curve_columns(d, grid)) for d in datasets)
     bands = {d.name: bootstrap_bands(d, grid, spec) for d in datasets}

@@ -35,7 +35,7 @@ __all__ = [
     "reproducer",
     "sweep_counts",
     "sweep_keys",
-    "tally_keys",
+    "tally_counts",
     "net_benefit",
     "net_benefit_counts",
     "net_benefit_order",
@@ -313,11 +313,11 @@ def sweep_keys(data: PredictionSet, thresholds) -> np.ndarray:
     return _keys(data, _check_thresholds(thresholds))
 
 
-def tally_keys(keys: np.ndarray, n_thresholds: int) -> tuple[np.ndarray, np.ndarray]:
-    """tp and fp per threshold from the keys of sweep_keys, by one bincount."""
-    by_cut = np.bincount(keys, minlength=2 * (n_thresholds + 1)).reshape(-1, 2)
-    at_or_above = np.cumsum(by_cut[::-1], axis=0)[::-1]
-    return at_or_above[1:, 1], at_or_above[1:, 0]
+def tally_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tp and fp per threshold along the last axis of bincounts of sweep_keys' keys."""
+    by_cut = counts.reshape(*counts.shape[:-1], -1, 2)
+    at_or_above = np.cumsum(by_cut[..., ::-1, :], axis=-2)[..., ::-1, :]
+    return at_or_above[..., 1:, 1], at_or_above[..., 1:, 0]
 
 
 def _count_below(data: PredictionSet, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -348,10 +348,9 @@ def sweep_counts(data: PredictionSet, thresholds) -> SweepCounts:
     # live together.
     fn, tn = _count_below(data, thresholds)
     keys = _keys(data, thresholds)
-    tp, fp = tally_keys(keys, len(thresholds))
-    risk_by_cut = np.bincount(
-        keys, weights=data.risks, minlength=2 * (len(thresholds) + 1)
-    ).reshape(-1, 2).sum(axis=1)
+    size = 2 * (len(thresholds) + 1)
+    tp, fp = tally_counts(np.bincount(keys, minlength=size))
+    risk_by_cut = np.bincount(keys, weights=data.risks, minlength=size).reshape(-1, 2).sum(axis=1)
     n1, n0 = data.n1, data.n0
     bad = first_failure(np.arange(len(thresholds)), (tp + fn == n1) & (fp + tn == n0))
     if bad is not None:

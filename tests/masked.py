@@ -1,7 +1,7 @@
 """Masked counting and per-point formulas: the reference dcakit is tested against.
 
 Every count and risk sum here comes from a boolean mask over the records
-at one threshold, so it shares no code with sweep_keys, tally_keys or
+at one threshold, so it shares no code with sweep_keys, tally_counts or
 sweep_counts, which dcakit counts through everywhere. The float fields
 of a verdict, a calibration summary and a pairwise verdict are computed
 here one threshold at a time, with Python floats, in the order of

@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,18 +14,31 @@ from dcakit import (
     BandSpec,
     CurveBand,
     DataError,
+    ModelCurve,
     PredictionSet,
+    ReportDocument,
     ThresholdGrid,
     bootstrap_bands,
     decision_curve,
+    emit_report,
 )
 from dcakit import resampling
 from dcakit.cli import cli_main
-from dcakit.metrics import sweep_keys, tally_keys
+from dcakit.curves import curve_columns
+from dcakit.metrics import sweep_keys, tally_counts
 from dcakit.resampling import MAX_BAND_CELLS, MAX_REPLICATES
 from masked import masked_confusion
 
 FINE_GRID = ThresholdGrid(0.001, 0.999, 0.001)
+# 1,999 thresholds, 4,000 counts per replicate: the 2**16-count limit makes
+# blocks of 16 replicates, not 64.
+BLOCK_GRID = ThresholdGrid(0.0005, 0.9995, 0.0005)
+
+
+def grid_tally(data, grid):
+    """tp and fp per threshold of ``grid``, tallied from one bincount of the sweep keys."""
+    keys = sweep_keys(data, grid.points)
+    return tally_counts(np.bincount(keys, minlength=2 * len(grid.points) + 2))
 
 
 def reference_pools(data, grid, spec):
@@ -91,11 +105,44 @@ class TestBandSpec:
         spec = BandSpec()
         assert (spec.replicates, spec.level, spec.method) == (1000, 0.95, "percentile")
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(replicates=10.0), dict(replicates=True), dict(replicates="5"),
+         dict(replicates=None), dict(seed=1.5), dict(seed=False), dict(seed=np.True_),
+         dict(seed=np.float64(2)), dict(level="0.9"), dict(level=None),
+         dict(level=complex(0.9)), dict(level=math.nan), dict(level=10**400),
+         dict(level=Fraction(1, 10**400))],
+        ids=lambda kwargs: "-".join(f"{k}={type(v).__name__}" for k, v in kwargs.items()),
+    )
+    def test_refuses_what_it_cannot_use(self, kwargs):
+        with pytest.raises(DataError):
+            BandSpec(**kwargs)
+
+    def test_normalizes_integers_and_reals(self):
+        spec = BandSpec(replicates=np.int64(5), seed=np.uint8(3), level=Fraction(9, 10))
+        assert spec == BandSpec(replicates=5, seed=3, level=0.9)
+        assert [type(v) for v in (spec.replicates, spec.seed, spec.level)] == [int, int, float]
+        assert type(BandSpec(level=np.float32(0.5)).level) is float
+
+    def test_numpy_integer_spec_reports_as_written(self, d0):
+        grid = ThresholdGrid(0.1, 0.5, 0.1)
+
+        def report(spec):
+            doc = ReportDocument(
+                metadata={"tool": "dcakit", "options": {}},
+                models=(ModelCurve(name=d0.name, points=curve_columns(d0, grid)),),
+                bands={d0.name: bootstrap_bands(d0, grid, spec)},
+            )
+            return emit_report(doc, "json")
+
+        assert report(BandSpec(replicates=np.int64(5), seed=np.int64(2))) == report(
+            BandSpec(replicates=5, seed=2))
+
 
 class TestGridCounts:
     def test_matches_classify_per_threshold(self, d0):
         grid = ThresholdGrid(0.05, 0.95, 0.05)
-        tp, fp = tally_keys(sweep_keys(d0, grid.points), len(grid.points))
+        tp, fp = grid_tally(d0, grid)
         for j, t in enumerate(grid.points):
             c = masked_confusion(d0, t)
             assert (tp[j], fp[j]) == (c.tp, c.fp)
@@ -106,7 +153,7 @@ class TestGridCounts:
             risks=rng.random(300), outcomes=(rng.random(300) < 0.3).astype(int)
         )
         grid = ThresholdGrid(0.01, 0.99, 0.01)
-        tp, fp = tally_keys(sweep_keys(data, grid.points), len(grid.points))
+        tp, fp = grid_tally(data, grid)
         for j, t in enumerate(grid.points):
             c = masked_confusion(data, t)
             assert (tp[j], fp[j]) == (c.tp, c.fp)
@@ -273,15 +320,83 @@ class TestWorkerThreads:
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         calls = itertools.count()
 
-        def failing_tally(keys, n_thresholds):
+        def failing_tally(counts):
             if next(calls) == 17:
                 raise RuntimeError("the 18th tally failed")
-            return tally_keys(keys, n_thresholds)
+            return tally_counts(counts)
 
         monkeypatch.setattr(resampling, "_worker_count", lambda: 3)
-        monkeypatch.setattr(resampling, "tally_keys", failing_tally)
+        monkeypatch.setattr(resampling, "_BLOCK_REPLICATES", 2)  # 20 blocks, one tally each
+        monkeypatch.setattr(resampling, "tally_counts", failing_tally)
         with pytest.raises(RuntimeError, match="the 18th tally failed"):
             bootstrap_bands(seeded_cohort(50, 2), DEFAULT_GRID, self.SPEC)
+
+
+class TestBlockLayout:
+    """Blocks hold at most 64 replicates and 2**16 counts; the bands must not
+    depend on where the blocks split the replicates, nor on the thread count."""
+
+    @pytest.mark.parametrize("grid,rows", [(DEFAULT_GRID, 64), (BLOCK_GRID, 16)],
+                             ids=["default", "2000-points"])
+    @pytest.mark.parametrize("replicates", [1, 63, 64, 65, 129])
+    def test_any_block_split_gives_the_reference(self, grid, rows, replicates, monkeypatch):
+        data = seeded_cohort(300, 4)
+        spec = BandSpec(replicates=replicates, seed=29, level=0.9)
+        expected = reference_bands(data, grid, spec)
+        for workers in (1, 3):
+            tallied = []
+
+            def recording_tally(counts):
+                tallied.append(len(counts))
+                return tally_counts(counts)
+
+            monkeypatch.setattr(resampling, "_worker_count", lambda: workers)
+            monkeypatch.setattr(resampling, "tally_counts", recording_tally)
+            assert bootstrap_bands(data, grid, spec) == expected
+            whole, rest = divmod(replicates, rows)
+            assert sorted(tallied) == sorted([rows] * whole + [rest] * (rest > 0))
+
+
+class TestBlockMemory:
+    """What bootstrap_bands holds besides its two pools of replicates x
+    thresholds doubles is bounded per worker and does not grow with the
+    replicate count."""
+
+    N = 20_000
+    # Before any block runs, the sweep places the records: about 41 bytes a
+    # record here, where all 20,000 are placed at once.
+    SWEEP_BYTES = 48 * N
+    # Per worker: the drawn indices, or bincount's intp copy of the gathered
+    # keys, and the gathered keys (about 10 bytes a record), plus the block's
+    # count matrix and its tally and net-benefit temporaries, each at most
+    # 2**16 eight-byte values (about 4 of them).
+    WORKER_BYTES = 16 * N + 6 * 8 * 2**16
+    # Only the executor's futures, one per block and about 2 KB each, grow
+    # with the replicates. A count matrix of all 640 replicates would add
+    # 0.47 MB on the default grid and 18 MB on BLOCK_GRID.
+    SAME_BYTES = 256 * 1024
+
+    def traced_extra(self, data, grid, replicates):
+        spec = BandSpec(replicates=replicates, seed=3)
+        bootstrap_bands(data, grid, spec)  # imports and first-call caches, untraced
+        tracemalloc.start()
+        try:
+            bootstrap_bands(data, grid, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - 2 * replicates * len(grid.points) * 8
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, BLOCK_GRID], ids=["default", "2000-points"])
+    def test_bounded_per_worker_and_flat_in_replicates(self, grid, monkeypatch):
+        data = seeded_cohort(self.N, 17)
+        for workers in (1, 2):
+            monkeypatch.setattr(resampling, "_worker_count", lambda: workers)
+            few, many = (self.traced_extra(data, grid, r) for r in (64, 640))
+            bound = self.SWEEP_BYTES + workers * self.WORKER_BYTES
+            assert few <= bound and many <= bound, (few, many, bound)
+            if workers == 1:  # with more, how far the blocks overlap varies
+                assert abs(many - few) <= self.SAME_BYTES, (few, many)
 
 
 class TestResourceCaps:
@@ -316,3 +431,14 @@ class TestResourceCaps:
                          "--replicates", str(MAX_REPLICATES + 1)])
         assert code == 2
         assert "replicates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid,replicates,cap", [
+        ("0.5:0.5:0.1", MAX_REPLICATES + 1, MAX_REPLICATES),
+        ("0.0005:0.9995:0.0005", MAX_BAND_CELLS // 1999 + 1, MAX_BAND_CELLS),
+    ], ids=["replicates", "pool"])
+    def test_cli_refuses_before_reading_the_input(self, grid, replicates, cap, capsys):
+        code = cli_main(["bootstrap", "--input", "/nonexistent/data.csv", "--outcome", "y",
+                         "--models", "m1", "--grid", grid, "--replicates", str(replicates)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cap of {cap}" in err and "cannot read" not in err

@@ -34,7 +34,7 @@ from dcakit import ThresholdConfusion, curves, metrics
 from dcakit.cli import cli_main
 from dcakit.curves import IDENTITY_TOL, MAX_GRID_POINTS
 from dcakit.equivalences import decide_defaults
-from dcakit.metrics import column_rows, tally_keys
+from dcakit.metrics import column_rows, tally_counts
 from masked import (masked_calibration, masked_confusion, masked_risk_sums, reference_superiority,
                     reference_verdict)
 
@@ -280,9 +280,9 @@ def _swapped_sort(data, thresholds):
             for k in (0, 1)]
 
 
-def _flipped_tally(keys, n_thresholds):
-    # The tally fed the keys of the opposite outcomes: tp and fp trade places.
-    return tally_keys(keys ^ 1, n_thresholds)
+def _flipped_tally(counts):
+    # The tally fed the counts of the opposite outcomes: tp and fp trade places.
+    return tally_counts(counts.reshape(-1, 2)[:, ::-1].ravel())
 
 
 def count_check(t, tp, fp, fn, tn, n1=4, n0=6):
@@ -328,7 +328,7 @@ class TestReproducers:
             f"dcakit: internal invariant violation: {D0_TIE_LEFT}\n")
 
     def test_verdict_route_disagreement(self, d0, monkeypatch):
-        monkeypatch.setattr(metrics, "tally_keys", _flipped_tally)
+        monkeypatch.setattr(metrics, "tally_counts", _flipped_tally)
         with pytest.raises(RouteDisagreementError) as info:
             verdict_vs_defaults(d0, 0.5)
         assert str(info.value) == count_check(0.5, tp=2, fp=3, fn=1, tn=4)
@@ -358,7 +358,7 @@ class TestReproducers:
         assert str(info.value) == D0_TIE_LEFT
 
     def test_compare_route_disagreement(self, d0, d0_degraded, monkeypatch):
-        monkeypatch.setattr(metrics, "tally_keys", _flipped_tally)
+        monkeypatch.setattr(metrics, "tally_counts", _flipped_tally)
         with pytest.raises(RouteDisagreementError) as info:
             compare_models(d0_degraded, d0, 0.5)
         assert str(info.value) == count_check(0.5, tp=3, fp=2, fn=2, tn=3)
