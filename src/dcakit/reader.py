@@ -1,9 +1,10 @@
 """Input files: delimited UTF-8 text read into PredictionSets.
 
 A file has a header row by default: one binary outcome column (literal
-0/1) and one or more risk columns with decimal values in [0, 1]. A plain
-regular file is parsed in one streamed read by the exact converter of
-``digits``; any other file, and every error, goes through the row parser.
+0/1) and one or more risk columns with decimal values in [0, 1]. Every
+input, a pipe too, is read once: plain chunks of rows are parsed by the
+exact converter of ``digits``, and from the first row that is not plain
+the row parser, which owns every error, reads on.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ from .metrics import PredictionSet
 
 __all__ = ["IngestionSpec", "ingest", "file_digest"]
 
-# Largest input file ingest reads, checked from a regular file's size before
-# the read and from a pipe's bytes as they arrive, so that a hostile size
-# fails with a DataError instead of running out of memory.
+# Largest input ingest reads, checked from a regular file's size before the
+# read and from the bytes as they arrive, so that a hostile size fails with
+# a DataError instead of running out of memory.
 MAX_INPUT_BYTES = 2 << 30
 
 _BOM = b"\xef\xbb\xbf"
 _NEWLINE = ord("\n")
 _SCAN_BLOCK = 1 << 19  # bytes per read of the fast path's streamed pass
-_DIGEST_BLOCK = 1 << 20  # bytes per read of file_digest
+_DIGEST_BLOCK = 1 << 20  # bytes per read of file_digest and of the row parser
 
 
 @dataclass(frozen=True)
@@ -74,21 +75,6 @@ def file_digest(path: str) -> str:
 
 def _identity(status: os.stat_result) -> tuple[int, int, int, int]:
     return status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns
-
-
-class _Digesting(io.RawIOBase):
-    """A binary file whose bytes go through a SHA-256 digest as they are read."""
-
-    def __init__(self, handle):
-        self.handle, self.digest = handle, hashlib.sha256()
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        count = self.handle.readinto(buffer)
-        self.digest.update(memoryview(buffer)[:count])
-        return count
 
 
 def _parse_outcome(text: str, row: int, column: str) -> int:
@@ -145,57 +131,67 @@ class _Utf8Check:
         self.offset += len(data)
 
 
-def _csv_rows(text, spec: IngestionSpec):
-    """The rows of ``text`` as csv reads them; a csv error names its row."""
+def _csv_rows(text, spec: IngestionSpec, number: int):
+    """The rows of ``text`` as csv reads them, the first numbered ``number``.
+    A csv error names its row, and is raised once the rest of the input has
+    been read, so that a later non-UTF-8 byte is reported first."""
     read = 0
     try:
         for row in csv.reader(text, delimiter=spec.delimiter):
             yield row
             read += 1
     except csv.Error as exc:
-        raise IngestionError(f"malformed CSV: {exc}",
-                             row=read if spec.header else read + 1) from None
+        for _ in iter(partial(text.buffer.read, _DIGEST_BLOCK), b""):
+            pass
+        raise IngestionError(f"malformed CSV: {exc}", row=number + read) from None
 
 
-def _parse_rows(data, spec: IngestionSpec) -> tuple[np.ndarray, list[np.ndarray]]:
+def _parse_rows(data, spec: IngestionSpec, layout: tuple[int, list[int]] | None = None,
+                parsed: int = 0) -> tuple[np.ndarray, list[np.ndarray]]:
     """The validating row-by-row parser: any delimited UTF-8 file, as bytes
     or as a binary stream checked to be UTF-8, and the exact row and column
     of the first bad cell. Rows stream through; only parsed values are kept.
     Errors keep a whole-file parse's order (non-UTF-8 byte, malformed row,
     empty file, no data rows, missing column, first bad row), so after a
-    missing column or bad row the rest is only read through csv."""
+    missing column or bad row the rest is only read through csv.
+
+    A stream given a ``layout``, as ``_header_layout`` gives it, holds the
+    rows after the first ``parsed`` data rows, without a header or BOM."""
     if isinstance(data, bytes):
         _Utf8Check(spec.path).update(data, final=True)
         data = io.BytesIO(data)
-    rows = _csv_rows(io.TextIOWrapper(data, encoding="utf-8-sig", newline=""), spec)
-    first = next(rows, None)
-    if first is None:
-        raise IngestionError(f"{spec.path!r} is empty")
-    if spec.header:
-        names = [name.strip() for name in first]
-    else:
-        names = [str(i) for i in range(len(first))]
-        rows = chain([first], rows)
-
-    index = _column_index(names)
-    failure = next((IngestionError(f"column {name!r} not found; available: "
-                                   f"{', '.join(map(repr, names))}")
-                    for name in (spec.outcome_column, *spec.model_columns)
-                    if name not in index), None)
+    text = io.TextIOWrapper(data, encoding="utf-8" if layout else "utf-8-sig", newline="")
+    rows = _csv_rows(text, spec, parsed + 1 if layout or not spec.header else 0)
+    failure = None
+    if layout is None:
+        first = next(rows, None)
+        if first is None:
+            raise IngestionError(f"{spec.path!r} is empty")
+        if spec.header:
+            names = [name.strip() for name in first]
+        else:
+            names = [str(i) for i in range(len(first))]
+            rows = chain([first], rows)
+        index = _column_index(names)
+        wanted = (spec.outcome_column, *spec.model_columns)
+        failure = next((IngestionError(f"column {name!r} not found; available: "
+                                       f"{', '.join(map(repr, names))}")
+                        for name in wanted if name not in index), None)
+        layout = len(names), [index.get(name) for name in wanted]
+    fields, (outcome_at, *risk_at) = layout
     outcomes = []
     risks = [[] for _ in spec.model_columns]
-    row_number = 0
-    for row_number, row in enumerate(rows, start=1):
+    row_number = parsed
+    for row_number, row in enumerate(rows, start=parsed + 1):
         if failure is not None:
             continue
         try:
-            if len(row) != len(names):
-                raise IngestionError(f"expected {len(names)} fields, found {len(row)}",
+            if len(row) != fields:
+                raise IngestionError(f"expected {fields} fields, found {len(row)}",
                                      row=row_number)
-            outcomes.append(_parse_outcome(row[index[spec.outcome_column]], row_number,
-                                           spec.outcome_column))
-            for name, values in zip(spec.model_columns, risks):
-                values.append(_parse_risk(row[index[name]], row_number, name))
+            outcomes.append(_parse_outcome(row[outcome_at], row_number, spec.outcome_column))
+            for name, at, values in zip(spec.model_columns, risk_at, risks):
+                values.append(_parse_risk(row[at], row_number, name))
         except IngestionError as exc:
             failure = exc
     if not row_number:
@@ -303,12 +299,17 @@ def _grown(columns: list[np.ndarray], parsed: list[np.ndarray], rows: int,
     return grown
 
 
-class _InputFile:
-    """An input file, open for one streamed read, and the SHA-256 digest of
-    the bytes read so far. A regular file over MAX_INPUT_BYTES is refused
-    from its size before any byte is read; a pipe, once more bytes arrive.
-    The file's identity (device, inode, size and mtime) when it was opened
-    must still hold after the read, or after the row parser's reread.
+class _InputFile(io.RawIOBase):
+    """An input, open for one streamed read: every byte is read once, by
+    ``_read``, which digests it. A regular file over MAX_INPUT_BYTES is
+    refused from its size before any byte is read; any input, once more
+    bytes arrive. A regular file's identity (device, inode, size and mtime)
+    when it was opened must still hold after the read.
+
+    ``parse_plain`` parses the plain rows at the input's start and
+    ``parse_rows`` the rest. As a binary stream the input gives the row
+    parser the bytes that ``parse_plain`` read and did not parse, then the
+    rest of the input, each checked to be UTF-8.
     """
 
     def __init__(self, path: str):
@@ -323,59 +324,72 @@ class _InputFile:
             raise DataError(f"{path!r} is {status.st_size} bytes, over the "
                             f"{MAX_INPUT_BYTES}-byte input limit")
         self.identity, self.size = _identity(status), status.st_size
-        # Only a regular file reads the same bytes a second time: a pipe
-        # gives them once.
-        self.regular = stat.S_ISREG(status.st_mode)
+        self.regular = stat.S_ISREG(status.st_mode)  # a pipe's size is unknown
         self.digest = hashlib.sha256()
-        self.checked = 0  # bytes read, digested and found to be UTF-8
-        self.unchecked = b""  # bytes read and digested after those
-
-    def __enter__(self):
-        return self
+        self.arrived = 0  # bytes read
+        self.checked = 0  # bytes parsed by the fast path, a prefix of whole rows
+        self.layout = None  # the header's layout, once the fast path parsed a chunk
+        self.columns, self.rows = [], 0  # the outcome column, a risk column per model
+        self.rest = bytearray()  # bytes read after those parsed, not yet parsed
 
     def __exit__(self, *exc_info):
         self.handle.close()
 
-    def _read(self, size: int) -> bytes:
-        try:
-            data = self.handle.read(size)
-        except OSError as exc:
-            raise IngestionError(f"cannot read {self.path!r}: {exc}") from exc
-        self.digest.update(data)
-        return data
+    def _read(self, head: bytes, size: int) -> bytearray:
+        """``head``, then up to ``size`` bytes read after it in place and
+        digested: the one read of the input. Past MAX_INPUT_BYTES, one more
+        byte is read, and refused."""
+        block = bytearray(len(head) + min(size, MAX_INPUT_BYTES + 1 - self.arrived))
+        block[:len(head)] = head
+        with memoryview(block) as whole, whole[len(head):] as free:
+            try:
+                count = self.handle.readinto(free)
+            except OSError as exc:
+                raise IngestionError(f"cannot read {self.path!r}: {exc}") from exc
+            self.digest.update(free[:count])
+        del block[len(head) + count:]
+        self.arrived += count
+        if self.arrived > MAX_INPUT_BYTES:
+            raise DataError(f"{self.path!r} is over the {MAX_INPUT_BYTES}-byte input limit")
+        return block
 
-    def _changed(self) -> IngestionError:
-        return IngestionError(f"{self.path!r} changed while being read")
+    def _check_identity(self) -> None:
+        if self.regular and _identity(os.fstat(self.handle.fileno())) != self.identity:
+            raise IngestionError(f"{self.path!r} changed while being read")
+
+    def _parsed(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        outcomes, *risks = self.columns
+        for column in risks:  # trimmed in place: no copy, and it still owns its data
+            column.resize(self.rows, refcheck=False)
+        return outcomes[:self.rows].astype(np.int64), risks
 
     def parse_plain(self, spec: IngestionSpec) -> tuple[np.ndarray, list[np.ndarray]] | None:
-        """The fast path: a plain regular file parsed in one streamed read,
-        or None when the file needs the row parser.
+        """The fast path: a plain input parsed in one streamed read, or None
+        when ``parse_rows`` must go on from the first row it did not parse.
 
-        A file is plain when every row provably reads as in ``_parse_rows``:
-        a UTF-8 header and an ASCII body without quotes or lone CRs, the
-        header's field count on every row, no line longer than csv's field
-        size limit, outcome cells that are the single byte 0 or 1, and
-        risk cells that ``_parse_risk``'s rule reads into [0, 1]. Anything
-        else, every error included, is left to the row parser.
+        An input is plain when every row provably reads as in
+        ``_parse_rows``: a UTF-8 header and an ASCII body without quotes or
+        lone CRs, the header's field count on every row, no line longer
+        than csv's field size limit, outcome cells that are the single byte
+        0 or 1, and risk cells that ``_parse_risk``'s rule reads into
+        [0, 1]. Anything else, every error included, is left to the row
+        parser.
 
-        The file is read in chunks of whole rows. Each is digested, scanned
-        for its separators by ``_block_cells``, and its risk cells converted
-        by ``_cell_values`` from the separators found. Only the parsed
-        values are kept, in one bool outcome array and one risk array per
-        model, sized for the rows the file holds at the density read so far
-        and grown if that falls short. Kept per chunk instead, they would
-        sit between the chunks' freed arrays and hold that memory in the
-        process's heap after the parse. A declined file keeps the bytes
-        read since the last whole chunk in ``unchecked``.
+        The input is read in chunks of whole rows. Each is scanned for its
+        separators by ``_block_cells``, and its risk cells converted by
+        ``_cell_values`` from the separators found. Only the parsed values
+        are kept, in one bool outcome array and one risk array per model,
+        sized for the rows a regular file holds at the density read so far,
+        and twice the rows read from an input of unknown size, and grown if
+        that falls short. Kept per chunk instead, they would sit between
+        the chunks' freed arrays and hold that memory in the process's heap
+        after the parse. The chunk the fast path stops at stays in ``rest``.
         """
-        if not self.regular:
-            return None
         limit = csv.field_size_limit()
         layout = None
-        columns, rows = [], 0  # the outcome column and a risk column per model
         carry = b""  # the bytes read after the last whole row
         while True:
-            joined = self._read_after(carry)
+            joined = self._read(_PAD + carry, _SCAN_BLOCK)
             end = len(joined) == len(_PAD) + len(carry)
             if end:
                 if not carry:
@@ -383,7 +397,7 @@ class _InputFile:
                 joined += b"\n"  # the last row, which has no newline
             stop = joined.rfind(b"\n") + 1
             if len(joined) - max(stop, len(_PAD)) > limit + 2:  # a line over the limit
-                return self._declined(joined, end)
+                break
             if not stop:  # no row ends yet
                 carry = bytes(joined[len(_PAD):])
                 continue
@@ -394,7 +408,7 @@ class _InputFile:
                 layout = _header_layout(bytes(joined[start:first_end]).removesuffix(b"\r"),
                                         spec)
                 if layout is None:
-                    return self._declined(joined, end)
+                    break
                 if spec.header:
                     start = first_end + 1
             # Rows are parsed where they were read, unless they follow the
@@ -406,90 +420,71 @@ class _InputFile:
                 body = _PAD + joined[start:stop].replace(b"\r\n", b"\n")
                 body_stop = len(body)
                 if b"\r" in body:
-                    return self._declined(joined, end)
+                    break
             if b'"' in body or not body.isascii():
-                return self._declined(joined, end)
+                break
             if body_stop > len(_PAD):
                 parsed = _parse_chunk(body, body_stop, layout, spec)
                 if parsed is None:
-                    return self._declined(joined, end)
+                    break
                 count = len(parsed[0])
-                if not columns or rows + count > len(columns[0]):
-                    # room for the rows the file holds at the density read so far
-                    # (or more, if it grew while being read, which fails below)
+                if not self.columns or self.rows + count > len(self.columns[0]):
+                    # room for the rows a file holds at the density read so far (or
+                    # more, if it grew while being read, which fails below); for a
+                    # pipe, twice the rows read, so that its arrays double
                     read = self.checked + stop - len(_PAD)
-                    expected = (rows + count) * max(self.size, read) // read
-                    columns = _grown(columns, parsed, rows, expected + expected // 64 + 64)
-                for column, part in zip(columns, parsed):
-                    column[rows:rows + count] = part
-                rows += count
+                    expected = ((self.rows + count)
+                                * max(self.size, read if self.regular else 2 * read) // read)
+                    self.columns = _grown(self.columns, parsed, self.rows,
+                                          expected + expected // 64 + 64)
+                for column, part in zip(self.columns, parsed):
+                    column[self.rows:self.rows + count] = part
+                self.rows += count
             self.checked += stop - len(_PAD)
+            self.layout = layout
             carry = bytes(joined[stop:])
-            if end:
-                break
-        if not rows:
+        del joined[len(joined) - end:], joined[:len(_PAD)]  # in place: no copy
+        self.rest = joined
+        if self.rest or not self.rows:
             return None
-        if _identity(os.fstat(self.handle.fileno())) != self.identity:
-            raise self._changed()
-        outcomes, *risks = columns
-        for column in risks:  # trimmed in place: no copy, and it still owns its data
-            column.resize(rows, refcheck=False)
-        return outcomes[:rows].astype(np.int64), risks
+        self._check_identity()
+        return self._parsed()
 
-    def _read_after(self, carry: bytes) -> bytearray:
-        """_PAD, ``carry``, and up to _SCAN_BLOCK bytes read and digested
-        after it, read in place."""
-        start = len(_PAD) + len(carry)
-        joined = bytearray(start + _SCAN_BLOCK)
-        joined[:start] = _PAD + carry
-        with memoryview(joined) as whole, whole[start:] as free:
-            try:
-                count = self.handle.readinto(free)
-            except OSError as exc:
-                raise IngestionError(f"cannot read {self.path!r}: {exc}") from exc
-            self.digest.update(free[:count])
-        del joined[start + count:]
-        return joined
+    def readable(self) -> bool:
+        return True
 
-    def _declined(self, joined: bytearray, end: bool) -> None:
-        """Keep the bytes of ``joined`` read from the file as ``unchecked``, in place."""
-        del joined[len(joined) - end:], joined[:len(_PAD)]
-        self.unchecked = joined
+    def readinto(self, buffer) -> int:
+        """The row parser's read: ``rest``, then the rest of the input read
+        _DIGEST_BLOCK bytes at a time, each read checked to be UTF-8."""
+        if not self.rest:
+            self.rest = self._read(b"", _DIGEST_BLOCK)
+            self.check.update(self.rest, final=not self.rest)
+        count = min(len(buffer), len(self.rest))
+        buffer[:count] = self.rest[:count]
+        del self.rest[:count]
+        return count
 
     def parse_rows(self, spec: IngestionSpec) -> tuple[np.ndarray, list[np.ndarray]]:
-        """``_parse_rows`` on the bytes of a pipe, read once up to the size
-        cap. A regular file is read to its end after ``parse_plain``, its
-        rest digested and checked to be UTF-8, and is then parsed as it is
-        read again through a digest; a changed file overrides the parse's
-        result."""
-        if not self.regular:
-            parts, size = [], 0
-            while block := self._read(min(_DIGEST_BLOCK, MAX_INPUT_BYTES + 1 - size)):
-                size += len(block)
-                if size > MAX_INPUT_BYTES:
-                    raise DataError(f"{self.path!r} is over the {MAX_INPUT_BYTES}-byte "
-                                    f"input limit")
-                parts.append(block)
-            return _parse_rows(b"".join(parts), spec)
-        check = _Utf8Check(self.path, self.checked)
-        check.update(self.unchecked)
-        self.unchecked = b""
-        while block := self._read(_DIGEST_BLOCK):
-            check.update(block)
-        check.update(b"", final=True)
+        """``_parse_rows`` on the rows ``parse_plain`` did not parse, read on
+        from where it stopped and joined to the rows it parsed; from the
+        input's start when it parsed no byte. A changed file overrides the
+        parse's result."""
+        self.check = _Utf8Check(self.path, self.checked)
         try:
-            with open(self.path, "rb", buffering=0) as handle:
-                reread = _Digesting(handle)
-                try:
-                    return _parse_rows(io.BufferedReader(reread), spec)
-                finally:
-                    for block in iter(partial(handle.read, _DIGEST_BLOCK), b""):
-                        reread.digest.update(block)
-                    if (_identity(os.fstat(handle.fileno())) != self.identity
-                            or reread.digest.digest() != self.digest.digest()):
-                        raise self._changed()
-        except OSError:
-            raise self._changed() from None
+            self.check.update(self.rest)
+            outcomes, risks = _parse_rows(self, spec, self.layout, self.rows)
+            if not self.rows:
+                return outcomes, risks
+            tail = (outcomes, *risks)
+            rows = self.rows + len(outcomes)
+            if rows > len(self.columns[0]):
+                self.columns = _grown(self.columns, tail, self.rows, rows)
+            for column, part in zip(self.columns, tail):
+                column[self.rows:rows] = part
+            self.rows = rows
+            return self._parsed()
+        finally:
+            self._check_identity()
 
 
 class Datasets(list):
@@ -506,13 +501,15 @@ def ingest(spec: IngestionSpec) -> Datasets:
     """Read one PredictionSet per model column, all sharing the outcome vector.
 
     Row order is preserved; rows are numbered from 1 (header excluded)
-    in error messages. One leading UTF-8 byte order mark is skipped. A
-    plain regular file is parsed in one streamed read, opened once, with
-    an exact vectorized decimal converter (``_InputFile.parse_plain``); any
-    other file goes through the row parser. Both give the same arrays bit
-    for bit, and every error comes from the row parser. The file is
-    digested as it is read; a file that changes while it is read raises
-    IngestionError, and one over MAX_INPUT_BYTES raises DataError.
+    in error messages. One leading UTF-8 byte order mark is skipped. The
+    input, a file or a pipe, is opened once and read once. Its plain rows
+    are parsed with an exact vectorized decimal converter
+    (``_InputFile.parse_plain``), and from the first row that is not plain
+    the row parser reads on (``_InputFile.parse_rows``). Both give the same
+    arrays bit for bit, and every error comes from the row parser. The
+    input is digested as it is read; a file that changes while it is read
+    raises IngestionError, and an input over MAX_INPUT_BYTES raises
+    DataError.
     """
     with _InputFile(spec.path) as source:
         outcomes, risks = source.parse_plain(spec) or source.parse_rows(spec)

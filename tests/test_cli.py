@@ -355,14 +355,14 @@ class TestParserBuiltOnce:
             assert cli_main(["curves", "--outcome", "y"]) == 1  # nothing kept from the last run
 
 
-def _python(*args):
+def _python(*args, stdin=None):
     """A fresh interpreter run from tests/data with ``args``, importing this
-    checkout's dcakit."""
+    checkout's dcakit; ``stdin``, if given, is written to a pipe on its stdin."""
     env = dict(os.environ)
     package_root = str(Path(dcakit.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], cwd=DATA_DIR, env=env, capture_output=True,
-                          timeout=120)
+                          input=stdin, timeout=120)
 
 
 class TestFreshInterpreter:
@@ -371,6 +371,15 @@ class TestFreshInterpreter:
 
     def test_module_entry_point_writes_golden_bytes(self):
         result = _python(*self.CURVES, "--models", "m1")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (DATA_DIR / "golden" / "curves.csv").read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_piped_input_writes_golden_bytes(self):
+        """A pipe has no size and gives its bytes once: its report is the
+        file's, byte for byte."""
+        args = [arg if arg != "d0.csv" else "/dev/stdin" for arg in self.CURVES]
+        result = _python(*args, "--models", "m1", stdin=(DATA_DIR / "d0.csv").read_bytes())
         assert result.returncode == 0, result.stderr
         assert result.stdout == (DATA_DIR / "golden" / "curves.csv").read_bytes()
 

@@ -1,11 +1,13 @@
 """The two ingest parsers agree.
 
 ``_InputFile.parse_plain`` (a streamed byte scan and an exact decimal
-converter) takes plain files and returns None for anything it cannot prove
-plain; ``_parse_rows`` (csv plus ``float``) reads every file and owns every
-error. Whenever the fast path returns arrays, the row parser must return
-the same bytes, and ``ingest`` must give what the row parser gives: the
-same arrays, or the same message, row and column.
+converter) takes plain files and returns None at the first chunk it cannot
+prove plain; ``_parse_rows`` (csv plus ``float``) reads every file and owns
+every error, and in ``ingest`` it reads on from the first row the fast
+path did not parse. Whenever the fast path returns arrays, the row parser
+must return the same bytes on the whole file, and ``ingest`` must give what
+the row parser gives on the whole file: the same arrays, or the same
+message, row and column, wherever the fast path stopped.
 """
 
 import csv

@@ -1,16 +1,17 @@
 """Ingest reads its input once.
 
-``ingest`` opens a plain file once and reads it in chunks of whole rows:
-each is digested, scanned and parsed, and only the parsed values stay. A
-file the fast path declines is digested to its end and read again by the
-row parser, whose reread must give the same digest. The file must keep its
-identity until the last read ends. A regular file over ``MAX_INPUT_BYTES``
-is refused before its read and a pipe once more bytes arrive, and ingest's
-memory stays below the file's size.
+``ingest`` opens an input once and reads it in chunks of whole rows: each
+is digested, scanned and parsed, and only the parsed values stay. Where the
+fast path declines a chunk, the row parser goes on from the first row it
+did not parse, through the same handle and digest; pipes take the same
+path. A regular file must keep its identity until the read ends. A regular
+file over ``MAX_INPUT_BYTES`` is refused before its read and a pipe once
+more bytes arrive, and ingest's memory stays below the file's size.
 """
 
 import contextlib
 import hashlib
+import math
 import os
 import sys
 import tracemalloc
@@ -56,16 +57,26 @@ def _between_chunks(monkeypatch, path, change):
     monkeypatch.setattr(reader, "_parse_chunk", parse_chunk)
 
 
-def _before_reread(monkeypatch, path, change):
-    """Apply ``change`` to the file at ``path`` once the row parser has
-    opened it again, before it parses."""
+def _before_the_row_parser(monkeypatch, path, change):
+    """Apply ``change`` to the file at ``path`` once the fast path has
+    stopped, before the row parser reads on."""
     real = reader._parse_rows
 
-    def parse_rows(data, spec):
+    def parse_rows(*args):
         change(path)
-        return real(data, spec)
+        return real(*args)
 
     monkeypatch.setattr(reader, "_parse_rows", parse_rows)
+
+
+def _rewrite_keeping_the_size(path, data):
+    """Write ``data``, of the file's size, over the file at ``path`` and move
+    its mtime a second on, as a rewrite in the same clock tick could not."""
+    status = os.stat(path)
+    assert len(data) == status.st_size
+    with open(path, "r+b") as handle:
+        handle.write(data)
+    os.utime(path, ns=(status.st_atime_ns, status.st_mtime_ns + 10**9))
 
 
 def _append_row(path):
@@ -107,19 +118,14 @@ class TestChangedFile:
         with pytest.raises(IngestionError, match="changed while being read"):
             ingest(_spec(plain))
 
-    def test_same_size_rewrite_caught_on_the_reread(self, plain, monkeypatch):
-        """The out-of-range risk sends the file to the row parser. A rewrite
-        before its reread that keeps the size and puts the mtime back passes
-        the identity check, so the reread's digest must show it."""
-        plain.write_bytes(PLAIN.replace(b"0.25", b"1.25"))
-
-        def rewrite(path):
-            status = os.stat(path)
-            with open(path, "r+b") as handle:
-                handle.write(PLAIN)
-            os.utime(path, ns=(status.st_atime_ns, status.st_mtime_ns))
-
-        _before_reread(monkeypatch, plain, rewrite)
+    def test_rewrite_while_the_row_parser_reads_raises(self, plain, monkeypatch):
+        """The quoted header sends the whole file to the row parser. A
+        rewrite that keeps the size while it reads changes the mtime, and
+        the identity check at the end of the read shows it."""
+        quoted = PLAIN.replace(b"y,", b'"y",')
+        plain.write_bytes(quoted)
+        _before_the_row_parser(monkeypatch, plain, lambda path: _rewrite_keeping_the_size(
+            path, quoted.replace(b"0.25", b"0.75")))
         with pytest.raises(IngestionError, match="changed while being read"):
             ingest(_spec(plain))
 
@@ -150,12 +156,46 @@ needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /d
 
 @needs_dev_fd
 def test_pipe_is_parsed_from_its_one_read():
-    """A pipe gives its bytes once, so they stay for the row parser, and the
-    digest names them."""
+    """A pipe gives its bytes once, and the digest names them."""
     with _pipe(PLAIN) as path:
         sets = ingest(_spec(path))
     assert [s.risks.tolist() for s in sets] == [[0.5, 0.1], [0.25, 1.0]]
     assert sets.digest == hashlib.sha256(PLAIN).hexdigest()
+
+
+@needs_dev_fd
+def test_plain_pipe_takes_the_fast_path(monkeypatch):
+    def parse_rows(*args):
+        raise AssertionError("the row parser read a plain pipe")
+
+    monkeypatch.setattr(reader, "_parse_rows", parse_rows)
+    with _pipe(PLAIN) as path:
+        sets = ingest(_spec(path))
+    assert [s.risks.tolist() for s in sets] == [[0.5, 0.1], [0.25, 1.0]]
+
+
+@needs_dev_fd
+def test_pipe_arrays_grow_geometrically(monkeypatch):
+    """A pipe has no size to size the kept arrays from: read 64 bytes at a
+    time, they double as they fill, a logarithmic number of times, where
+    sizing them for the rows read so far would grow them once a chunk."""
+    monkeypatch.setattr(reader, "_SCAN_BLOCK", 64)
+    sizes = []
+    real = reader._grown
+
+    def grown(columns, parsed, rows, capacity):
+        sizes.append(capacity)
+        return real(columns, parsed, rows, capacity)
+
+    monkeypatch.setattr(reader, "_grown", grown)
+    rows = 4000  # 48 KB: the pipe holds it all
+    data = b"y,m1,m2\n" + b"".join(b"%d,0.%03d,0.5\n" % (i % 2, i % 1000) for i in range(rows))
+    with _pipe(data) as path:
+        sets = ingest(_spec(path))
+        outcomes, risks = reader._parse_rows(data, _spec(path))
+    assert 1 <= len(sizes) <= math.log2(rows) + 2 and sizes == sorted(sizes)
+    assert sets[0].outcomes.tobytes() == outcomes.tobytes()
+    assert [s.risks.tobytes() for s in sets] == [r.tobytes() for r in risks]
 
 
 class TestSizeCap:
@@ -284,11 +324,10 @@ def test_curves_opens_a_plain_input_once(plain, tmp_path):
     assert _opens(plain, lambda: _curves(plain, tmp_path / "report.json")) == (1, 0)
 
 
-def test_curves_opens_a_declined_input_twice(plain, tmp_path):
-    """Once for the streamed read, which digests the file to its end, and
-    once for the row parser's reread, which must give that digest."""
+def test_curves_opens_a_declined_input_once(plain, tmp_path):
+    """The row parser reads on through the handle the fast path read."""
     plain.write_bytes(PLAIN.replace(b"\n1,", b"\n 1 ,"))  # a padded outcome: the row parser
-    assert _opens(plain, lambda: _curves(plain, tmp_path / "report.json")) == (2, 0)
+    assert _opens(plain, lambda: _curves(plain, tmp_path / "report.json")) == (1, 0)
 
 
 def test_quote_in_a_body_block_takes_the_row_parser(tmp_path):
@@ -371,8 +410,8 @@ def test_utf8_check_spans_reads(tmp_path, monkeypatch, last):
 
 
 class TestRowParserStreams:
-    """A file the fast path declines is parsed as it is read again, through
-    a digest, keeping only the parsed values."""
+    """Where the fast path declines a file, the row parser reads on from
+    the first row it did not parse, keeping only the parsed values."""
 
     @staticmethod
     def declined(tmp_path, rows=100_000):
@@ -392,20 +431,97 @@ class TestRowParserStreams:
         _, peak = _traced_peak(lambda: pytest.raises(IngestionError, ingest, _spec(path)))
         assert peak < 3 * os.path.getsize(path)
 
-    def test_rewrite_during_the_parse_raises(self, tmp_path, monkeypatch):
-        """Rewritten to other bytes of the same size, with the mtime put back,
-        while the row parser reads it: only the digest of the reread shows it."""
+    def test_late_decline_parses_only_the_tail(self, tmp_path, monkeypatch):
+        """The row parser reads only the rows after the last plain chunk, and
+        numbers them on from the rows the fast path parsed."""
+        path = self.declined(tmp_path)
+        plain, seen = [], []
+        parse_chunk, parse_outcome = reader._parse_chunk, reader._parse_outcome
+
+        def count_chunk(*args):
+            parsed = parse_chunk(*args)
+            plain.append(0 if parsed is None else len(parsed[0]))
+            return parsed
+
+        def see_outcome(text, row, column):
+            seen.append(row)
+            return parse_outcome(text, row, column)
+
+        monkeypatch.setattr(reader, "_parse_chunk", count_chunk)
+        monkeypatch.setattr(reader, "_parse_outcome", see_outcome)
+        with pytest.raises(IngestionError, match=r"literal 0 or 1.*row 100000.*'y'"):
+            ingest(_spec(path))
+        assert len(plain) > 2 and plain[-1] == 0
+        assert seen == list(range(sum(plain) + 1, 100_001))
+
+    def test_late_decline_peak_stays_below_the_file(self, tmp_path):
+        """The plain chunks keep only their parsed arrays, and the row parser
+        holds only the values of the rows after them."""
+        path = self.declined(tmp_path, rows=500_000)
+        with pytest.raises(IngestionError, match=r"literal 0 or 1.*row 500000.*'y'"):
+            ingest(_spec(path))  # numpy's lazy imports and caches
+        _, peak = _traced_peak(lambda: pytest.raises(IngestionError, ingest, _spec(path)))
+        assert peak < os.path.getsize(path)
+
+    def test_rewrite_during_the_tail_raises(self, tmp_path, monkeypatch):
+        """Rewritten to other bytes of the same size, with a new mtime, while
+        the row parser reads the rows after the last plain chunk: the
+        changed file overrides the tail's error."""
         path = self.declined(tmp_path, rows=2000)
+        monkeypatch.setattr(reader, "_SCAN_BLOCK", 4096)
         original = reader._parse_outcome
-        status = os.stat(path)
+        seen = []
 
         def rewrite_once(text, row, column):
-            if row == 1:  # flip the file's last digit: '0' and '1', '2' and '3', ...
+            if not seen:  # flip the file's last digit: '0' and '1', '2' and '3', ...
                 data = path.read_bytes()
-                path.write_bytes(data[:-2] + bytes([data[-2] ^ 1]) + b"\n")
-                os.utime(path, ns=(status.st_atime_ns, status.st_mtime_ns))
+                _rewrite_keeping_the_size(path, data[:-2] + bytes([data[-2] ^ 1]) + b"\n")
+            seen.append(row)
             return original(text, row, column)
 
         monkeypatch.setattr(reader, "_parse_outcome", rewrite_once)
         with pytest.raises(IngestionError, match="changed while being read"):
             ingest(_spec(path))
+        assert seen[0] > 1  # a late decline: the fast path parsed the rows before
+
+
+class TestTailHazards:
+    """Where the row parser reads on after the fast path, it gives what it
+    gives on the whole file's bytes."""
+
+    ROWS = b"".join(b"%d,0.%d\n" % (i % 2, i) for i in range(1, 40))
+
+    @staticmethod
+    def both(tmp_path, data):
+        path = tmp_path / "input.csv"
+        path.write_bytes(data)
+        spec = IngestionSpec(path=str(path), outcome_column="y", model_columns=("m1",))
+        results = []
+        for parse in (lambda: reader._parse_rows(data, spec)[0], lambda: ingest(spec)[0].outcomes):
+            try:
+                results.append(parse().tolist())
+            except IngestionError as exc:
+                results.append(str(exc))
+        return results
+
+    @pytest.mark.parametrize("block", range(269, 278))
+    def test_bom_in_a_body_row(self, tmp_path, monkeypatch, block):
+        """A BOM that starts row 40 is text of its outcome cell, also where
+        the tail starts with it: the tail is not decoded as utf-8-sig."""
+        monkeypatch.setattr(reader, "_SCAN_BLOCK", block)
+        whole, read = self.both(tmp_path, b"y,m1\n" + self.ROWS + b"\xef\xbb\xbf1,0.5\n" + self.ROWS)
+        assert read == whole == "outcome must be literal 0 or 1, got '\\ufeff1' (row 40, column 'y')"
+
+    @pytest.mark.parametrize("block", [256, 1 << 19])
+    def test_csv_error_waits_for_the_utf8_check(self, tmp_path, monkeypatch, block):
+        """Row 40's cell is over csv's field limit, and a byte 0.5 MB after
+        it is not UTF-8: the whole file's parse names the byte, and so must
+        the row parser, which meets the long cell first, in reads of 64 KiB.
+        It reads on after the fast path's first chunks (256) or the whole
+        file (2^19)."""
+        monkeypatch.setattr(reader, "_SCAN_BLOCK", block)
+        monkeypatch.setattr(reader, "_DIGEST_BLOCK", 1 << 16)
+        data = (b"y,m1\n" + self.ROWS + b"1,0." + b"1" * 140_000 + b"\n" + self.ROWS * 2000
+                + b"0,0.\xff\n")
+        whole, read = self.both(tmp_path, data)
+        assert read == whole and whole.endswith("is not UTF-8 text: byte 0xff at offset 668278")
