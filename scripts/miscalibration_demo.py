@@ -61,7 +61,7 @@ def main() -> None:
         truth, reported = generate_synthetic(spec)
         curve = ModelCurve(name=reported.name, points=curve_columns(reported, grid))
         points = curve.points
-        loses_none, loses_all = default_losses(sweep_counts(reported, grid.points).confusion())
+        loses_none, loses_all = default_losses(sweep_counts(reported, grid.points))
         below_none = [p for p, loses in zip(points, loses_none) if loses]
         below_all = [p for p, loses in zip(points, loses_all) if loses]
         print(f"{shift:>+6.1f}  {reported.prevalence:>10.4f}  "

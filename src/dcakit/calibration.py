@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UndefinedAtThresholdError
-from .metrics import (ABOVE, BELOW, PredictionSet, ThresholdConfusion, column_rows, divide_where,
+from .metrics import (ABOVE, BELOW, PredictionSet, SweepCounts, column_rows, divide_where,
                       group_masks, ppv_counts, sweep_counts)
 
 __all__ = [
@@ -42,8 +42,8 @@ class CalibrationSummary:
 
     From ``calibration_columns`` every field is a column instead, one
     entry per threshold, and NaN, never None, is what marks a group
-    empty; the identity functions below work on such columns restricted
-    to the rows where their groups are non-empty.
+    empty; the identity functions below take such columns whole and give
+    NaN on the rows where a group they read is empty.
     """
 
     t: float
@@ -57,39 +57,35 @@ class CalibrationSummary:
     calibration_term: float | None = field(metadata=ABOVE)
 
 
-def calibration_columns(c: ThresholdConfusion, risk_sum_above,
-                        risk_sum_below) -> CalibrationSummary:
-    """Group diagnostics at every threshold of ``c`` from its counts and the
-    risk sums of the records classified positive (above) and negative
-    (below), as a CalibrationSummary of columns."""
-    t, tp, fp, fn = (np.atleast_1d(v) for v in (c.t, c.tp, c.fp, c.fn))
-    n_above = tp + fp
+def calibration_columns(c: SweepCounts) -> CalibrationSummary:
+    """Group diagnostics at every threshold of the sweep ``c``, from its
+    counts and the risk sums of the records classified positive (above) and
+    negative (below), as a CalibrationSummary of columns."""
+    n_above = c.tp + c.fp
     n_below = c.n - n_above
     above, below = group_masks(c)
     s_t = n_above / c.n
 
-    y_above = ppv_counts(tp, n_above, empty=np.nan)
-    p_above = divide_where(np.atleast_1d(risk_sum_above), n_above, above)
+    y_above = ppv_counts(c.tp, n_above, empty=np.nan)
+    p_above = divide_where(c.risk_sum_above, n_above, above)
     delta_t = y_above - p_above
-    multiplier = s_t / (1.0 - t)
+    multiplier = s_t / (1.0 - c.t)
     return CalibrationSummary(
-        t=t,
+        t=c.t,
         s_t=s_t,
         y_above=y_above,
-        y_below=divide_where(fn, n_below, below),
+        y_below=divide_where(c.fn, n_below, below),
         p_above=p_above,
-        p_below=divide_where(np.atleast_1d(risk_sum_below), n_below, below),
+        p_below=divide_where(c.risk_sum_below, n_below, below),
         delta_t=delta_t,
-        enrichment=multiplier * (p_above - t),
+        enrichment=multiplier * (p_above - c.t),
         calibration_term=multiplier * delta_t,
     )
 
 
 def threshold_calibration(data: PredictionSet, t: float) -> CalibrationSummary:
     """Observed event rates and mean predictions above and below ``t``."""
-    sweep = sweep_counts(data, [t])
-    columns = calibration_columns(sweep.confusion(), sweep.risk_sum_above, sweep.risk_sum_below)
-    return column_rows(CalibrationSummary, columns)[0]
+    return column_rows(CalibrationSummary, calibration_columns(sweep_counts(data, [t])))[0]
 
 
 def nb_via_calibration(s: CalibrationSummary) -> float:

@@ -266,7 +266,7 @@ def _cmd_demo(args) -> int:
           f"logit shift={args.shift:+g}")
     print(f"observed prevalence: {prevalence:.4f}")
 
-    loses_none, loses_all = default_losses(sweep_counts(reported, grid.points).confusion())
+    loses_none, loses_all = default_losses(sweep_counts(reported, grid.points))
     below_none = [p for p, loses in zip(points, loses_none) if loses]
     below_all = [p for p, loses in zip(points, loses_all) if loses]
     print()

@@ -157,7 +157,7 @@ def compare_models(d1: PredictionSet, d2: PredictionSet, t: float) -> Comparison
     """
     t = check_threshold(t)
     _check_same_cohort(d1, d2)
-    c1, c2 = sweep_counts(d1, [t]).confusion(), sweep_counts(d2, [t]).confusion()
+    c1, c2 = sweep_counts(d1, [t]), sweep_counts(d2, [t])
     return column_rows(ComparisonVerdict, superiority_columns(c1, c2))[0]
 
 
@@ -167,8 +167,7 @@ def compare_columns(d1: PredictionSet, d2: PredictionSet,
     vectors are checked once, and sweep_counts counts and checks each
     model at every threshold; superiority_columns decides each exactly."""
     _check_same_cohort(d1, d2)
-    return superiority_columns(sweep_counts(d1, grid.points).confusion(),
-                               sweep_counts(d2, grid.points).confusion())
+    return superiority_columns(sweep_counts(d1, grid.points), sweep_counts(d2, grid.points))
 
 
 def compare_curve(d1: PredictionSet, d2: PredictionSet,

@@ -7,7 +7,7 @@ raises RouteDisagreementError because it can only come from a bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from decimal import Decimal
 
 import numpy as np
@@ -30,7 +30,7 @@ from .equivalences import (  # noqa: F401
     verdict_vs_defaults,
 )
 from .errors import DataError, RouteDisagreementError, UsageError
-from .metrics import (ABOVE, PredictionSet, ThresholdConfusion, column_rows, group_masks,
+from .metrics import (ABOVE, PredictionSet, SweepCounts, column_rows, group_masks,
                       net_benefit_treat_none, reproducer, sweep_counts)
 
 __all__ = [
@@ -130,52 +130,43 @@ class CurvePoint:
     calibration: CalibrationSummary
 
 
-def _rows(summary: CalibrationSummary, rows: np.ndarray) -> CalibrationSummary:
-    """The columns of ``summary`` restricted to ``rows``."""
-    return CalibrationSummary(**{f.name: getattr(summary, f.name)[rows]
-                                 for f in fields(CalibrationSummary)})
-
-
-def _assert_identities(c: ThresholdConfusion, verdict: DefaultsVerdict,
+def _assert_identities(c: SweepCounts, verdict: DefaultsVerdict,
                        cal: CalibrationSummary) -> None:
-    """Check every identity at every threshold of ``c``, where its groups are
-    non-empty, and raise at the first threshold that violates any."""
-    t = verdict.t
-    nb, nb_all, ppv = verdict.nb, verdict.nb_all, verdict.ppv
-    positives = np.atleast_1d(c.tp + c.fp)
-    prevalence = np.atleast_1d(c.prevalence)
+    """Check every identity at every threshold of the sweep ``c``, where its
+    groups are non-empty, and raise at the first threshold that violates
+    any. Each residual is a whole column, NaN where a group it reads is
+    empty; only ppv_from_nb, which divides by the positives, runs on the
+    above rows alone."""
+    t, nb, nb_all = c.t, verdict.nb, verdict.nb_all
     above, below = group_masks(c)
-    both = above & below
-    on_above, on_below = _rows(cal, above), _rows(cal, below)
-    via_cal = nb_via_calibration(on_above)
-    everywhere = np.ones(t.shape, dtype=bool)
-    # (name, rows it applies to, residual on those rows), in message order.
-    # nb_all comes from net_benefit_treat_all's other form, so the last one
-    # is the independent check of the treat-all reference.
+    via_cal = nb_via_calibration(cal)
+    ppv = np.full(t.shape, np.nan)
+    ppv[above] = ppv_from_nb(nb[above], (c.tp + c.fp)[above], c.n, t[above])
+    # (name, rows it applies to, residual), in message order. nb_all comes
+    # from net_benefit_treat_all's other form, so the last one is the
+    # independent check of the treat-all reference.
     residuals = [
-        ("net benefit vs calibration surplus", above, nb[above] - via_cal),
-        ("enrichment + calibration term closure", above,
-         sum(nb_decomposition(on_above)) - via_cal),
-        ("ppv reconstruction from net benefit", above,
-         ppv_from_nb(nb[above], positives[above], c.n, t[above]) - ppv[above]),
-        ("treat-all margin vs below-group rate", below,
-         (nb[below] - nb_all[below]) - nb_gap_treat_all(on_below)),
-        ("prevalence identity", both,
-         prevalence_identity_residual(_rows(cal, both), prevalence[both])),
-        ("treat-all net benefit forms", everywhere, nb_all - (prevalence - t) / (1.0 - t)),
+        ("net benefit vs calibration surplus", above, nb - via_cal),
+        ("enrichment + calibration term closure", above, sum(nb_decomposition(cal)) - via_cal),
+        ("ppv reconstruction from net benefit", above, ppv - verdict.ppv),
+        ("treat-all margin vs below-group rate", below, (nb - nb_all) - nb_gap_treat_all(cal)),
+        ("prevalence identity", above & below, prevalence_identity_residual(cal, c.prevalence)),
+        ("treat-all net benefit forms", np.ones(t.shape, dtype=bool),
+         nb_all - (c.prevalence - t) / (1.0 - t)),
     ]
     # Identity error grows with the false-positive weight t/(1-t); on the
     # clinical range t <= 1/2 this is exactly IDENTITY_TOL.
     tol = IDENTITY_TOL * np.maximum(1.0, t / (1.0 - t))
     violated = np.zeros((len(residuals), t.size), dtype=bool)
     for row, (_, rows, residual) in zip(violated, residuals):
-        # Fail closed: a NaN residual is a violation.
-        row[rows] = ~(np.abs(residual) <= tol[rows])
+        # Fail closed: a NaN residual on a row whose groups are non-empty is
+        # a violation.
+        row[rows] = ~(np.abs(residual[rows]) <= tol[rows])
     failing = np.flatnonzero(violated.any(axis=0))
     if failing.size:
         j = failing[0]
         problems = [name for (name, _, _), bad in zip(residuals, violated[:, j]) if bad]
-        counts = (np.atleast_1d(v)[j].item() for v in (c.tp, c.fp, c.tn, c.fn))
+        counts = (v[j].item() for v in (c.tp, c.fp, c.tn, c.fn))
         raise RouteDisagreementError(
             f"curve point identities violated at t={t[j].item()!r}: {'; '.join(problems)} "
             f"({reproducer(t[j].item(), *counts)})"
@@ -190,10 +181,9 @@ def curve_columns(data: PredictionSet, grid: ThresholdGrid) -> CurvePoint:
     and every identity then run a column at a time, with the formulas
     verdict_vs_defaults and threshold_calibration use."""
     sweep = sweep_counts(data, grid.points)
-    c = sweep.confusion()
-    verdict = defaults_columns(c)
-    cal = calibration_columns(c, sweep.risk_sum_above, sweep.risk_sum_below)
-    _assert_identities(c, verdict, cal)
+    verdict = defaults_columns(sweep)
+    cal = calibration_columns(sweep)
+    _assert_identities(sweep, verdict, cal)
     return CurvePoint(
         t=verdict.t,
         nb_model=verdict.nb,

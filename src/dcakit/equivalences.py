@@ -183,7 +183,7 @@ def decide_defaults(c: ThresholdConfusion) -> DefaultsVerdict:
 def verdict_vs_defaults(data: PredictionSet, t: float) -> DefaultsVerdict:
     """Count at ``t`` by a one-point sweep_counts, which checks its counts,
     then decide both default comparisons by their exact sign."""
-    return decide_defaults(sweep_counts(data, [t]).confusion())
+    return decide_defaults(sweep_counts(data, [t]))
 
 
 def ppv_bounds_given_nb(nb: float, prevalence: float, t: float) -> PpvInterval:
@@ -216,13 +216,11 @@ def ppv_bounds_given_nb(nb: float, prevalence: float, t: float) -> PpvInterval:
             f"net benefit {nb!r} unattainable at prevalence {prevalence!r}, t={t!r} "
             f"(feasible range [{nb_min!r}, {nb_max!r}])"
         )
-    if nb == 0.0:
-        return PpvInterval(t=t, nb=nb, lower=0.0, upper=t, kind=KIND_ZERO)
-
     nb_eff = min(max(nb, nb_min), nb_max)
     if nb_eff == 0.0:
-        # Slack-band input at a degenerate prevalence (0 or 1) snaps to
-        # the only feasible net benefit, 0, and its two-point set.
+        # nb == 0 (nb_min <= 0 <= nb_max), or slack-band input at a
+        # degenerate prevalence (0 or 1), which snaps to the only feasible
+        # net benefit, 0: the two-point set.
         return PpvInterval(t=t, nb=nb, lower=0.0, upper=t, kind=KIND_ZERO)
     s_all_events = nb_eff + (prevalence - nb_eff) / t
     s_all_nonevents = nb_eff + (1.0 - prevalence) / (1.0 - t)

@@ -145,9 +145,9 @@ class PredictionSet:
 class ThresholdConfusion:
     """Confusion counts at one threshold; ties (risk == t) count as positive.
 
-    From ``SweepCounts.confusion`` the fields t, tp, fp, tn and fn are
-    columns instead, one entry per threshold, and the properties are
-    columns too; ``n`` is shared.
+    In a SweepCounts the fields t, tp, fp, tn and fn are columns instead,
+    one entry per threshold, and the properties are columns too; ``n`` is
+    shared. Such columns can be neither compared with ``==`` nor hashed.
     """
 
     t: float
@@ -228,31 +228,20 @@ def net_benefit_order(t: np.ndarray, side1: tuple, side2: tuple) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SweepCounts:
-    """Counts at every threshold of a non-decreasing sequence.
+class SweepCounts(ThresholdConfusion):
+    """Counts at every threshold of a non-decreasing sequence ``t``, as a
+    ThresholdConfusion of columns, with the risk sums of its two groups.
 
     ``tp`` and ``fp`` come from one pass of the sweep's keys; ``fn`` and
     ``tn``, the events and non-events below each threshold, from one sort
-    of the records, and sweep_counts checks that they add up to ``n1`` and
-    ``n - n1``. All four are int64 arrays. ``risk_sum_above[j]`` sums the
-    risks classified positive at ``thresholds[j]`` and ``risk_sum_below[j]``
-    the rest.
+    of the records, and sweep_counts checks that they add up to the
+    record set's ``n1`` and ``n0``. All four are int64 arrays.
+    ``risk_sum_above[j]`` sums the risks classified positive at ``t[j]``
+    and ``risk_sum_below[j]`` the rest.
     """
 
-    thresholds: np.ndarray
-    tp: np.ndarray
-    fp: np.ndarray
-    tn: np.ndarray
-    fn: np.ndarray
     risk_sum_above: np.ndarray
     risk_sum_below: np.ndarray
-    n: int
-    n1: int
-
-    def confusion(self) -> ThresholdConfusion:
-        """The counts at every threshold, as one ThresholdConfusion of columns."""
-        return ThresholdConfusion(t=self.thresholds, tp=self.tp, fp=self.fp, tn=self.tn,
-                                  fn=self.fn, n=self.n)
 
 
 def _check_thresholds(thresholds) -> np.ndarray:
@@ -341,7 +330,8 @@ def sweep_counts(data: PredictionSet, thresholds) -> SweepCounts:
     The counts are exact, and each threshold's are counted twice: tp + fn
     must be n1 and fp + tn must be n0, or RouteDisagreementError names the
     first threshold where they are not. The risk sums agree with a direct
-    masked sum up to rounding.
+    masked sum up to rounding. The SweepCounts is a ThresholdConfusion of
+    columns, validated as any is, which every column kernel takes as is.
     """
     thresholds = _check_thresholds(thresholds)
     # Counted before the keys exist, so the two counts' arrays are never
@@ -362,14 +352,14 @@ def sweep_counts(data: PredictionSet, thresholds) -> SweepCounts:
     # Suffix and prefix sums: neither is derived from the other by subtraction.
     above = np.cumsum(risk_by_cut[::-1])[::-1][1:]
     below = np.cumsum(risk_by_cut)[:-1]
-    return SweepCounts(thresholds=thresholds, tp=tp, fp=fp, tn=tn, fn=fn, risk_sum_above=above,
-                       risk_sum_below=below, n=data.n, n1=n1)
+    return SweepCounts(t=thresholds, tp=tp, fp=fp, tn=tn, fn=fn, n=data.n, risk_sum_above=above,
+                       risk_sum_below=below)
 
 
 def classify_at_threshold(data: PredictionSet, t: float) -> ThresholdConfusion:
     """Split ``data`` at threshold ``t``; risk >= t classifies positive.
     A one-point sweep_counts, so the tie rule has one definition."""
-    return column_rows(ThresholdConfusion, sweep_counts(data, [t]).confusion())[0]
+    return column_rows(ThresholdConfusion, sweep_counts(data, [t]))[0]
 
 
 def group_masks(c: ThresholdConfusion) -> tuple[np.ndarray, np.ndarray]:

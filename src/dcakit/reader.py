@@ -101,12 +101,17 @@ def _parse_risk(text: str, row: int, column: str) -> float:
     return risk
 
 
-def _column_index(names: list[str]) -> dict[str, int]:
-    """Each column name's position; a repeated name means its first column."""
+def _layout(first: list[str], spec: IngestionSpec) -> tuple[list[str], tuple[int, list]]:
+    """The column names that the cells ``first`` of the first row give, and
+    the layout: the field count and the positions of the outcome and risk
+    columns, None for a missing one. A repeated name means its first column."""
+    names = ([name.strip() for name in first] if spec.header
+             else [str(i) for i in range(len(first))])
     index = {}
     for i, name in enumerate(names):
         index.setdefault(name, i)
-    return index
+    wanted = (spec.outcome_column, *spec.model_columns)
+    return names, (len(names), [index.get(name) for name in wanted])
 
 
 class _Utf8Check:
@@ -167,17 +172,13 @@ def _parse_rows(data, spec: IngestionSpec, layout: tuple[int, list[int]] | None 
         first = next(rows, None)
         if first is None:
             raise IngestionError(f"{spec.path!r} is empty")
-        if spec.header:
-            names = [name.strip() for name in first]
-        else:
-            names = [str(i) for i in range(len(first))]
+        if not spec.header:
             rows = chain([first], rows)
-        index = _column_index(names)
-        wanted = (spec.outcome_column, *spec.model_columns)
+        names, layout = _layout(first, spec)
         failure = next((IngestionError(f"column {name!r} not found; available: "
                                        f"{', '.join(map(repr, names))}")
-                        for name in wanted if name not in index), None)
-        layout = len(names), [index.get(name) for name in wanted]
+                        for name, at in zip((spec.outcome_column, *spec.model_columns),
+                                            layout[1]) if at is None), None)
     fields, (outcome_at, *risk_at) = layout
     outcomes = []
     risks = [[] for _ in spec.model_columns]
@@ -204,24 +205,18 @@ def _parse_rows(data, spec: IngestionSpec, layout: tuple[int, list[int]] | None 
 
 def _header_layout(first: bytes, spec: IngestionSpec) -> tuple[int, list[int]] | None:
     """The field count of the first line ``first`` (BOM and line end removed)
-    and the positions of the outcome and risk columns, as ``_parse_rows``
-    finds them; None when the line or the spec needs the row parser."""
+    and the positions of the outcome and risk columns, as ``_layout`` finds
+    them; None when the line or the spec needs the row parser."""
     delimiter = spec.delimiter
     if (spec.outcome_column in spec.model_columns or not delimiter.isascii()
             or delimiter in '\r\n"' or b'"' in first or b"\r" in first
             or not 0 < len(first) <= csv.field_size_limit()):
         return None
     try:
-        cells = first.decode("utf-8").split(delimiter)
+        layout = _layout(first.decode("utf-8").split(delimiter), spec)[1]
     except UnicodeDecodeError:
         return None
-    names = ([name.strip() for name in cells] if spec.header
-             else [str(i) for i in range(len(cells))])
-    index = _column_index(names)
-    wanted = (spec.outcome_column, *spec.model_columns)
-    if not all(name in index for name in wanted):
-        return None
-    return len(names), [index[name] for name in wanted]
+    return None if None in layout[1] else layout
 
 
 def _block_cells(block: np.ndarray, fields: int, columns: list[int], delimiter: int,

@@ -243,7 +243,7 @@ def loses_to_constant_risk(data, risk, grid):
 @example(case=(DECIMAL_GRIDS[1], PredictionSet(np.zeros(3), np.array([0, 1, 1]))))
 def test_default_losses_match_constant_risk_models(case):
     grid, data = case
-    loses_none, loses_all = default_losses(sweep_counts(data, grid.points).confusion())
+    loses_none, loses_all = default_losses(sweep_counts(data, grid.points))
     assert loses_none.tolist() == loses_to_constant_risk(data, 0.0, grid)
     assert loses_all.tolist() == loses_to_constant_risk(data, 1.0, grid)
 
@@ -252,7 +252,7 @@ def test_a_float_tie_with_treat_none_is_not_a_loss():
     # At t = 0.2 the float net benefit of tp = 1, fp = 4 is 0.0, while the
     # exact one is just below 0, since the double 0.2 exceeds 1/5: compare's
     # tie rule calls it a tie, and the exact sign alone would call it a loss.
-    c = sweep_counts(PredictionSet(np.full(5, 0.2), np.array([1, 0, 0, 0, 0])), [0.2]).confusion()
+    c = sweep_counts(PredictionSet(np.full(5, 0.2), np.array([1, 0, 0, 0, 0])), [0.2])
     assert metrics.net_benefit_order(c.t, (c.tp, c.fp), (0, 0)).tolist() == [-1]
     assert metrics.net_benefit_counts(c.tp, c.fp, c.n, c.t).tolist() == [0.0]
     assert [losses.tolist() for losses in default_losses(c)] == [[False], [False]]

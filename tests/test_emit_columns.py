@@ -199,14 +199,13 @@ def test_nan_marks_exactly_the_empty_groups(case):
     exactly where group_masks finds its group empty, and every other float
     column is finite."""
     grid, (d1, d2) = case
-    sweep = sweep_counts(d1, grid.points)
-    c1, c2 = sweep.confusion(), sweep_counts(d2, grid.points).confusion()
+    c1, c2 = sweep_counts(d1, grid.points), sweep_counts(d2, grid.points)
     (above1, below1), (above2, below2) = group_masks(c1), group_masks(c2)
     own = {"above": above1, "below": below1}
     kernels = [
         (curve_columns(d1, grid), own),
         (defaults_columns(c1), own),
-        (calibration_columns(c1, sweep.risk_sum_above, sweep.risk_sum_below), own),
+        (calibration_columns(c1), own),
         (compare_columns(d1, d2, grid),
          {"above1": above1, "below1": below1, "above2": above2, "below2": below2}),
     ]

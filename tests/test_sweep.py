@@ -73,7 +73,7 @@ def assert_calibration_close(got, want):
 def assert_matches_oracle(grid, d1, d2):
     """The column path against the per-point reference, bit for bit: counts
     and every float field equal; the risk-sum fields up to summation order."""
-    confusions = column_rows(ThresholdConfusion, sweep_counts(d1, grid.points).confusion())
+    confusions = column_rows(ThresholdConfusion, sweep_counts(d1, grid.points))
     for t, c, point in zip(grid.points, confusions, decision_curve(d1, grid), strict=True):
         masked = masked_confusion(d1, t)
         assert c == masked
@@ -141,7 +141,21 @@ class TestSweepCounts:
         sweep = sweep_counts(d0, [0.1, 0.5, 0.5, 0.9])
         assert sweep.risk_sum_above.tolist() == pytest.approx([4.55, 3.55, 3.55, 0.9])
         assert sweep.risk_sum_below.tolist() == pytest.approx([0.05, 1.05, 1.05, 3.7])
-        assert (sweep.n, sweep.n1) == (10, 4)
+        assert (sweep.n, sweep.n1.tolist()) == (10, [4] * 4)
+
+    def test_is_a_threshold_confusion_of_columns(self, d0):
+        sweep = sweep_counts(d0, FINE_GRID.points)
+        assert isinstance(sweep, ThresholdConfusion)
+        assert sweep.t.tolist() == list(FINE_GRID.points)
+        assert sweep.n1.tolist() == [d0.n1] * len(FINE_GRID.points)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(sweep)
+
+    def test_counts_that_do_not_add_up_are_refused(self, d0):
+        # Validated as any ThresholdConfusion is, when it is built.
+        sweep = sweep_counts(d0, [0.1, 0.5])
+        with pytest.raises(DataError, match="must sum to n"):
+            dataclasses.replace(sweep, fn=sweep.fn + 1)
 
     def test_below_sum_is_a_prefix_sum(self):
         # total - above would round 0.9 + 1e-20 - 0.9 to zero.
@@ -367,8 +381,8 @@ class TestReproducers:
         # The identity check's input: the calibration columns.
         real = curves.calibration_columns
 
-        def skewed(c, above, below):
-            summary = real(c, above, below)
+        def skewed(c):
+            summary = real(c)
             return dataclasses.replace(summary, y_below=summary.y_below + 0.1)
 
         monkeypatch.setattr(curves, "calibration_columns", skewed)
