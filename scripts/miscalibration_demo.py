@@ -59,9 +59,10 @@ def main() -> None:
                              beta_a=args.beta_a, beta_b=args.beta_b, logit_shift=shift,
                              label=f"shift{shift:+g}")
         truth, reported = generate_synthetic(spec)
-        curve = ModelCurve(name=reported.name, points=curve_columns(reported, grid))
+        sweep = sweep_counts(reported, grid.points)
+        curve = ModelCurve(name=reported.name, points=curve_columns(sweep))
         points = curve.points
-        loses_none, loses_all = default_losses(sweep_counts(reported, grid.points))
+        loses_none, loses_all = default_losses(sweep)
         below_none = [p for p, loses in zip(points, loses_none) if loses]
         below_all = [p for p, loses in zip(points, loses_all) if loses]
         print(f"{shift:>+6.1f}  {reported.prevalence:>10.4f}  "
@@ -78,7 +79,8 @@ def main() -> None:
         if args.svg_dir:
             doc = ReportDocument(
                 metadata={"shift": shift},
-                models=(curve, ModelCurve(name=truth.name, points=curve_columns(truth, grid))),
+                models=(curve, ModelCurve(name=truth.name,
+                                         points=curve_columns(sweep_counts(truth, grid.points)))),
             )
             out = Path(args.svg_dir)
             out.mkdir(parents=True, exist_ok=True)

@@ -19,14 +19,15 @@ from operator import itemgetter
 from . import __version__
 # compare_models stays importable here: bench/workloads.py traces it by name.
 from .comparison import compare_columns, compare_models, default_losses  # noqa: F401
-from .curves import (SyntheticSpec, ThresholdGrid, curve_columns, decision_curve,
-                     generate_synthetic)
+# decision_curve stays importable here: bench/workloads.py traces it by name.
+from .curves import (CurvePoint, SyntheticSpec, ThresholdGrid, curve_columns,  # noqa: F401
+                     decision_curve, generate_synthetic)
 from .equivalences import ppv_bounds_given_nb
 from .errors import DataError, RouteDisagreementError, UsageError
-from .metrics import sweep_counts
+from .metrics import column_rows, sweep_counts
 # file_digest stays importable here: bench/workloads.py traces it by name.
 from .reader import IngestionSpec, file_digest, ingest  # noqa: F401
-from .report import ComparisonSection, ModelCurve, ReportDocument, csv_value, emit_report
+from .report import ComparisonSection, ModelCurve, ReportDocument, emit_report
 from .resampling import BandSpec, bootstrap_bands, check_band_caps
 from .svg import PANELS, render_svg
 
@@ -183,7 +184,8 @@ def _ingest_from_args(args):
 def _cmd_curves(args) -> int:
     grid = ThresholdGrid.from_string(args.grid)
     datasets = _ingest_from_args(args)
-    models = tuple(ModelCurve(name=d.name, points=curve_columns(d, grid)) for d in datasets)
+    models = tuple(ModelCurve(d.name, curve_columns(sweep_counts(d, grid.points)))
+                   for d in datasets)
     doc = ReportDocument(metadata=_metadata(args, grid, datasets.digest, outcome=args.outcome),
                          models=models)
     _write_output(emit_report(doc, format=args.format), args.out)
@@ -211,7 +213,8 @@ def _cmd_bounds(args) -> int:
     record = {"t": interval.t, "nb": interval.nb, "prevalence": args.prevalence,
               "lower": interval.lower, "upper": interval.upper, "kind": interval.kind}
     if args.format == "csv":
-        text = ",".join(record) + "\n" + ",".join(map(csv_value, record.values())) + "\n"
+        cells = (v if isinstance(v, str) else format(v, ".17g") for v in record.values())
+        text = ",".join(record) + "\n" + ",".join(cells) + "\n"
     else:
         text = json.dumps(record, indent=2) + "\n"
     _write_output(text.encode("utf-8"), args.out)
@@ -223,7 +226,8 @@ def _cmd_bootstrap(args) -> int:
     spec = BandSpec(replicates=args.replicates, seed=args.seed, level=args.level)
     check_band_caps(spec, grid)
     datasets = _ingest_from_args(args)
-    models = tuple(ModelCurve(name=d.name, points=curve_columns(d, grid)) for d in datasets)
+    models = tuple(ModelCurve(d.name, curve_columns(sweep_counts(d, grid.points)))
+                   for d in datasets)
     bands = {d.name: bootstrap_bands(d, grid, spec) for d in datasets}
     doc = ReportDocument(
         metadata=_metadata(args, grid, datasets.digest, outcome=args.outcome,
@@ -256,7 +260,8 @@ def _cmd_demo(args) -> int:
         label="miscalibration-demo",
     )
     _, reported = generate_synthetic(spec)
-    points = decision_curve(reported, grid)
+    sweep = sweep_counts(reported, grid.points)
+    points = column_rows(CurvePoint, curve_columns(sweep))
     prevalence = reported.prevalence
     places = max(2, grid.decimals)
 
@@ -266,7 +271,7 @@ def _cmd_demo(args) -> int:
           f"logit shift={args.shift:+g}")
     print(f"observed prevalence: {prevalence:.4f}")
 
-    loses_none, loses_all = default_losses(sweep_counts(reported, grid.points))
+    loses_none, loses_all = default_losses(sweep)
     below_none = [p for p, loses in zip(points, loses_none) if loses]
     below_all = [p for p, loses in zip(points, loses_all) if loses]
     print()

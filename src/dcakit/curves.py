@@ -173,14 +173,12 @@ def _assert_identities(c: SweepCounts, verdict: DefaultsVerdict,
         )
 
 
-def curve_columns(data: PredictionSet, grid: ThresholdGrid) -> CurvePoint:
-    """Every grid threshold's CurvePoint, identities verified, as a
-    CurvePoint of columns, NaN in a field whose group is empty.
-
-    sweep_counts counts and checks every threshold; both default verdicts
-    and every identity then run a column at a time, with the formulas
-    verdict_vs_defaults and threshold_calibration use."""
-    sweep = sweep_counts(data, grid.points)
+def curve_columns(sweep: SweepCounts) -> CurvePoint:
+    """Every threshold's CurvePoint of ``sweep``, which sweep_counts counted
+    and checked, identities verified, as a CurvePoint of columns, NaN in a
+    field whose group is empty. Both default verdicts and every identity
+    run a column at a time, with the formulas verdict_vs_defaults and
+    threshold_calibration use."""
     verdict = defaults_columns(sweep)
     cal = calibration_columns(sweep)
     _assert_identities(sweep, verdict, cal)
@@ -200,7 +198,7 @@ def curve_columns(data: PredictionSet, grid: ThresholdGrid) -> CurvePoint:
 def decision_curve(data: PredictionSet, grid: ThresholdGrid) -> list[CurvePoint]:
     """One CurvePoint per grid threshold, in grid order: curve_columns' rows,
     with the fields of an empty group None."""
-    return column_rows(CurvePoint, curve_columns(data, grid))
+    return column_rows(CurvePoint, curve_columns(sweep_counts(data, grid.points)))
 
 
 @dataclass(frozen=True)

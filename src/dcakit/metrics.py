@@ -26,10 +26,8 @@ __all__ = [
     "ThresholdConfusion",
     "check_threshold",
     "classify_at_threshold",
-    "column_cells",
     "column_rows",
     "divide_where",
-    "field_column",
     "first_failure",
     "group_masks",
     "reproducer",
@@ -382,32 +380,16 @@ ABOVE = {"group": "above"}
 BELOW = {"group": "below"}
 
 
-def field_column(columns, name: str) -> tuple[np.ndarray, bool]:
-    """Field ``name`` of ``columns``, a dataclass of columns, ``outer.inner``
-    for a nested one: its column, and whether the field is group-tied, so
-    that NaN in it marks its group empty."""
-    for part in name.split("."):
-        f = next(f for f in fields(columns) if f.name == part)
-        columns = getattr(columns, part)
-    return columns, "group" in f.metadata
-
-
-def column_cells(column: np.ndarray, tied: bool) -> list:
-    """``column`` as a list; a group-tied one (``tied``) has None where it
-    is NaN, since its group is empty there."""
-    cells = column.tolist()
-    if tied:
-        for i in np.flatnonzero(np.isnan(column)).tolist():
-            cells[i] = None
-    return cells
-
-
 def _cells(f, column):
     if is_dataclass(column):
         return column_rows(type(column), column)
     if not isinstance(column, np.ndarray):
         return repeat(column)
-    return column_cells(column, "group" in f.metadata)
+    cells = column.tolist()
+    if "group" in f.metadata:
+        for i in np.flatnonzero(np.isnan(column)).tolist():
+            cells[i] = None
+    return cells
 
 
 def column_rows(cls, columns) -> list:

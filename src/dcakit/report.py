@@ -19,12 +19,11 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .calibration import CalibrationSummary
 from .comparison import ComparisonVerdict
 from .curves import CurvePoint
 from .digits import _CELL, _float_cells
 from .errors import DataError, UsageError
-from .metrics import check_threshold, column_rows, field_column, first_failure
+from .metrics import check_threshold, column_rows, first_failure
 from .resampling import CurveBand
 
 __all__ = ["ModelCurve", "ComparisonSection", "ReportDocument", "emit_report", "parse_report"]
@@ -111,8 +110,9 @@ class ComparisonSection:
 class ReportDocument:
     """Self-describing analysis report: metadata, curves, bands, comparisons.
     With curves, each band names a model and holds one entry per threshold
-    of its curve, or DataError is raised. Only JSON holds curves and
-    comparisons together, or bands without curves."""
+    of its curve; without, each band's thresholds lie in (0, 1). Else
+    DataError is raised. Only JSON holds curves and comparisons together,
+    or bands without curves."""
 
     metadata: dict
     models: tuple[ModelCurve, ...] = ()
@@ -124,9 +124,9 @@ class ReportDocument:
         object.__setattr__(self, "comparisons", tuple(self.comparisons))
         curves = {model.name: model.columns.t for model in self.models}
         for name, band in self.bands.items():
-            t = curves.get(name) if curves else band.thresholds
+            t = curves.get(name) if curves else check_threshold(np.array(band.thresholds, float))
             if t is None or not (np.array_equal(band.thresholds, t) and all(
-                    len(getattr(band, cell)) == len(t) for cell in _BAND_CELLS)):
+                    len(column) == len(t) for _, column, _ in _walk(band))):
                 raise DataError(f"band {name!r} must name a model and hold one entry per "
                                 f"threshold of its curve, at its thresholds")
 
@@ -136,44 +136,53 @@ def _fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-def _names(cls, *skip: str) -> tuple[str, ...]:
-    """The field names of ``cls`` except ``skip``."""
-    return tuple(f.name for f in fields(cls) if f.name not in skip)
+# What the CSV leaves out, in every section: a nested field whose name an
+# earlier field has (a calibration's t and s_t, which are its point's),
+# ppv_route_available (an empty ppv_superiority_ref shows it), and a band's
+# spec and thresholds (its model's t). JSON writes every field.
+_OMITTED = {"ppv_route_available", "spec", "thresholds"}
 
 
-# CSV columns, in dataclass field order. A curve row flattens a point and its
-# calibration summary, whose t and s_t repeat the point's.
-_POINT_COLUMNS = _names(CurvePoint, "calibration")
-_CALIBRATION_COLUMNS = _names(CalibrationSummary, "t", "s_t")
-_BAND_CELLS = _names(CurveBand, "spec", "thresholds")
-_PAIR_COLUMNS = _names(ComparisonSection, "verdicts")
-_VERDICT_COLUMNS = _names(ComparisonVerdict, "ppv_route_available")
+def _walk(columns, names=None):
+    """(name, column, tied) for each CSV column of ``columns``, a dataclass
+    of columns, in field order, a nested dataclass's columns in its place;
+    ``tied`` when the field is group-tied, so NaN in it marks an empty group."""
+    names = set() if names is None else names
+    for f in fields(columns):
+        if f.name in names or f.name in _OMITTED:
+            continue
+        names.add(f.name)
+        column = getattr(columns, f.name)
+        if is_dataclass(column):
+            yield from _walk(column, names)
+        else:
+            yield f.name, column, "group" in f.metadata
 
 
-def _document_to_dict(doc: ReportDocument) -> dict:
-    payload = _fields(doc)
-    for name in ("bands", "comparisons"):
-        if not payload[name]:
-            del payload[name]
-    return payload
+def _band_columns(band: CurveBand | None, n: int) -> CurveBand:
+    """A model's band as columns of its n rows, NaN where an entry is None;
+    empty text where the model has no band."""
+    if band is None:
+        return CurveBand(*repeat(np.full(n, ""), len(fields(CurveBand))))
+    return CurveBand(**{name: value if is_dataclass(value) else
+                        np.array([np.nan if v is None else v for v in value])
+                        for name, value in _fields(band).items()})
 
 
-
-def csv_cells(values) -> list[bytes]:
-    """One CSV cell per value: a float as format(v, ".17g") writes it, 17
-    significant digits, so a parsed value is bit-identical to the JSON one;
-    empty for an absent value; true/false for a bool."""
-    values = list(values)
-    floats = iter(_float_cells(np.array([v for v in values if isinstance(v, float)],
-                                        dtype=np.float64)).tolist())
-    return [next(floats) if isinstance(v, float) else b"" if v is None
-            else (b"true" if v else b"false") if isinstance(v, bool) else str(v).encode("utf-8")
-            for v in values]
-
-
-def csv_value(value) -> str:
-    """One CSV cell, by the rule of csv_cells."""
-    return csv_cells((value,))[0].decode("utf-8")
+def _sections(doc: ReportDocument):
+    """Each section of ``doc``: the names and texts of its leading cells,
+    then its walk. A model's walk holds its band's after its points' where
+    the report has bands; a band without curves, which only JSON holds, is
+    a section of its own."""
+    for model in doc.models:
+        walked = [*_walk(model.columns)]
+        if doc.bands:
+            walked += _walk(_band_columns(doc.bands.get(model.name), len(model.columns.t)))
+        yield ("model",), (model.name,), walked
+    for name, band in ({} if doc.models else doc.bands).items():
+        yield ("model",), (name,), [*_walk(_band_columns(band, len(band.thresholds)))]
+    for section in doc.comparisons:
+        yield ("model1", "model2"), (section.model1, section.model2), [*_walk(section.columns)]
 
 
 def _quoted(texts) -> list[bytes]:
@@ -188,21 +197,26 @@ def _quoted(texts) -> list[bytes]:
     return [quoted[text] for text in texts]
 
 
-def _section_cells(columns, names) -> list[list[bytes]]:
-    """The CSV cells of fields ``names`` of ``columns``, one list per field.
-    Every float cell with a value is formatted by one _float_cells call; a
-    group-tied field's NaN is empty, and only text goes through csv
-    quoting, each distinct text once."""
-    found = [field_column(columns, name) for name in names]
-    floats = [(column, tied) for column, tied in found if column.dtype.kind == "f"]
-    values = np.array([column for column, _ in floats])  # a row per float field
-    present = ~(np.isnan(values) & np.array([[tied] for _, tied in floats]))
+def _section_cells(walked: list) -> list[list[bytes]]:
+    """The CSV cells of a section's walk, one list per column. Every float
+    cell with a value is formatted by one _float_cells call, and a
+    group-tied NaN is empty; any other NaN, or an infinity, raises
+    DataError naming its field and row. Text goes through csv quoting,
+    each distinct text once, and an int is written as str writes it."""
+    floats = [(name, column, tied) for name, column, tied in walked if column.dtype.kind == "f"]
+    values = np.array([column for _, column, _ in floats])  # a row per float field
+    empty = np.isnan(values) & np.array([[tied] for *_, tied in floats])
+    bad = np.argwhere(~(np.isfinite(values) | empty))
+    if bad.size:
+        at, row = bad[0].tolist()
+        raise DataError(f"{floats[at][0]} is {values[at, row].item()} in row {row}; a report "
+                        f"holds finite numbers, and None where a group is empty")
     formatted = np.zeros(values.shape, dtype=f"S{_CELL}")  # empty where absent
-    formatted[present] = _float_cells(values[present])
+    formatted[~empty] = _float_cells(values[~empty])
     formatted = iter(formatted.tolist())
     return [next(formatted) if column.dtype.kind == "f"
             else _quoted(column.tolist()) if column.dtype.kind == "U"
-            else csv_cells(column.tolist()) for column, _ in found]
+            else column.astype("S").tolist() for _, column, _ in walked]
 
 
 def _emit_csv(doc: ReportDocument) -> bytes:
@@ -213,40 +227,37 @@ def _emit_csv(doc: ReportDocument) -> bytes:
     if doc.models and doc.comparisons or doc.bands and not doc.models:
         raise UsageError("a CSV report holds curves (with their bands) or comparisons, "
                          "not both and not bands alone; emit this report as JSON")
-    columns = []
-    if doc.models:
-        band_cells = _BAND_CELLS if doc.bands else ()
-        header = ("model",) + _POINT_COLUMNS + _CALIBRATION_COLUMNS + band_cells
-        for model in doc.models:
-            band = doc.bands.get(model.name)
-            columns.append([
-                repeat(*_quoted([model.name])),
-                *_section_cells(model.columns, _POINT_COLUMNS
-                                + tuple(f"calibration.{name}" for name in _CALIBRATION_COLUMNS)),
-                *(repeat(b"") if band is None else csv_cells(getattr(band, name))
-                  for name in band_cells),
-            ])
-    elif doc.comparisons:
-        header = _PAIR_COLUMNS + _VERDICT_COLUMNS
-        for section in doc.comparisons:
-            pair = _quoted([getattr(section, name) for name in _PAIR_COLUMNS])
-            columns.append([*map(repeat, pair), *_section_cells(section.columns, _VERDICT_COLUMNS)])
-    else:
+    header, rows = (), []
+    for names, texts, walked in _sections(doc):
+        header = (*names, *(name for name, *_ in walked))
+        rows += zip(*map(repeat, _quoted(texts)), *_section_cells(walked))
+    if not header:
         return b""
-    lines = [b",".join(_quoted(header))]
-    for section in columns:
-        lines.extend(map(b",".join, zip(*section)))
-    return b"\n".join(lines) + b"\n"
+    return b"\n".join(map(b",".join, [_quoted(header), *rows])) + b"\n"
 
 
 def emit_report(doc: ReportDocument, format: str = "json") -> bytes:
-    """Serialize a report; JSON is lossless, CSV is the flat per-row export."""
-    if format == "json":
-        text = json.dumps(_document_to_dict(doc), indent=2, default=_fields)
-        return (text + "\n").encode("utf-8")
+    """Serialize a report; JSON is lossless, CSV is the flat per-row export.
+    A NaN, except where a group-tied field's group is empty, or an infinity
+    raises DataError in either format, naming its field (and its row), as
+    JSON has neither."""
+    if format not in FORMATS:
+        raise UsageError(f"unknown report format {format!r}; expected one of {FORMATS}")
+    try:
+        json.dumps(doc.metadata, allow_nan=False, default=repr)
+    except ValueError as exc:
+        raise DataError(f"ReportDocument.metadata must hold only finite numbers: {exc}") from None
     if format == "csv":
         return _emit_csv(doc)
-    raise UsageError(f"unknown report format {format!r}; expected one of {FORMATS}")
+    payload = {name: value for name, value in _fields(doc).items()
+               if value or name in ("metadata", "models")}
+    try:
+        text = json.dumps(payload, indent=2, default=_fields, allow_nan=False)
+    except ValueError:
+        for *_, walked in _sections(doc):
+            _section_cells(walked)  # raises, naming the field and row
+        raise
+    return (text + "\n").encode("utf-8")
 
 
 def _expect(value, kind: type, what: str):

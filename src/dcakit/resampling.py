@@ -16,7 +16,7 @@ import math
 import numbers
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,15 +77,16 @@ class CurveBand:
     PPV pools exclude replicates whose selection rate is zero at that
     threshold (their conventional PPV of 0 would distort the band);
     ``ppv_replicates`` records how many replicates remained. When none
-    remain the PPV band entries are None.
+    remain the PPV band entries are None: they are tied to that pool, as
+    a report field is to its group.
     """
 
     spec: BandSpec
     thresholds: tuple[float, ...]
     nb_lower: tuple[float, ...]
     nb_upper: tuple[float, ...]
-    ppv_lower: tuple[float | None, ...]
-    ppv_upper: tuple[float | None, ...]
+    ppv_lower: tuple[float | None, ...] = field(metadata={"group": "ppv_pool"})
+    ppv_upper: tuple[float | None, ...] = field(metadata={"group": "ppv_pool"})
     ppv_replicates: tuple[int, ...]
 
 

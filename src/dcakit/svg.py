@@ -5,14 +5,14 @@ net-benefit curve, PPV curve and calibration curves are color matched.
 Reference curves: the treat-none diagonal on PPV/calibration panels, a
 dotted per-model treat-all comparison curve on the PPV panel, and the
 treat-all / treat-none net-benefit curves on the decision panel.
-Undefined values (selection rate 0 or 1) break the affected polyline.
+Undefined values (selection rate 0 or 1), NaN in a model's columns,
+break the affected polyline.
 """
 
 from __future__ import annotations
 
 from .errors import UsageError
-from .metrics import column_cells, field_column
-from .report import ReportDocument
+from .report import ReportDocument, _walk
 
 __all__ = ["render_svg", "STYLE", "PANELS"]
 
@@ -59,10 +59,10 @@ def _escape(text: str) -> str:
 
 
 def _segments(xs, ys):
-    """Split a series into contiguous runs, breaking where y is None."""
+    """Split a series into contiguous runs, breaking where y is NaN."""
     runs, current = [], []
     for x, y in zip(xs, ys):
-        if y is None:
+        if y != y:
             if current:
                 runs.append(current)
             current = []
@@ -181,13 +181,13 @@ def _color(i: int) -> str:
     return colors[i % len(colors)]
 
 
-def _cells(columns, name: str) -> list:
-    """Field ``name`` of a model's columns, None where its group is empty."""
-    return column_cells(*field_column(columns, name))
+def _series(model) -> dict:
+    """A model's columns by their CSV names, NaN where a group is empty."""
+    return {name: column for name, column, _ in _walk(model.columns)}
 
 
 def _x_range(doc: ReportDocument):
-    ts = [t for model in doc.models for t in _cells(model.columns, "t")]
+    ts = [t for model in doc.models for t in model.columns.t.tolist()]
     return (min(ts), max(ts)) if ts else (0.0, 1.0)
 
 
@@ -208,8 +208,8 @@ _LAYOUTS = {
             (("{}", None), ("{} treat-all ref", "dotted")),
             (("treat none (diagonal)", "reference_color", None),)),
     "calibration": ((("t", "cal-diagonal", "reference_color", None, "reference_width"),),
-                    (("calibration.y_above", "cal-above", None, "stroke_width"),
-                     ("calibration.y_below", "cal-below", "dashed", "stroke_width")),
+                    (("y_above", "cal-above", None, "stroke_width"),
+                     ("y_below", "cal-below", "dashed", "stroke_width")),
                     (("{} rate above t", None), ("{} rate below t", "dashed")),
                     (("diagonal", "reference_color", None),)),
 }
@@ -219,8 +219,8 @@ def _y_range(doc: ReportDocument, which: str) -> tuple[float, float]:
     if which != "decision":
         return 0.0, 1.0
     values = [0.0]
-    for model in doc.models:
-        values += _cells(model.columns, "nb_model") + _cells(model.columns, "nb_all")
+    for model in map(_series, doc.models):
+        values += model["nb_model"].tolist() + model["nb_all"].tolist()
     y_lo = max(STYLE["nb_floor"], min(values))
     y_hi = max(values)
     return y_lo, y_hi + 0.05 * (y_hi - y_lo or 1.0)
@@ -239,15 +239,15 @@ def render_svg(doc: ReportDocument, which: str) -> str:
     references, series, labels, closing = _LAYOUTS[which]
     panel = _Panel(_x_range(doc), _y_range(doc, which))
     panel.add_axes(_TITLES[which], _Y_LABELS[which])
-    first = doc.models[0].columns
+    first = _series(doc.models[0])
     for name, css_class, color, dash, width in references:
-        panel.add_series(_cells(first, "t"), _cells(first, name), STYLE[color], css_class,
+        panel.add_series(first["t"].tolist(), first[name].tolist(), STYLE[color], css_class,
                          dasharray=_dash(dash), width=STYLE[width])
     legend = []
     for i, model in enumerate(doc.models):
-        ts = _cells(model.columns, "t")
+        columns = _series(model)
         for name, css_class, dash, width in series:
-            panel.add_series(ts, _cells(model.columns, name), _color(i), css_class,
+            panel.add_series(columns["t"].tolist(), columns[name].tolist(), _color(i), css_class,
                              dasharray=_dash(dash), width=STYLE[width])
         legend += [(label.format(model.name), _color(i), _dash(dash)) for label, dash in labels]
     legend += [(label, STYLE[color], _dash(dash)) for label, color, dash in closing]

@@ -234,10 +234,10 @@ class TestDemoCommand:
         assert self.listed(out, "treat-all") == [f"t={k / 1000:.3f}" for k in range(10, 205, 5)]
         assert "  region: 0.010 <= t <= 0.200 (spared group is not actually low risk)\n" in out
 
-    def test_demo_builds_no_default_models_and_sweeps_twice(self, monkeypatch, capsys):
+    def test_demo_builds_no_default_models_and_sweeps_once(self, monkeypatch, capsys):
         # The defaults are counts, not constant-risk models: only the truth
         # and the reported model are built, and only the reported model is
-        # swept, once for its curve and once for its losses.
+        # swept, once for both its curve and its losses.
         built, swept = [], []
         validate, count_below = metrics.PredictionSet.__post_init__, metrics._count_below
 
@@ -253,7 +253,7 @@ class TestDemoCommand:
         monkeypatch.setattr(metrics, "_count_below", counted_count_below)
         assert cli_main(["demo-miscalibration", "--n", "200"]) == 0
         assert built == ["miscalibration-demo-truth", "miscalibration-demo"]
-        assert swept == ["miscalibration-demo", "miscalibration-demo"]
+        assert swept == ["miscalibration-demo"]
 
     def test_cohort_over_the_cap_is_data_error(self, monkeypatch, capsys):
         monkeypatch.setattr(curves, "MAX_SYNTHETIC_RECORDS", 10)

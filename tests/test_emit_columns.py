@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from dcakit import (
     BandSpec,
     CalibrationSummary,
+    CurveBand,
     ComparisonSection,
     ComparisonVerdict,
     CurvePoint,
@@ -81,42 +82,59 @@ def _blank_some(draw, rows):
     return edited
 
 
+def _edit_band(draw, band, empty):
+    """``band`` with some PPV entries None, as where no replicate selects
+    anyone, and with no entries at all where ``empty``."""
+    band = replace(band, **{name: tuple(None if draw(st.booleans()) else v
+                                        for v in getattr(band, name))
+                            for name in ("ppv_lower", "ppv_upper")})
+    return replace(band, **{f.name: () for f in fields(band) if f.name != "spec"}) if empty \
+        else band
+
+
+THREE = st.lists(st.booleans(), min_size=3, max_size=3)
+
+
 @settings(max_examples=40, deadline=None)
-@given(case=cohorts(3), banded=st.lists(st.booleans(), min_size=3, max_size=3),
-       edited=st.booleans(), data=st.data())
-def test_curves_match_the_row_writer(case, banded, edited, data):
+@given(case=cohorts(3), banded=THREE, edited=st.booleans(), empty=THREE, data=st.data())
+def test_curves_match_the_row_writer(case, banded, edited, empty, data):
+    """Some models have no band, some PPV band entries are None, and some
+    curves have no rows."""
     grid, sets = case
-    rows = [decision_curve(d, grid) for d in sets]
+    rows = [[] if cut else decision_curve(d, grid) for d, cut in zip(sets, empty)]
     if edited:
         rows = [_blank_some(data.draw, points) for points in rows]
-        models = [ModelCurve(d.name, points) for d, points in zip(sets, rows)]
-    else:
-        models = [ModelCurve(d.name, curve_columns(d, grid)) for d in sets]
-    bands = {d.name: bootstrap_bands(d, grid, BandSpec(replicates=7, seed=1))
-             for d, on in zip(sets, banded) if on}
+    models = [ModelCurve(d.name, points if edited or cut else
+                         curve_columns(sweep_counts(d, grid.points)))
+              for d, points, cut in zip(sets, rows, empty)]
+    bands = {d.name: _edit_band(data.draw, bootstrap_bands(d, grid, BandSpec(7, seed=1)), cut)
+             for d, on, cut in zip(sets, banded, empty) if on}
     doc = ReportDocument(metadata=METADATA, models=models, bands=bands)
     named = [(d.name, points) for d, points in zip(sets, rows)]
     assert emit_report(doc, "csv") == rows_csv(named, bands)
-    assert emit_report(doc, "json") == rows_json(METADATA, named, bands)
+    text = emit_report(doc, "json")
+    assert text == rows_json(METADATA, named, bands)
+    assert emit_report(parse_report(text), "json") == text
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=cohorts(3), edited=st.booleans(), data=st.data())
-def test_comparisons_match_the_row_writer(case, edited, data):
+@given(case=cohorts(3), edited=st.booleans(), empty=THREE, data=st.data())
+def test_comparisons_match_the_row_writer(case, edited, empty, data):
+    """Some sections have no rows."""
     grid, (d1, d2, d3) = case
     pairs = [(d1, d2), (d2, d3), (d3, d1)]
-    rows = [compare_curve(a, b, grid) for a, b in pairs]
+    rows = [[] if cut else compare_curve(a, b, grid) for (a, b), cut in zip(pairs, empty)]
     if edited:
         rows = [_blank_some(data.draw, verdicts) for verdicts in rows]
-        sections = [ComparisonSection(a.name, b.name, verdicts)
-                    for (a, b), verdicts in zip(pairs, rows)]
-    else:
-        sections = [ComparisonSection(a.name, b.name, compare_columns(a, b, grid))
-                    for a, b in pairs]
+    sections = [ComparisonSection(a.name, b.name, verdicts if edited or cut else
+                                  compare_columns(a, b, grid))
+                for (a, b), verdicts, cut in zip(pairs, rows, empty)]
     doc = ReportDocument(metadata=METADATA, comparisons=sections)
     named = [(a.name, b.name, verdicts) for (a, b), verdicts in zip(pairs, rows)]
     assert emit_report(doc, "csv") == rows_csv(comparisons=named)
-    assert emit_report(doc, "json") == rows_json(METADATA, comparisons=named)
+    text = emit_report(doc, "json")
+    assert text == rows_json(METADATA, comparisons=named)
+    assert emit_report(parse_report(text), "json") == text
 
 
 @settings(max_examples=30, deadline=None)
@@ -129,7 +147,8 @@ def test_parsed_report_emits_its_bytes(case, banded, edited, data):
         rows, verdicts = _blank_some(data.draw, rows), _blank_some(data.draw, verdicts)
     doc = ReportDocument(
         metadata=METADATA,
-        models=(ModelCurve(d1.name, rows), ModelCurve(d2.name, curve_columns(d2, grid))),
+        models=(ModelCurve(d1.name, rows),
+                ModelCurve(d2.name, curve_columns(sweep_counts(d2, grid.points)))),
         bands={d1.name: bootstrap_bands(d1, grid, BandSpec(replicates=5))} if banded else {},
         comparisons=(ComparisonSection(d1.name, d2.name, verdicts),
                      ComparisonSection(d2.name, d1.name, compare_columns(d2, d1, grid))))
@@ -151,7 +170,7 @@ def test_csv_refuses_a_report_it_cannot_hold_whole(d0, d0_degraded):
     """A CSV report is one table, so a report it would cut short raises
     instead of dropping its comparisons or printing nothing for its bands."""
     grid = GRIDS[0]
-    curves = (ModelCurve("d0", curve_columns(d0, grid)),)
+    curves = (ModelCurve("d0", curve_columns(sweep_counts(d0, grid.points))),)
     bands = {"d0": bootstrap_bands(d0, grid, BandSpec(replicates=5))}
     sections = (ComparisonSection("d0", "d0-degraded", compare_columns(d0, d0_degraded, grid)),)
     for doc in (ReportDocument(METADATA, curves, comparisons=sections),
@@ -168,7 +187,7 @@ def test_csv_refuses_a_report_it_cannot_hold_whole(d0, d0_degraded):
 
 
 def test_rows_are_built_on_first_read(d0):
-    columns = curve_columns(d0, GRIDS[1])
+    columns = curve_columns(sweep_counts(d0, GRIDS[1].points))
     model = ModelCurve("d0", columns)
     assert model.columns is columns and "points" not in vars(model)
     assert model.points == tuple(decision_curve(d0, GRIDS[1]))
@@ -203,7 +222,7 @@ def test_nan_marks_exactly_the_empty_groups(case):
     (above1, below1), (above2, below2) = group_masks(c1), group_masks(c2)
     own = {"above": above1, "below": below1}
     kernels = [
-        (curve_columns(d1, grid), own),
+        (curve_columns(c1), own),
         (defaults_columns(c1), own),
         (calibration_columns(c1), own),
         (compare_columns(d1, d2, grid),
@@ -289,10 +308,68 @@ def test_fine_grid_csv_matches_the_row_writer():
                             outcomes, name="shifted")
     grid = ThresholdGrid(0.001, 0.999, 0.001)
     doc = ReportDocument(metadata=METADATA, models=tuple(
-        ModelCurve(d.name, curve_columns(d, grid)) for d in (rounded, shifted)))
+        ModelCurve(d.name, curve_columns(sweep_counts(d, grid.points)))
+        for d in (rounded, shifted)))
     named = [(d.name, decision_curve(d, grid)) for d in (rounded, shifted)]
     assert emit_report(doc, "csv") == rows_csv(named)
     doc = ReportDocument(metadata=METADATA, comparisons=(
         ComparisonSection(rounded.name, shifted.name, compare_columns(rounded, shifted, grid)),))
     named = [(rounded.name, shifted.name, compare_curve(rounded, shifted, grid))]
     assert emit_report(doc, "csv") == rows_csv(comparisons=named)
+
+
+def _with(columns, name, row, value):
+    """A copy of ``columns`` whose field ``name``, nested ones too, holds
+    ``value`` at ``row``."""
+    edits = {}
+    for f in fields(columns):
+        column = getattr(columns, f.name)
+        if is_dataclass(column):
+            edits[f.name] = _with(column, name, row, value)
+        elif f.name == name:
+            edits[f.name] = column.copy()
+            edits[f.name][row] = value
+    return replace(columns, **edits)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_emit_refuses_what_json_cannot_hold(value, d0, d0_degraded):
+    """Emit writes nothing parse_report refuses: a NaN, except in a
+    group-tied field, where it marks an empty group, or an infinity in
+    any float field or in metadata raises DataError in both formats,
+    naming the field and row. Every t is refused when the report is
+    built, and so is a NaN s_t, which differs from its calibration's."""
+    grid = GRIDS[1]
+    curve = curve_columns(sweep_counts(d0, grid.points))
+    band = bootstrap_bands(d0, grid, BandSpec(replicates=5))
+    sections = [(curve, lambda c: ReportDocument(METADATA, (ModelCurve("d0", c),), {"d0": band})),
+                (compare_columns(d0, d0_degraded, grid),
+                 lambda c: ReportDocument(METADATA, comparisons=(
+                     ComparisonSection("d0", "d0-degraded", c),)))]
+    docs = []
+    for columns, build in sections:
+        for name, f in {f.name: f for f, _ in _float_columns(columns)}.items():
+            if name == "t" or value != value and "group" in f.metadata:
+                continue
+            if value != value and name == "s_t":
+                with pytest.raises(DataError, match="s_t must equal the point's"):
+                    build(_with(columns, name, 2, value))
+                continue
+            docs.append((name, [build(_with(columns, name, 2, value))]))
+    for f in fields(CurveBand)[2:]:
+        if value != value and "group" in f.metadata or f.name == "ppv_replicates":
+            continue
+        cells = list(getattr(band, f.name))
+        cells[2] = value
+        edited = replace(band, **{f.name: tuple(cells)})
+        docs.append((f.name, [ReportDocument(METADATA, (ModelCurve("d0", curve),), {"d0": edited}),
+                              ReportDocument(METADATA, bands={"d0": edited})]))
+    assert len(docs) == (10 if value != value else 26)
+    for name, (doc, *json_only) in docs:
+        for emitted, format in [(doc, "csv"), (doc, "json"), *((d, "json") for d in json_only)]:
+            with pytest.raises(DataError, match=rf"^{name} is {value} in row 2;"):
+                emit_report(emitted, format)
+    doc = ReportDocument({"options": {"level": value}}, (ModelCurve("d0", curve),))
+    for format in ("csv", "json"):
+        with pytest.raises(DataError, match="ReportDocument.metadata must hold only finite"):
+            emit_report(doc, format)

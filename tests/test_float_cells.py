@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dcakit import digits, report
+from dcakit import (BandSpec, CurveBand, ModelCurve, ReportDocument, ThresholdGrid, decision_curve,
+                    digits, emit_report)
 
 FORMATTER = settings(deadline=None, max_examples=(
     1000 if settings.get_current_profile_name() == "ci" else 200))
@@ -131,8 +132,15 @@ def test_exponent_guess_off_by_one_gives_the_same_bytes(miss, monkeypatch):
     assert cells == _expected(values)
 
 
-def test_csv_cells_rule():
-    assert report.csv_cells([0.1, None, True, False, 3, "x", -0.0, 1e-7]) == [
-        b"0.10000000000000001", b"", b"true", b"false", b"3", b"x", b"-0",
-        b"9.9999999999999995e-08"]
-    assert report.csv_value(0.5) == "0.5"
+def test_csv_cells_rule(d0):
+    """A report's CSV cells by kind: a float as format(v, ".17g") writes it,
+    empty for an absent value, an int as str writes it, and text. No CSV
+    column holds a bool."""
+    band = CurveBand(BandSpec(), (0.5,), (0.1,), (-0.0,), (None,), (1e-7,), (3,))
+    doc = ReportDocument({}, (ModelCurve("x", decision_curve(d0, ThresholdGrid(0.5, 0.5, 0.1))),),
+                         {"x": band})
+    header, row = emit_report(doc, "csv").splitlines()
+    cells = dict(zip(header.split(b","), row.split(b",")))
+    assert [cells[name] for name in (b"model", b"nb_lower", b"nb_upper", b"ppv_lower",
+                                     b"ppv_upper", b"ppv_replicates")] == [
+        b"x", b"0.10000000000000001", b"-0", b"", b"9.9999999999999995e-08", b"3"]

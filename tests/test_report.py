@@ -33,7 +33,6 @@ from dcakit import (
     ingest,
     parse_report,
 )
-from dcakit.report import csv_value
 
 GRID = ThresholdGrid(0.1, 0.5, 0.1)
 
@@ -230,8 +229,17 @@ def _names(cls, *skip):
     return [f.name for f in fields(cls) if f.name not in skip]
 
 
+def _cell(value) -> str:
+    """One CSV cell: a float as format(v, ".17g") writes it, empty for an
+    absent value, true/false for a bool, and anything else as str writes it."""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return "" if value is None else ("true" if value else "false") if isinstance(
+        value, bool) else str(value)
+
+
 def per_cell_csv(doc):
-    """The CSV export written row by row: one csv_value per cell, csv.writer
+    """The CSV export written row by row: one _cell per cell, csv.writer
     quoting every row."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -243,7 +251,7 @@ def per_cell_csv(doc):
         for model in doc.models:
             band = doc.bands.get(model.name)
             for j, point in enumerate(model.points):
-                writer.writerow([csv_value(v) for v in (
+                writer.writerow([_cell(v) for v in (
                     model.name,
                     *(getattr(point, name) for name in point_names),
                     *(getattr(point.calibration, name) for name in calibration_names),
@@ -253,7 +261,7 @@ def per_cell_csv(doc):
         writer.writerow(["model1", "model2", *verdict_names])
         for section in doc.comparisons:
             for verdict in section.verdicts:
-                writer.writerow([csv_value(v) for v in (
+                writer.writerow([_cell(v) for v in (
                     section.model1, section.model2,
                     *(getattr(verdict, name) for name in verdict_names))])
     return out.getvalue().encode("utf-8")
@@ -287,10 +295,15 @@ class TestCsvColumns:
         doc = ReportDocument(metadata={}, comparisons=sections)
         assert emit_report(doc, format="csv") == per_cell_csv(doc)
 
-    def test_text_cells_of_every_kind(self):
+    def test_text_cells_of_every_kind(self, d0):
         cells = [None, True, False, 0.1, 3, "a,b"]
-        assert [csv_value(v) for v in cells] == ["", "true", "false",
-                                                 "0.10000000000000001", "3", "a,b"]
+        assert [_cell(v) for v in cells] == ["", "true", "false",
+                                             "0.10000000000000001", "3", "a,b"]
+        # A row holding an absent value, a float, an int and a text csv quotes.
+        grid = ThresholdGrid(0.5, 0.5, 0.1)
+        band = CurveBand(BandSpec(), (0.5,), (0.1,), (0.2,), (None,), (None,), (3,))
+        doc = ReportDocument({}, (ModelCurve("a,b", decision_curve(d0, grid)),), {"a,b": band})
+        assert emit_report(doc, format="csv") == per_cell_csv(doc)
 
 
 class TestParseMalformed:

@@ -25,7 +25,7 @@ from dcakit import (
 from dcakit import resampling
 from dcakit.cli import cli_main
 from dcakit.curves import curve_columns
-from dcakit.metrics import sweep_keys, tally_counts
+from dcakit.metrics import sweep_counts, sweep_keys, tally_counts
 from dcakit.resampling import MAX_BAND_CELLS, MAX_REPLICATES
 from masked import masked_confusion
 
@@ -130,7 +130,7 @@ class TestBandSpec:
         def report(spec):
             doc = ReportDocument(
                 metadata={"tool": "dcakit", "options": {}},
-                models=(ModelCurve(name=d0.name, points=curve_columns(d0, grid)),),
+                models=(ModelCurve(d0.name, curve_columns(sweep_counts(d0, grid.points))),),
                 bands={d0.name: bootstrap_bands(d0, grid, spec)},
             )
             return emit_report(doc, "json")
