@@ -171,13 +171,14 @@ def _scaled(magnitude: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _digit_rows(d: np.ndarray) -> np.ndarray:
-    """The 17 decimal digits of each d in [10**16, 10**17), one row each,
-    in ASCII, except that trailing zeros are NUL. The first is d // 10**16;
+    """The 17 decimal digits of each d in [10**16, 10**17), its kth in row
+    k, in ASCII, except that trailing zeros are NUL. The first is d // 10**16;
     the other 16 are two words of 8 digits, split by multiply-shift steps
     into 4, 2 and 1 digits per lane, the inverse of _word_digits."""
     lead = d // _U64(10 ** 16)
     rest = d - lead * _U64(10 ** 16)
-    words = np.stack([rest // _U64(10 ** 8), rest % _U64(10 ** 8)], axis=1)
+    high = rest // _U64(10 ** 8)
+    words = np.stack([high, rest - high * _U64(10 ** 8)], axis=1)
     high = words // _U64(10_000)
     words = high | (words - high * _U64(10_000)) << _U64(32)
     high = (words * _U64(10486)) >> _U64(20) & _U64(0x0000007F0000007F)  # lane // 100
@@ -194,28 +195,25 @@ def _digit_rows(d: np.ndarray) -> np.ndarray:
     above[:, 0] |= (above[:, 1] & _U64(0xF)) * _U64(0x0101010101010101)
     kept = (above + _U64(0x7F7F7F7F7F7F7F7F)) >> _U64(7) & _U64(0x0101010101010101)
     words |= kept * _U64(ord("0"))
-    digits = np.empty((len(d), 17), dtype=np.uint8)
-    digits[:, 0] = lead + _U64(ord("0"))
-    digits[:, 1:] = words.astype("<u8", copy=False).view(np.uint8)
+    digits = np.empty((17, len(d)), dtype=np.uint8)
+    digits[0] = lead + _U64(ord("0"))
+    digits[1:] = words.astype("<u8", copy=False).view(np.uint8).T
     return digits
 
 
-def _lay_out(cells: np.ndarray, digits: np.ndarray, x: int, negative: bool) -> None:
-    """Write into the rows of ``cells`` the fixed-notation cells of decimal
-    exponent x and one sign, from their _digit_rows: a fraction's trailing
-    zeros are NUL, and so is '.' when no fraction digit is left."""
-    if negative:
-        cells[:, 0] = ord("-")
-        cells = cells[:, 1:]
-    if x < 0:
-        cells[:, :1 - x] = ord("0")  # "0." and -x - 1 zeros
-        cells[:, 1] = ord(".")
-        cells[:, 1 - x:18 - x] = digits
-    else:
-        cells[:, :x + 1] = digits[:, :x + 1] | np.uint8(ord("0"))  # its zeros stay
-        if x < 16:
-            cells[:, x + 1] = np.where(digits[:, x + 1] != 0, np.uint8(ord(".")), np.uint8(0))
-            cells[:, x + 2:18] = digits[:, x + 1:]
+def _layout(x: int, negative: bool) -> list[int]:
+    """Where each byte of a fixed-notation cell of decimal exponent x and one
+    sign comes from, as a row of _float_cells' sources: '-', the integer part
+    (zeros kept) or '0', the cell's '.' (NUL if no digit follows), -x - 1
+    zeros, the fraction (trailing zeros NUL), then NUL."""
+    dot, zero, minus, nul = range(34, 38)
+    cell = [*[minus] * negative, *(range(17, 18 + x) or [zero]), dot, *[zero] * (-x - 1),
+            *range(max(x + 1, 0), 17)]
+    return cell + [nul] * (_CELL - len(cell))
+
+
+# A row per decimal exponent X from -4 to 16 and sign, at (X + 4) * 2 + sign.
+_LAYOUTS = np.array([_layout(x, negative) for x in range(-4, 17) for negative in (False, True)])
 
 
 def _float_cells(values: np.ndarray) -> np.ndarray:
@@ -230,11 +228,11 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     once by one where p + e lies outside [10**16, 10**17), and proved by
     the same test. D < 10**17: a double of exponent -5 to 16 is more than
     half a unit of its 17th digit from the next power of ten. Cells of
-    exponent -4 to 16 are laid out from D's digits an (X, sign) group at a
-    time, and zero is 0 or -0. Only the other cells, scientific and
-    non-finite, go through ``format``.
+    exponent -4 to 16 are gathered from D's digits through the _LAYOUTS row
+    of their (X, sign) in one take, and zero is 0 or -0. Only the other
+    cells, scientific and non-finite, go through ``format``.
     """
-    cells = np.zeros((len(values), _CELL), dtype=np.uint8)
+    cells = np.zeros(len(values), dtype=f"S{_CELL}")  # a bytes string ends at its trailing NULs
     magnitude = np.abs(values)
     at = np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e17))
     magnitude = magnitude[at]
@@ -247,16 +245,15 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     fixed = np.flatnonzero((side == 0) & (x >= -4))  # proved, and not scientific
     at, x = at[fixed], x[fixed]
     d = p[fixed].astype(np.int64) + np.rint(e[fixed]).astype(np.int64)
-    key = (x + 4) * 2 + np.signbit(values[at])
-    order = np.argsort(key, kind="stable")
-    at, key, digits = at[order], key[order], _digit_rows(d[order].astype(np.uint64))
-    laid = np.zeros((len(at), _CELL), dtype=np.uint8)
-    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
-    for start, stop in zip(starts, [*starts[1:], len(key)]):
-        exponent, negative = divmod(int(key[start]), 2)
-        _lay_out(laid[start:stop], digits[start:stop], exponent - 4, bool(negative))
-    cells[at] = laid
-    cells = cells.view(f"S{_CELL}").ravel()  # a bytes string ends at its trailing NULs
+    sources = np.empty((38, len(at)), dtype=np.uint8)  # a column per cell
+    sources[:17] = _digit_rows(d.astype(np.uint64))
+    np.bitwise_or(sources[:17], np.uint8(ord("0")), out=sources[17:34])
+    length = np.add.reduce(sources[:17] != 0, axis=0, dtype=np.uint8)  # digits before NULs
+    sources[34] = np.where(length > x + 1, np.uint8(ord(".")), np.uint8(0))
+    sources[35:] = np.frombuffer(b"0-\0", dtype=np.uint8)[:, None]
+    where = (_LAYOUTS * len(at))[(x + 4) * 2 + np.signbit(values[at])]
+    where += np.arange(len(at))[:, None]  # each cell's own column
+    cells[at] = sources.ravel()[where].view(f"S{_CELL}").ravel()
     zero = values == 0
     cells[zero] = np.where(np.signbit(values[zero]), b"-0", b"0")
     others = np.flatnonzero(cells == b"")  # the cells left

@@ -34,20 +34,21 @@ FORMATS = ("json", "csv")
 def _columns_of(cls, rows: list):
     """An instance of ``cls`` holding the fields of ``rows``, instances of
     ``cls``, as columns. A group-tied field (a float or None) has NaN where
-    it is None; a NaN given there is refused, since it would read as None."""
+    it is None; a NaN given there is refused, since it would read as None,
+    and so is None in any other field, which JSON could not read back."""
     hints, columns = _field_hints(cls), {}
     for f in fields(cls):
         cells = [getattr(row, f.name) for row in rows]
         if is_dataclass(hints[f.name]):
             columns[f.name] = _columns_of(hints[f.name], cells)
-        elif "group" in f.metadata:
-            bad = next((i for i, c in enumerate(cells) if c is not None and c != c), None)
-            if bad is not None:
-                raise DataError(f"{cls.__name__}.{f.name} is NaN in row {bad}; "
-                                f"an empty group's value is None")
-            columns[f.name] = np.array([np.nan if c is None else c for c in cells], dtype=float)
-        else:
-            columns[f.name] = np.array(cells)
+            continue
+        tied = "group" in f.metadata
+        bad = next((i for i, c in enumerate(cells) if (c != c if tied else c is None)), None)
+        if bad is not None:
+            raise DataError(f"{cls.__name__}.{f.name} is {'NaN' if tied else 'None'} in row "
+                            f"{bad}; only a group-tied field is None, where its group is empty")
+        columns[f.name] = (np.array([np.nan if c is None else c for c in cells], dtype=float)
+                           if tied else np.array(cells))
     return cls(**columns)
 
 

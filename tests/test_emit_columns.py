@@ -263,6 +263,22 @@ def test_a_nan_in_a_group_tied_field_is_refused(d0, d0_degraded):
             parse_report(text)
 
 
+def test_none_outside_a_group_tied_field_is_refused(d0, d0_degraded):
+    """Only a group-tied field holds None. A row with None in any other
+    field, which the CSV would write as text and parse_report would refuse,
+    is refused when the report is built, naming the field and the row."""
+    points = decision_curve(d0, GRIDS[1])
+    with pytest.raises(DataError, match=r"CurvePoint\.nb_model is None in row 2"):
+        ModelCurve("d0", [*points[:2], replace(points[2], nb_model=None), *points[3:]])
+    edited = replace(points[1], calibration=replace(points[1].calibration, s_t=None))
+    with pytest.raises(DataError, match=r"CalibrationSummary\.s_t is None in row 1"):
+        ModelCurve("d0", [points[0], edited, *points[2:]])
+    verdicts = compare_curve(d0, d0_degraded, GRIDS[1])
+    with pytest.raises(DataError, match=r"ComparisonVerdict\.winner is None in row 3"):
+        ComparisonSection("d0", "d0-degraded",
+                          [*verdicts[:3], replace(verdicts[3], winner=None), *verdicts[4:]])
+
+
 @pytest.fixture
 def rows_refused(monkeypatch):
     """Constructing a CurvePoint, CalibrationSummary or ComparisonVerdict for

@@ -119,6 +119,39 @@ def test_random_magnitudes(seed, monkeypatch):
     _check(values, monkeypatch)
 
 
+def _kept(v: float) -> tuple[int, int]:
+    """The decimal exponent of v, and how many of its 17 digits come before
+    their trailing zeros."""
+    mantissa, exponent = format(v, ".16e").split("e")
+    return int(exponent), len(mantissa.replace(".", "").rstrip("0"))
+
+
+def _layout_values(x: int) -> list[float]:
+    """Doubles of decimal exponent x: 10**x, the double just below 10**(x + 1),
+    and for each k of 1 to 17 one whose 17 digits keep k, then zeros, so
+    that every byte of a cell is a digit in one and NUL in another, and for
+    x >= 0 the '.' is cleared or followed by 1 to 16 - x digits."""
+    below = float(f"1e{x + 1}")
+    if Decimal(below) >= Decimal(10) ** (x + 1):
+        below = float(np.nextafter(below, 0))
+    values = [float(f"1e{x}"), below]
+    for k in range(1, 18):  # k digits: 1, zeros and a last digit c, or c alone
+        values.append(next(v for c in range(1, 100) if c % 10
+                           for v in [float(f"{10 ** (k - 1) + c if k > 1 else c}e{x - k + 1}")]
+                           if _kept(v) == (x, k)))
+    assert [exponent for exponent, _ in map(_kept, values)] == [x] * 19
+    return values
+
+
+def test_every_layout_row(monkeypatch):
+    """Each (X, sign) row of digits._LAYOUTS, X from -4 to 16, on its edges
+    and at every count of kept digits; none of these cells is scientific,
+    so format must not be called."""
+    values = [v for x in range(-4, 17) for v in _layout_values(x)]
+    _check(values + [-v for v in values], monkeypatch)
+    assert not any(map(_scientific, _expected(values)))
+
+
 @pytest.mark.parametrize("miss", [1, -1])
 def test_exponent_guess_off_by_one_gives_the_same_bytes(miss, monkeypatch):
     """The guess from log10 is corrected and proved, so a log10 whose last
