@@ -221,10 +221,12 @@ def _header_layout(first: bytes, spec: IngestionSpec) -> tuple[int, list[int]] |
 
 def _block_cells(block: np.ndarray, fields: int, columns: list[int], delimiter: int,
                  limit: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]] | None:
-    """The outcome cells of ``block``, whole rows that each end in a newline,
-    as a bool array, and the start and end of each cell of the other
-    ``columns``: None unless every row has ``fields`` fields, no line is
-    longer than ``limit`` and every outcome cell is the single byte 0 or 1."""
+    """The outcome cells of ``block``, whole rows that each end in LF or CR
+    LF, as a bool array, and the start and end of each cell of the other
+    ``columns``, a row's last cell ending before its CR: None unless the
+    block is ASCII with no CR but those, every row has ``fields`` fields,
+    no line is longer than ``limit`` and every outcome cell is the single
+    byte 0 or 1."""
     hits = block == delimiter
     hits |= block == _NEWLINE
     sep = np.flatnonzero(hits)
@@ -233,11 +235,17 @@ def _block_cells(block: np.ndarray, fields: int, columns: list[int], delimiter: 
     if (extra or (kinds[fields - 1::fields] != _NEWLINE).any()
             or np.count_nonzero(kinds == _NEWLINE) != rows):
         return None
-    ends = sep[fields - 1::fields]
+    ends = sep[fields - 1::fields]  # a view: moving a row's end moves its last cell's
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    if (ends - starts).max() > limit:
+    crs = np.count_nonzero(np.equal(block, ord("\r"), out=hits))  # hits is spent: no new array
+    if crs:
+        crlf = block[ends - 1] == ord("\r")  # block[-1] is the block's last LF
+        if np.count_nonzero(crlf) != crs:  # a lone CR
+            return None
+        ends -= crlf
+    if (ends - starts).max() > limit or block.max() > 127:
         return None
     cells = [(starts if column == 0 else sep[column - 1::fields] + 1, sep[column::fields])
              for column in columns]
@@ -265,33 +273,24 @@ def _cell_values(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarra
     return values
 
 
-def _parse_chunk(data: bytes, stop: int, layout: tuple[int, list[int]],
+def _parse_chunk(data: bytearray, start: int, stop: int, layout: tuple[int, list[int]],
                  spec: IngestionSpec) -> list[np.ndarray] | None:
     """The outcome cells (bool) and the risk columns of the rows
-    data[len(_PAD):stop], or None if they are not plain."""
+    data[start:stop], parsed where they are, or None if they are not plain.
+    ``start`` is at least len(_PAD), as ``_decimals`` needs."""
     fields, columns = layout
-    block = np.frombuffer(data, dtype=np.uint8, count=stop)[len(_PAD):]
+    block = np.frombuffer(data, dtype=np.uint8, count=stop)[start:]
     scanned = _block_cells(block, fields, columns, ord(spec.delimiter), csv.field_size_limit())
     if scanned is None:
         return None
     ones, cells = scanned
     parsed = [ones]
-    for start, end in cells:
-        column = _cell_values(data, start + len(_PAD), end + len(_PAD))
+    for first, end in cells:
+        column = _cell_values(data, first + start, end + start)
         if column is None or not ((column >= 0.0) & (column <= 1.0)).all():
             return None
         parsed.append(column)
     return parsed
-
-
-def _grown(columns: list[np.ndarray], parsed: list[np.ndarray], rows: int,
-           capacity: int) -> list[np.ndarray]:
-    """Arrays of ``capacity`` rows, one per column of ``parsed`` and of its
-    dtype, that hold the first ``rows`` rows of ``columns``."""
-    grown = [np.empty(capacity, dtype=column.dtype) for column in parsed]
-    for new, old in zip(grown, columns):
-        new[:rows] = old[:rows]
-    return grown
 
 
 class _InputFile(io.RawIOBase):
@@ -358,6 +357,19 @@ class _InputFile(io.RawIOBase):
             column.resize(self.rows, refcheck=False)
         return outcomes[:self.rows].astype(np.int64), risks
 
+    def _append(self, parts: list[np.ndarray], capacity: int) -> None:
+        """Append the columns ``parts`` to the kept columns, which first grow
+        to ``capacity`` rows, of the dtypes of ``parts``, if they are short."""
+        rows = self.rows + len(parts[0])
+        if not self.columns or rows > len(self.columns[0]):
+            grown = [np.empty(capacity, dtype=part.dtype) for part in parts]
+            for new, old in zip(grown, self.columns):
+                new[:self.rows] = old[:self.rows]
+            self.columns = grown
+        for column, part in zip(self.columns, parts):
+            column[self.rows:rows] = part
+        self.rows = rows
+
     def parse_plain(self, spec: IngestionSpec) -> tuple[np.ndarray, list[np.ndarray]] | None:
         """The fast path: a plain input parsed in one streamed read, or None
         when ``parse_rows`` must go on from the first row it did not parse.
@@ -370,8 +382,10 @@ class _InputFile(io.RawIOBase):
         [0, 1]. Anything else, every error included, is left to the row
         parser.
 
-        The input is read in chunks of whole rows. Each is scanned for its
-        separators by ``_block_cells``, and its risk cells converted by
+        The input is read in chunks of whole rows, each parsed in the buffer
+        it was read into, behind _PAD and the bytes read before it. Each is
+        scanned for its separators by ``_block_cells``, which also ends a
+        CR LF row's last cell before the CR, and its risk cells converted by
         ``_cell_values`` from the separators found. Only the parsed values
         are kept, in one bool outcome array and one risk array per model,
         sized for the rows a regular file holds at the density read so far,
@@ -406,35 +420,21 @@ class _InputFile(io.RawIOBase):
                     break
                 if spec.header:
                     start = first_end + 1
-            # Rows are parsed where they were read, unless they follow the
-            # header or hold a CR: then they are copied behind _PAD, as LF
-            # rows. The quote and ASCII tests also take in the partial row
-            # read after them, which is body too.
-            body, body_stop = joined, stop
-            if start != len(_PAD) or joined.find(b"\r", start, stop) != -1:
-                body = _PAD + joined[start:stop].replace(b"\r\n", b"\n")
-                body_stop = len(body)
-                if b"\r" in body:
-                    break
-            if b'"' in body or not body.isascii():
+            # A quoted cell may hold a newline. The quote test also takes in
+            # the header, which has none, and the partial row after stop.
+            if b'"' in joined:
                 break
-            if body_stop > len(_PAD):
-                parsed = _parse_chunk(body, body_stop, layout, spec)
+            if stop > start:
+                parsed = _parse_chunk(joined, start, stop, layout, spec)
                 if parsed is None:
                     break
-                count = len(parsed[0])
-                if not self.columns or self.rows + count > len(self.columns[0]):
-                    # room for the rows a file holds at the density read so far (or
-                    # more, if it grew while being read, which fails below); for a
-                    # pipe, twice the rows read, so that its arrays double
-                    read = self.checked + stop - len(_PAD)
-                    expected = ((self.rows + count)
-                                * max(self.size, read if self.regular else 2 * read) // read)
-                    self.columns = _grown(self.columns, parsed, self.rows,
-                                          expected + expected // 64 + 64)
-                for column, part in zip(self.columns, parsed):
-                    column[self.rows:self.rows + count] = part
-                self.rows += count
+                # room for the rows a file holds at the density read so far (or
+                # more, if it grew while being read, which fails below); for a
+                # pipe, twice the rows read, so that its arrays double
+                read = self.checked + stop - len(_PAD)
+                expected = ((self.rows + len(parsed[0]))
+                            * max(self.size, read if self.regular else 2 * read) // read)
+                self._append(parsed, expected + expected // 64 + 64)
             self.checked += stop - len(_PAD)
             self.layout = layout
             carry = bytes(joined[stop:])
@@ -470,13 +470,7 @@ class _InputFile(io.RawIOBase):
             outcomes, risks = _parse_rows(self, spec, self.layout, self.rows)
             if not self.rows:
                 return outcomes, risks
-            tail = (outcomes, *risks)
-            rows = self.rows + len(outcomes)
-            if rows > len(self.columns[0]):
-                self.columns = _grown(self.columns, tail, self.rows, rows)
-            for column, part in zip(self.columns, tail):
-                column[self.rows:rows] = part
-            self.rows = rows
+            self._append([outcomes, *risks], self.rows + len(outcomes))
             return self._parsed()
         finally:
             self._check_identity()

@@ -81,6 +81,13 @@ CORPUS = {
     "no final newline": (b"y,m1\n1,0.5\n0,0.25", ONE_MODEL, "fast", None),
     "CRLF": (b"y,m1\r\n1,0.5\r\n0,0.25\r\n", ONE_MODEL, "fast", None),
     "lone CR": (b"y,m1\r1,0.5\r0,0.25\r", ONE_MODEL, "rows", None),
+    "LF and CRLF rows": (b"y,m1\n1,0.5\r\n0,0.25\n1,0.75\r\n", ONE_MODEL, "fast", None),
+    "CR before CRLF": (b"y,m1\r\n1,0.5\r\r\n0,0.25\r\n", ONE_MODEL, "rows", "found 0"),
+    "CR ending a middle cell": (b"y,m1\r\n1\r,0.5\r\n", ONE_MODEL, "rows", "found 1"),
+    "CRLF, outcome last": (b"m1,y\r\n0.5,1\r\n0.25,0\r\n", ONE_MODEL, "fast", None),
+    "CRLF, no final newline": (b"y,m1\r\n1,0.5\r\n0,0.25", ONE_MODEL, "fast", None),
+    "empty CRLF row mid-file": (b"y,m1\r\n1,0.5\r\n\r\n0,0.25\r\n", ONE_MODEL, "rows",
+                                "found 0"),
     "quoted cells": (b'"y","m1"\n"1","0.5"\n0,"0.25"\n', ONE_MODEL, "rows", None),
     "risk nan": (b"y,m1\n1,0.5\n0,nan\n", ONE_MODEL, "rows", "outside [0, 1]"),
     "risk inf": (b"y,m1\n1,inf\n", ONE_MODEL, "rows", "outside [0, 1]"),
@@ -188,6 +195,8 @@ def input_files(draw):
                                                               max_size=2))))
     if _odd(draw, 10):
         header = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4))
+    eols = ["\n"] * 6 + ["\r\n", "\r"]
+    eol = draw(st.sampled_from(eols))  # mostly one line ending per file, now and then another
     rows = []
     for _ in range(draw(st.integers(0, 6))):
         cells = [draw(st.sampled_from(OUTCOMES if _odd(draw, 12) else "01"))
@@ -199,8 +208,10 @@ def input_files(draw):
         rows.append(delimiter.join(cells))
     if rows and _odd(draw, 8):
         rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(["", "   "])))
-    eol = draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\r"]))
-    text = eol.join([delimiter.join(header)] + rows) + draw(st.sampled_from([eol, eol, ""]))
+    lines = [delimiter.join(header)] + rows
+    ends = [draw(st.sampled_from(eols)) if _odd(draw, 4) else eol for _ in lines]
+    ends[-1] = draw(st.sampled_from([ends[-1], ends[-1], ""]))
+    text = "".join(line + end for line, end in zip(lines, ends))
     data = text.encode("utf-8")
     if _odd(draw, 8):
         data = b"\xef\xbb\xbf" + data

@@ -57,6 +57,22 @@ def _between_chunks(monkeypatch, path, change):
     monkeypatch.setattr(reader, "_parse_chunk", parse_chunk)
 
 
+def _growth(monkeypatch):
+    """The row counts the kept arrays are grown to, in order, as the
+    ingest after this call grows them."""
+    sizes = []
+    real = reader._InputFile._append
+
+    def append(self, parts, capacity):
+        had = len(self.columns[0]) if self.columns else 0
+        real(self, parts, capacity)
+        if len(self.columns[0]) != had:
+            sizes.append(len(self.columns[0]))
+
+    monkeypatch.setattr(reader._InputFile, "_append", append)
+    return sizes
+
+
 def _before_the_row_parser(monkeypatch, path, change):
     """Apply ``change`` to the file at ``path`` once the fast path has
     stopped, before the row parser reads on."""
@@ -180,14 +196,7 @@ def test_pipe_arrays_grow_geometrically(monkeypatch):
     time, they double as they fill, a logarithmic number of times, where
     sizing them for the rows read so far would grow them once a chunk."""
     monkeypatch.setattr(reader, "_SCAN_BLOCK", 64)
-    sizes = []
-    real = reader._grown
-
-    def grown(columns, parsed, rows, capacity):
-        sizes.append(capacity)
-        return real(columns, parsed, rows, capacity)
-
-    monkeypatch.setattr(reader, "_grown", grown)
+    sizes = _growth(monkeypatch)
     rows = 4000  # 48 KB: the pipe holds it all
     data = b"y,m1,m2\n" + b"".join(b"%d,0.%03d,0.5\n" % (i % 2, i % 1000) for i in range(rows))
     with _pipe(data) as path:
@@ -302,6 +311,26 @@ def test_ingest_peak_stays_near_the_file_size(tmp_path):
     assert peak <= 1.0 * os.path.getsize(path)
 
 
+@pytest.mark.parametrize("rows", [100_000, 1_000_000])
+def test_short_rows_peak_a_constant_above_what_ingest_keeps(tmp_path, rows):
+    """On 4-byte rows the kept arrays, 16 bytes per record, are most of the
+    memory: ingest's traced peak above them is the temporaries of one chunk,
+    about 16 MiB at any row count. One more array of 8 bytes per record,
+    held while the chunks are parsed, would add 7.6 MiB at 1,000,000 rows."""
+    path = tmp_path / "short.csv"
+    path.write_bytes(b"y,m1\n" + b"1,0\n0,1\n" * (rows // 2))
+    spec = IngestionSpec(path=str(path), outcome_column="y", model_columns=("m1",))
+    ingest(spec)  # numpy's lazy imports and caches
+    tracemalloc.start()
+    try:
+        (data,) = ingest(spec)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.n == rows and kept >= 16 * rows
+    assert peak - kept < 20 << 20
+
+
 def _opens(path, call):
     """How many times ``call()`` opens ``path``, and its result."""
     opened = []
@@ -365,14 +394,7 @@ def test_arrays_grow_when_rows_get_shorter(tmp_path, monkeypatch):
     """The kept arrays are sized from the rows per byte read so far; a file
     whose rows get shorter outgrows them, and they grow, keeping every row."""
     monkeypatch.setattr(reader, "_SCAN_BLOCK", 256)
-    sizes = []
-    real = reader._grown
-
-    def grown(columns, parsed, rows, capacity):
-        sizes.append(capacity)
-        return real(columns, parsed, rows, capacity)
-
-    monkeypatch.setattr(reader, "_grown", grown)
+    sizes = _growth(monkeypatch)
     rng = np.random.default_rng(8)
     lines = [b"y,m1,note"] + [b"%d,%r,%s" % (rng.integers(2), rng.random(), b"x" * (200 - i))
                               for i in range(200)]
