@@ -67,8 +67,9 @@ def _atomic_write(path: str, data: bytes) -> None:
 def _write_output(data: bytes, out: str | None) -> None:
     if out:
         _atomic_write(out, data)
-    else:
-        sys.stdout.write(data.decode("utf-8"))
+    else:  # the report's own bytes, whatever the text encoding of stdout
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
 
 
 def _add_io_options(parser: argparse.ArgumentParser) -> None:

@@ -1,11 +1,12 @@
 """Exact conversion between decimal text and float64, in numpy.
 
-``_decimals`` reads cells written as one digit, '.', and 1-19 digits
-into the doubles ``float`` gives, for the input parser, and
-``_float_cells`` prints doubles as ``format(v, ".17g")`` does, for the
-CSV writer. Both compute in exact integer and Dekker arithmetic and prove
-each result: ``_decimals`` leaves a cell it cannot prove to its caller,
-and ``_float_cells`` sends a value it does not lay out through ``format``.
+``_decimals`` reads cells written as 0 or 1, alone or followed by '.'
+and up to 19 digits, into the doubles ``float`` gives, for the input
+parser, and ``_float_cells`` prints doubles as ``format(v, ".17g")``
+does, for the CSV writer. Both compute in exact integer and Dekker
+arithmetic and prove each result: ``_decimals`` leaves a cell it cannot
+prove to its caller, and ``_float_cells`` sends a value it does not lay
+out through ``format``.
 """
 
 from __future__ import annotations
@@ -113,10 +114,10 @@ def _rounded(d: np.ndarray, c: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, n
 
 def _decimals(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray,
                                                                            np.ndarray]:
-    """The cells data[starts:ends] written as one digit, '.', and 1-19 digits,
-    converted exactly in numpy, and a mask of the cells so converted; the
-    other cells' values are arbitrary. ``data`` holds at least 24 bytes
-    before each cell's end.
+    """The cells data[starts:ends] written as 0 or 1, alone or followed by
+    '.' and up to 19 digits (18 after a 1), converted exactly in numpy, and
+    a mask of the cells so converted; the other cells' values are
+    arbitrary. ``data`` holds at least 24 bytes before each cell's end.
 
     The fraction's digits are read from the cell's last 8, 16 or 24 bytes
     as little-endian words, as many as the longest fraction needs, giving
@@ -128,9 +129,10 @@ def _decimals(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.nda
     buf = np.frombuffer(data, dtype=np.uint8)
     length = ends - starts
     lead = buf[starts] - np.uint8(ord("0"))
-    exact = ((lead <= 1) & (buf[np.minimum(starts + 1, ends)] == ord("."))
-             & (length >= 3) & (length - 2 + lead <= _MAX_FRACTION))  # so d < 2**64
-    fraction = np.where(exact, length - 2, 0)
+    # An empty cell's lead and '.' are one byte, which cannot be both.
+    exact = ((lead <= 1) & ((length == 1) | (buf[np.minimum(starts + 1, ends)] == ord(".")))
+             & (length - 2 + lead <= _MAX_FRACTION))  # so d < 2**64
+    fraction = np.where(exact, np.maximum(length - 2, 0), 0)
     count = max(1, -(-int(fraction.max(initial=0)) // 8))  # words the longest needs
     tails = np.ndarray((buf.size - 8 * count + 1,), dtype=f"V{8 * count}", buffer=data,
                        strides=(1,))  # each cell's last 8 * count bytes, by where they start

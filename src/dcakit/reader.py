@@ -2,9 +2,10 @@
 
 A file has a header row by default: one binary outcome column (literal
 0/1) and one or more risk columns with decimal values in [0, 1]. Every
-input, a pipe too, is read once: plain chunks of rows are parsed by the
-exact converter of ``digits``, and from the first row that is not plain
-the row parser, which owns every error, reads on.
+input, a pipe too, is read once, and each byte is checked to be UTF-8 as
+it is read: plain chunks of rows are parsed by the exact converter of
+``digits``, and from the first row that is not plain the row parser,
+which owns every error in the rows, reads on.
 """
 
 from __future__ import annotations
@@ -115,17 +116,18 @@ def _layout(first: list[str], spec: IngestionSpec) -> tuple[list[str], tuple[int
 
 
 class _Utf8Check:
-    """Checks bytes that arrive in pieces to be UTF-8 text, as one decode of
-    them all would: an error names the first bad byte and its offset in the
-    file, whose first piece starts at ``offset``."""
+    """Checks bytes that arrive in pieces, in file order, to be UTF-8 text, as
+    one decode of them all would: an error names the first bad byte and its
+    offset in the file. A piece may be a memoryview, tested for ASCII in
+    place in one numpy pass; only a piece that is not is decoded."""
 
-    def __init__(self, path: str, offset: int = 0):
-        self.path, self.offset = path, offset
+    def __init__(self, path: str):
+        self.path, self.offset = path, 0
         self.decoder = codecs.getincrementaldecoder("utf-8")()
 
-    def update(self, data: bytes, final: bool = False) -> None:
+    def update(self, data, final: bool = False) -> None:
         pending = len(self.decoder.getstate()[0])  # bytes of a split character
-        if pending or not data.isascii():
+        if pending or np.frombuffer(data, dtype=np.uint8).max(initial=0) > 127:
             try:
                 self.decoder.decode(data, final)
             except UnicodeDecodeError as exc:  # exc.object is the pending bytes and data
@@ -212,21 +214,19 @@ def _header_layout(first: bytes, spec: IngestionSpec) -> tuple[int, list[int]] |
             or delimiter in '\r\n"' or b'"' in first or b"\r" in first
             or not 0 < len(first) <= csv.field_size_limit()):
         return None
-    try:
-        layout = _layout(first.decode("utf-8").split(delimiter), spec)[1]
-    except UnicodeDecodeError:
-        return None
+    layout = _layout(first.decode("utf-8").split(delimiter), spec)[1]
     return None if None in layout[1] else layout
 
 
 def _block_cells(block: np.ndarray, fields: int, columns: list[int], delimiter: int,
                  limit: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]] | None:
-    """The outcome cells of ``block``, whole rows that each end in LF or CR
-    LF, as a bool array, and the start and end of each cell of the other
-    ``columns``, a row's last cell ending before its CR: None unless the
-    block is ASCII with no CR but those, every row has ``fields`` fields,
-    no line is longer than ``limit`` and every outcome cell is the single
-    byte 0 or 1."""
+    """The outcome cells of ``block``, whole rows of UTF-8 text that each end
+    in LF or CR LF, as a bool array, and the start and end of each cell of
+    the other ``columns``, a row's last cell ending before its CR: None
+    unless the block has no CR but those, every row has ``fields`` fields,
+    no line is longer than ``limit`` bytes and every outcome cell is the
+    single byte 0 or 1. No byte below 0x80 occurs inside a multibyte
+    character, so the ASCII separators split the text where csv does."""
     hits = block == delimiter
     hits |= block == _NEWLINE
     sep = np.flatnonzero(hits)
@@ -245,7 +245,7 @@ def _block_cells(block: np.ndarray, fields: int, columns: list[int], delimiter: 
         if np.count_nonzero(crlf) != crs:  # a lone CR
             return None
         ends -= crlf
-    if (ends - starts).max() > limit or block.max() > 127:
+    if (ends - starts).max() > limit:  # bytes, at least csv's characters
         return None
     cells = [(starts if column == 0 else sep[column - 1::fields] + 1, sep[column::fields])
              for column in columns]
@@ -260,13 +260,13 @@ def _block_cells(block: np.ndarray, fields: int, columns: list[int], delimiter: 
 
 
 def _cell_values(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """The ASCII cells data[starts:ends] as ``_parse_risk`` reads them, by
+    """The UTF-8 cells data[starts:ends] as ``_parse_risk`` reads them, by
     strip and ``float``, range aside; None if one is not a number. Cells
     that ``_decimals`` does not convert are read one at a time."""
     values, exact = _decimals(data, starts, ends)
     redo = np.flatnonzero(~exact)
     try:
-        values[redo] = [float(data[start:end].decode("ascii").strip())
+        values[redo] = [float(data[start:end].decode("utf-8").strip())
                         for start, end in zip(starts[redo].tolist(), ends[redo].tolist())]
     except ValueError:
         return None
@@ -295,15 +295,16 @@ def _parse_chunk(data: bytearray, start: int, stop: int, layout: tuple[int, list
 
 class _InputFile(io.RawIOBase):
     """An input, open for one streamed read: every byte is read once, by
-    ``_read``, which digests it. A regular file over MAX_INPUT_BYTES is
-    refused from its size before any byte is read; any input, once more
-    bytes arrive. A regular file's identity (device, inode, size and mtime)
-    when it was opened must still hold after the read.
+    ``_read``, which digests it and checks it to be UTF-8. A regular file
+    over MAX_INPUT_BYTES is refused from its size before any byte is read;
+    any input, once more bytes arrive. A regular file's identity (device,
+    inode, size and mtime) when it was opened must still hold when it is
+    closed, whatever ended the read.
 
     ``parse_plain`` parses the plain rows at the input's start and
     ``parse_rows`` the rest. As a binary stream the input gives the row
     parser the bytes that ``parse_plain`` read and did not parse, then the
-    rest of the input, each checked to be UTF-8.
+    rest of the input.
     """
 
     def __init__(self, path: str):
@@ -320,6 +321,7 @@ class _InputFile(io.RawIOBase):
         self.identity, self.size = _identity(status), status.st_size
         self.regular = stat.S_ISREG(status.st_mode)  # a pipe's size is unknown
         self.digest = hashlib.sha256()
+        self.utf8 = _Utf8Check(path)
         self.arrived = 0  # bytes read
         self.checked = 0  # bytes parsed by the fast path, a prefix of whole rows
         self.layout = None  # the header's layout, once the fast path parsed a chunk
@@ -327,12 +329,13 @@ class _InputFile(io.RawIOBase):
         self.rest = bytearray()  # bytes read after those parsed, not yet parsed
 
     def __exit__(self, *exc_info):
-        self.handle.close()
+        with self.handle:
+            self._check_identity()
 
     def _read(self, head: bytes, size: int) -> bytearray:
-        """``head``, then up to ``size`` bytes read after it in place and
-        digested: the one read of the input. Past MAX_INPUT_BYTES, one more
-        byte is read, and refused."""
+        """``head``, then up to ``size`` bytes read after it in place,
+        digested and checked to be UTF-8: the one read of the input. Past
+        MAX_INPUT_BYTES, one more byte is read, and refused."""
         block = bytearray(len(head) + min(size, MAX_INPUT_BYTES + 1 - self.arrived))
         block[:len(head)] = head
         with memoryview(block) as whole, whole[len(head):] as free:
@@ -340,11 +343,12 @@ class _InputFile(io.RawIOBase):
                 count = self.handle.readinto(free)
             except OSError as exc:
                 raise IngestionError(f"cannot read {self.path!r}: {exc}") from exc
+            self.arrived += count
+            if self.arrived > MAX_INPUT_BYTES:
+                raise DataError(f"{self.path!r} is over the {MAX_INPUT_BYTES}-byte input limit")
             self.digest.update(free[:count])
+            self.utf8.update(free[:count], final=not count)
         del block[len(head) + count:]
-        self.arrived += count
-        if self.arrived > MAX_INPUT_BYTES:
-            raise DataError(f"{self.path!r} is over the {MAX_INPUT_BYTES}-byte input limit")
         return block
 
     def _check_identity(self) -> None:
@@ -375,12 +379,12 @@ class _InputFile(io.RawIOBase):
         when ``parse_rows`` must go on from the first row it did not parse.
 
         An input is plain when every row provably reads as in
-        ``_parse_rows``: a UTF-8 header and an ASCII body without quotes or
-        lone CRs, the header's field count on every row, no line longer
-        than csv's field size limit, outcome cells that are the single byte
-        0 or 1, and risk cells that ``_parse_risk``'s rule reads into
-        [0, 1]. Anything else, every error included, is left to the row
-        parser.
+        ``_parse_rows``: UTF-8 text without quotes or lone CRs, the
+        header's field count on every row, no line longer than csv's field
+        size limit, outcome cells that are the single byte 0 or 1, and risk
+        cells that ``_parse_risk``'s rule reads into [0, 1]. Anything else,
+        every error in the rows included, is left to the row parser; a
+        byte that is not UTF-8 ends the read where it is met.
 
         The input is read in chunks of whole rows, each parsed in the buffer
         it was read into, behind _PAD and the bytes read before it. Each is
@@ -442,7 +446,6 @@ class _InputFile(io.RawIOBase):
         self.rest = joined
         if self.rest or not self.rows:
             return None
-        self._check_identity()
         return self._parsed()
 
     def readable(self) -> bool:
@@ -450,10 +453,9 @@ class _InputFile(io.RawIOBase):
 
     def readinto(self, buffer) -> int:
         """The row parser's read: ``rest``, then the rest of the input read
-        _DIGEST_BLOCK bytes at a time, each read checked to be UTF-8."""
+        _DIGEST_BLOCK bytes at a time."""
         if not self.rest:
             self.rest = self._read(b"", _DIGEST_BLOCK)
-            self.check.update(self.rest, final=not self.rest)
         count = min(len(buffer), len(self.rest))
         buffer[:count] = self.rest[:count]
         del self.rest[:count]
@@ -462,18 +464,12 @@ class _InputFile(io.RawIOBase):
     def parse_rows(self, spec: IngestionSpec) -> tuple[np.ndarray, list[np.ndarray]]:
         """``_parse_rows`` on the rows ``parse_plain`` did not parse, read on
         from where it stopped and joined to the rows it parsed; from the
-        input's start when it parsed no byte. A changed file overrides the
-        parse's result."""
-        self.check = _Utf8Check(self.path, self.checked)
-        try:
-            self.check.update(self.rest)
-            outcomes, risks = _parse_rows(self, spec, self.layout, self.rows)
-            if not self.rows:
-                return outcomes, risks
-            self._append([outcomes, *risks], self.rows + len(outcomes))
-            return self._parsed()
-        finally:
-            self._check_identity()
+        input's start when it parsed no byte."""
+        outcomes, risks = _parse_rows(self, spec, self.layout, self.rows)
+        if not self.rows:
+            return outcomes, risks
+        self._append([outcomes, *risks], self.rows + len(outcomes))
+        return self._parsed()
 
 
 class Datasets(list):
@@ -495,10 +491,10 @@ def ingest(spec: IngestionSpec) -> Datasets:
     are parsed with an exact vectorized decimal converter
     (``_InputFile.parse_plain``), and from the first row that is not plain
     the row parser reads on (``_InputFile.parse_rows``). Both give the same
-    arrays bit for bit, and every error comes from the row parser. The
-    input is digested as it is read; a file that changes while it is read
-    raises IngestionError, and an input over MAX_INPUT_BYTES raises
-    DataError.
+    arrays bit for bit, and every error in the rows comes from the row
+    parser. The input is digested and checked to be UTF-8 as it is read; a
+    byte that is not UTF-8, or a file that changes while it is read, raises
+    IngestionError, and an input over MAX_INPUT_BYTES raises DataError.
     """
     with _InputFile(spec.path) as source:
         outcomes, risks = source.parse_plain(spec) or source.parse_rows(spec)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import stat
@@ -353,6 +354,23 @@ class TestParserBuiltOnce:
             assert "curves" in capsys.readouterr().out
             assert cli_main(["--version"]) == 0
             assert cli_main(["curves", "--outcome", "y"]) == 1  # nothing kept from the last run
+
+
+def test_stdout_gets_the_report_bytes_whatever_its_encoding(tmp_path, monkeypatch):
+    """A report writes model names as given, in UTF-8. On a stdout whose text
+    encoding is ASCII it writes the bytes --out writes, after the text
+    already written there."""
+    path = tmp_path / "u.csv"
+    path.write_bytes("y,modèle\n1,0.5\n0,0.25\n".encode())
+    args = ["curves", "--input", str(path), "--outcome", "y", "--models", "modèle",
+            "--grid", "0.1:0.2:0.1", "--format", "csv"]
+    assert cli_main([*args, "--out", str(tmp_path / "report.csv")]) == 0
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    stdout.write("before\n")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli_main(args) == 0
+    stdout.flush()
+    assert stdout.buffer.getvalue() == b"before\n" + (tmp_path / "report.csv").read_bytes()
 
 
 def _python(*args, stdin=None):

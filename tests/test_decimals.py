@@ -1,8 +1,8 @@
 """The fast path reads every risk cell as ``float`` does, bit for bit.
 
-``reader._cell_values`` converts cells written as one digit, '.', and 1-19
-digits exactly in numpy (``_decimals``) and sends every other cell through
-``float`` one at a time. Each oracle here compares its bits with
+``reader._cell_values`` converts cells written as 0 or 1, alone or followed
+by '.' and up to 19 digits, exactly in numpy (``_decimals``) and sends
+every other cell through ``float`` one at a time. Each oracle here compares its bits with
 ``float(cell.strip())``, ``_parse_risk``'s rule, on decimals chosen to be
 hard to round, and checks that the numpy route took the cases it should.
 """
@@ -33,9 +33,10 @@ def _cells(texts):
 
 
 def _numpy_form(text):
-    """Whether the numpy route should convert ``text``: 0 or 1, '.', and
-    1-19 digits, spelling d = value * 10**k below 2**63."""
-    return bool(re.fullmatch(r"[01]\.[0-9]{1,19}", text)) and int(text.replace(".", "")) < 2 ** 63
+    """Whether the numpy route should convert ``text``: 0 or 1, alone or
+    followed by '.' and 0-19 digits, spelling d = value * 10**k below 2**63."""
+    return (bool(re.fullmatch(r"[01](\.[0-9]{0,19})?", text))
+            and int(text.replace(".", "")) < 2 ** 63)
 
 
 def _differences(texts):
@@ -141,6 +142,22 @@ def test_risk_text_corpus():
             continue
         values = reader._cell_values(*_cells(["0.5", text]))
         assert values[1:].view(np.uint64).tolist() == [np.float64(expected).view(np.uint64)], text
+
+
+@pytest.mark.parametrize("delimiter", [",", "0", "1", "."])
+def test_short_cells(delimiter):
+    """Integers and points without a fraction: 0, 1, 0. and 1. take the
+    numpy route, 2, 01 and 10 take float(), and an empty cell, whose one
+    byte is its separator, is not a number, whatever that separator is."""
+    texts = ["0", "1", "0.", "1.", "2", "01", "10", "1.5", "0", "1"]
+    wrong, exact = _differences(texts)
+    assert wrong == []
+    assert exact.tolist() == list(map(_numpy_form, texts))
+    assert exact.tolist() == [True] * 4 + [False] * 3 + [True] * 3
+    data = digits._PAD + delimiter.join(["0.5", "", "1"]).encode() + b"\n"
+    starts, ends = len(digits._PAD) + np.array([[0, 4, 5], [3, 4, 6]])
+    assert digits._decimals(data, starts, ends)[1].tolist() == [True, False, True]
+    assert reader._cell_values(data, starts, ends) is None
 
 
 def test_fallback_when_the_proof_rejects_every_cell(monkeypatch):

@@ -43,9 +43,14 @@ def _ingest(spec):
 
 
 def parse_plain(path, spec):
-    """The fast path on the file at ``path``: its arrays, or None."""
+    """The fast path on the file at ``path``: its arrays, or None, also where
+    its read refuses a byte that is not UTF-8."""
     with _InputFile(str(path)) as source:
-        return source.parse_plain(spec)
+        try:
+            return source.parse_plain(spec)
+        except IngestionError as exc:
+            assert "is not UTF-8 text" in str(exc)
+            return None
 
 
 def check_paths(path, data, **options):
@@ -99,7 +104,17 @@ CORPUS = {
     "BOM and CRLF": (b"\xef\xbb\xbfy,m1\r\n1,0.5\r\n", ONE_MODEL, "fast", None),
     "non-UTF-8 byte": (b"y,m1\n1,0.5\n0,0.\xff\n", ONE_MODEL, "rows", "not UTF-8"),
     "UTF-8 header": ("y,m1,modèle\n1,0.5,0.5\n".encode(), ONE_MODEL, "fast", None),
-    "UTF-8 body": ("y,m1,note\n1,0.5,vérifié\n".encode(), ONE_MODEL, "rows", None),
+    "UTF-8 body": ("y,m1,note\n1,0.5,vérifié\n".encode(), ONE_MODEL, "fast", None),
+    "UTF-8 extra column": ("y,m1,note\n1,0.5,naïve ☃\n0,0.25,😀 Ωmega\n".encode(), ONE_MODEL,
+                           "fast", None),
+    "risk then NBSP": ("y,m1\n1,0.5\u00a0\n0,0.25\n".encode(), ONE_MODEL, "fast", None),
+    "risk in Arabic-Indic digits": ("y,m1\n1,٠.٧٥\n0,0.25\n".encode(), ONE_MODEL, "fast",
+                                    None),
+    "risk 2 in Arabic-Indic digits": ("y,m1\n1,٢\n".encode(), ONE_MODEL, "rows",
+                                      "outside [0, 1]"),
+    "outcome then NBSP": ("y,m1\n1\u00a0,0.5\n".encode(), ONE_MODEL, "rows", None),
+    "truncated character at the end": (b"y,m1,note\n1,0.5,\xc3", ONE_MODEL, "rows",
+                                       "byte 0xc3 at offset 16"),
     "duplicate column name": (b"y,m1,m1\n1,0.5,0.75\n", ONE_MODEL, "fast", None),
     "extra text column": (b"id,y,m1,note\nA-17,1,0.5,seen twice\n", ONE_MODEL, "fast", None),
     "tab delimiter": (b"y\tm1\n1\t0.5\n", dict(ONE_MODEL, delimiter="\t"), "fast", None),
@@ -126,6 +141,22 @@ def test_corpus(tmp_path, name):
         assert result[0] == "ok", result
     else:
         assert result[0] == "error" and error in result[1], result
+
+
+@pytest.mark.parametrize("char", ["é", "😀"])
+@pytest.mark.parametrize("pad", range(8))
+@pytest.mark.parametrize("quote, parser", [("", "fast"), ('"', "rows")])
+def test_characters_split_across_reads(tmp_path, monkeypatch, char, pad, quote, parser):
+    """Reads of 8 bytes split a 2-byte and a 4-byte character, and a risk
+    cell's trailing NBSP, at every position: the fast path reads them, or
+    the row parser after a quoted cell in row 1, as the row parser reads
+    the whole bytes."""
+    monkeypatch.setattr(reader, "_SCAN_BLOCK", 8)
+    monkeypatch.setattr(reader, "_DIGEST_BLOCK", 8)
+    note = quote + "x" * pad + quote
+    data = f"y,m1,note\n1,0.5,{note}\n0,0.25\u00a0,{char}{char}\n1,1,{char}\n".encode()
+    used, result = check_paths(tmp_path / "input.csv", data, **ONE_MODEL)
+    assert used == parser and result[0] == "ok"
 
 
 def _traced(call):

@@ -145,6 +145,15 @@ class TestChangedFile:
         with pytest.raises(IngestionError, match="changed while being read"):
             ingest(_spec(plain))
 
+    def test_growth_past_the_cap_raises(self, plain, monkeypatch):
+        """At the cap when opened, the file grows past it while the fast path
+        reads: the read refuses the byte over the cap, and the identity check
+        when the file is closed names the change instead."""
+        monkeypatch.setattr(reader, "MAX_INPUT_BYTES", len(PLAIN))
+        _between_chunks(monkeypatch, plain, _append_rows)
+        with pytest.raises(IngestionError, match="changed while being read"):
+            ingest(_spec(plain))
+
     def test_unchanged_file_passes(self, plain, monkeypatch):
         _between_chunks(monkeypatch, plain, lambda path: None)
         sets = ingest(_spec(plain))
@@ -188,6 +197,46 @@ def test_plain_pipe_takes_the_fast_path(monkeypatch):
     with _pipe(PLAIN) as path:
         sets = ingest(_spec(path))
     assert [s.risks.tolist() for s in sets] == [[0.5, 0.1], [0.25, 1.0]]
+
+
+def _no_row_parser(monkeypatch):
+    """Make the row parser, and the method that would start it, raise."""
+    def parse_rows(*args):
+        raise AssertionError("the row parser read the input")
+
+    monkeypatch.setattr(reader, "_parse_rows", parse_rows)
+    monkeypatch.setattr(reader._InputFile, "parse_rows", parse_rows)
+
+
+def test_utf8_body_takes_the_fast_path(plain, monkeypatch):
+    plain.write_bytes("y,m1,m2,note\n1,0.5,0.25,vérifié\n0,0.1,1,😀\n".encode())
+    _no_row_parser(monkeypatch)
+    assert [s.risks.tolist() for s in ingest(_spec(plain))] == [[0.5, 0.1], [0.25, 1.0]]
+
+
+@pytest.mark.parametrize("block", [7, 64, 1 << 19])
+@pytest.mark.parametrize("bad", [b"0,0.5,\xff\n", b"0,0.5,\xc3(\n", b"0,0.5,\xf0\x9f\x98\n",
+                                 b"0,0.5,\xed\xa0\x80\n", b"0,0.5,\xc3"])
+def test_fast_path_read_refuses_a_byte_that_is_not_utf8(plain, monkeypatch, block, bad):
+    """Plain rows, then a row whose note is not UTF-8 (a bad byte, a lead
+    byte before ASCII, a truncated character, a surrogate, a character cut
+    by the end of the file), then plain rows: the fast path's read names
+    the first bad byte at its offset, as one decode of the whole file does,
+    and the row parser never runs."""
+    rows = b"1,0.5,x\n0,0.25,y\n" * 20
+    data = b"y,m1,note\n" + rows + bad + (rows if bad.endswith(b"\n") else b"")
+    plain.write_bytes(data)
+    spec = IngestionSpec(path=str(plain), outcome_column="y", model_columns=("m1",))
+    with pytest.raises(IngestionError) as whole:
+        reader._parse_rows(data, spec)
+    offset = next(i for i, byte in enumerate(data) if byte > 127)
+    assert str(whole.value).endswith(f"is not UTF-8 text: byte {data[offset]:#04x} "
+                                     f"at offset {offset}")
+    monkeypatch.setattr(reader, "_SCAN_BLOCK", block)
+    _no_row_parser(monkeypatch)
+    with pytest.raises(IngestionError) as read:
+        ingest(spec)
+    assert str(read.value) == str(whole.value)
 
 
 @needs_dev_fd
@@ -412,9 +461,9 @@ def test_arrays_grow_when_rows_get_shorter(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("last", [b"0,0.5,\xc3\xbc\n", b"0,0.5,\xc3\n", b"0,0.5,\xc3"])
 def test_utf8_check_spans_reads(tmp_path, monkeypatch, last):
-    """A declined file is checked to be UTF-8 as the rest of it is read, 3
-    bytes at a time: a character split between reads passes, and a bad byte
-    is named at its offset in the file, as one decode of the file names it."""
+    """A file is checked to be UTF-8 as it is read, 16 bytes at a time: a
+    character split between reads passes, and a bad byte is named at its
+    offset in the file, as one decode of the file names it."""
     monkeypatch.setattr(reader, "_SCAN_BLOCK", 16)
     monkeypatch.setattr(reader, "_DIGEST_BLOCK", 3)
     data = "y,m1,note\n1,0.5,x\n0,0.25,vérifié\n1,0.5,ü\n".encode() + last
