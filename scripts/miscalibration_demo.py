@@ -8,8 +8,6 @@ reported together with the calibration violation that explains each.
 """
 
 import argparse
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 
 from dcakit import (
@@ -21,19 +19,18 @@ from dcakit import (
     render_svg,
     sweep_counts,
 )
-from dcakit.comparison import default_losses
+from dcakit.comparison import default_losses, loss_runs
 from dcakit.curves import curve_columns
 
 
-def region(points, loses, places):
-    """One [lo, hi] range per run of consecutive grid points where ``loses``
-    holds, t printed with ``places`` decimals, then how many points lose."""
-    runs = [[p.t for p, _ in run] for lost, run in groupby(zip(points, loses), key=itemgetter(1))
-            if lost]
+def region(t, loses, places):
+    """One [lo, hi] range per loss_runs run, t printed with ``places``
+    decimals, then how many points lose."""
+    runs = loss_runs(t, loses)
     if not runs:
         return "-"
     ranges = ", ".join(f"[{run[0]:.{places}f}, {run[-1]:.{places}f}]" for run in runs)
-    return f"{ranges} ({sum(map(len, runs))}/{len(points)} pts)"
+    return f"{ranges} ({sum(map(len, runs))}/{len(t)} pts)"
 
 
 def main() -> None:
@@ -66,8 +63,8 @@ def main() -> None:
         below_none = [p for p, loses in zip(points, loses_none) if loses]
         below_all = [p for p, loses in zip(points, loses_all) if loses]
         print(f"{shift:>+6.1f}  {reported.prevalence:>10.4f}  "
-              f"{region(points, loses_none, places):>24}  "
-              f"{region(points, loses_all, places):>24}")
+              f"{region(sweep.t, loses_none, places):>24}  "
+              f"{region(sweep.t, loses_all, places):>24}")
         if below_none:
             worst = min(below_none, key=lambda p: p.nb_model)
             print(f"        selected-group event rate {worst.calibration.y_above:.3f} "

@@ -13,12 +13,10 @@ import os
 import sys
 import tempfile
 from functools import cache
-from itertools import groupby
-from operator import itemgetter
 
 from . import __version__
 # compare_models stays importable here: bench/workloads.py traces it by name.
-from .comparison import compare_columns, compare_models, default_losses  # noqa: F401
+from .comparison import compare_columns, compare_models, default_losses, loss_runs  # noqa: F401
 # decision_curve stays importable here: bench/workloads.py traces it by name.
 from .curves import (CurvePoint, SyntheticSpec, ThresholdGrid, curve_columns,  # noqa: F401
                      decision_curve, generate_synthetic)
@@ -182,11 +180,15 @@ def _ingest_from_args(args):
     return ingest(spec)
 
 
+def _model_curves(datasets, grid: ThresholdGrid) -> tuple:
+    return tuple(ModelCurve(d.name, curve_columns(sweep_counts(d, grid.points)))
+                 for d in datasets)
+
+
 def _cmd_curves(args) -> int:
     grid = ThresholdGrid.from_string(args.grid)
     datasets = _ingest_from_args(args)
-    models = tuple(ModelCurve(d.name, curve_columns(sweep_counts(d, grid.points)))
-                   for d in datasets)
+    models = _model_curves(datasets, grid)
     doc = ReportDocument(metadata=_metadata(args, grid, datasets.digest, outcome=args.outcome),
                          models=models)
     _write_output(emit_report(doc, format=args.format), args.out)
@@ -227,8 +229,7 @@ def _cmd_bootstrap(args) -> int:
     spec = BandSpec(replicates=args.replicates, seed=args.seed, level=args.level)
     check_band_caps(spec, grid)
     datasets = _ingest_from_args(args)
-    models = tuple(ModelCurve(d.name, curve_columns(sweep_counts(d, grid.points)))
-                   for d in datasets)
+    models = _model_curves(datasets, grid)
     bands = {d.name: bootstrap_bands(d, grid, spec) for d in datasets}
     doc = ReportDocument(
         metadata=_metadata(args, grid, datasets.digest, outcome=args.outcome,
@@ -240,12 +241,10 @@ def _cmd_bootstrap(args) -> int:
     return EXIT_OK
 
 
-def _region(points: list, loses, places: int) -> str:
-    """One threshold range per run of consecutive grid points where ``loses``
-    holds, since the runs need not be adjacent; t printed with ``places``
+def _region(t, loses, places: int) -> str:
+    """One threshold range per loss_runs run, t printed with ``places``
     decimals."""
-    runs = [[p.t for p, _ in run] for lost, run in groupby(zip(points, loses), key=itemgetter(1))
-            if lost]
+    runs = loss_runs(t, loses)
     return ", ".join(f"{run[0]:.{places}f} <= t <= {run[-1]:.{places}f}" for run in runs)
 
 
@@ -281,7 +280,7 @@ def _cmd_demo(args) -> int:
         for p in below_none:
             print(f"  t={p.t:.{places}f}  nb={p.nb_model:+.5f}  "
                   f"event rate above t={p.calibration.y_above:.4f} < t")
-        print(f"  region: {_region(points, loses_none, places)} "
+        print(f"  region: {_region(sweep.t, loses_none, places)} "
               f"(selected group not event-rich enough to justify action)")
     else:
         print("  none on this grid")
@@ -291,7 +290,7 @@ def _cmd_demo(args) -> int:
         for p in below_all:
             print(f"  t={p.t:.{places}f}  nb={p.nb_model:+.5f}  nb_all={p.nb_all:+.5f}  "
                   f"event rate below t={p.calibration.y_below:.4f} > t")
-        print(f"  region: {_region(points, loses_all, places)} "
+        print(f"  region: {_region(sweep.t, loses_all, places)} "
               f"(spared group is not actually low risk)")
     else:
         print("  none on this grid")

@@ -13,6 +13,8 @@ kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -39,6 +41,7 @@ __all__ = [
     "compare_curve",
     "compare_models",
     "default_losses",
+    "loss_runs",
     "ppv_superiority_reference",
     "superiority_columns",
 ]
@@ -146,6 +149,14 @@ def default_losses(c: ThresholdConfusion) -> tuple[np.ndarray, np.ndarray]:
     treat_none = ThresholdConfusion(t, zero, zero, n0, n1, c.n)
     treat_all = ThresholdConfusion(t, n1, n0, zero, zero, c.n)
     return tuple(superiority_columns(c, d).winner == WINNER_MODEL2 for d in (treat_none, treat_all))
+
+
+def loss_runs(t, loses) -> list[list[float]]:
+    """The thresholds of ``t`` where ``loses`` (one of default_losses'
+    columns) holds, one list per run of consecutive grid points, in grid
+    order: the runs need not be adjacent."""
+    pairs = zip(np.asarray(t).tolist(), np.asarray(loses).tolist())
+    return [[x for x, _ in run] for lost, run in groupby(pairs, key=itemgetter(1)) if lost]
 
 
 def compare_models(d1: PredictionSet, d2: PredictionSet, t: float) -> ComparisonVerdict:

@@ -21,7 +21,7 @@ from dcakit import (
     verdict_vs_defaults,
 )
 from dcakit import metrics
-from dcakit.comparison import default_losses
+from dcakit.comparison import default_losses, loss_runs
 
 TOL = 1e-12
 
@@ -256,3 +256,21 @@ def test_a_float_tie_with_treat_none_is_not_a_loss():
     assert metrics.net_benefit_order(c.t, (c.tp, c.fp), (0, 0)).tolist() == [-1]
     assert metrics.net_benefit_counts(c.tp, c.fp, c.n, c.t).tolist() == [0.0]
     assert [losses.tolist() for losses in default_losses(c)] == [[False], [False]]
+
+
+@pytest.mark.parametrize("loses, runs", [
+    ([False, False, False, False], []),
+    ([True, True, True, True], [[0.1, 0.2, 0.3, 0.4]]),
+    ([True, False, True, False], [[0.1], [0.3]]),
+    ([False, True, False, True], [[0.2], [0.4]]),
+    ([True, True, False, True], [[0.1, 0.2], [0.4]]),
+])
+def test_loss_runs_group_consecutive_losses(loses, runs):
+    got = loss_runs(np.array([0.1, 0.2, 0.3, 0.4]), np.array(loses))
+    assert got == runs
+    assert all(type(t) is float for run in got for t in run)
+
+
+@pytest.mark.parametrize("loses, runs", [([False], []), ([True], [[0.25]])])
+def test_loss_runs_of_a_single_point(loses, runs):
+    assert loss_runs(np.array([0.25]), np.array(loses)) == runs
